@@ -26,7 +26,7 @@ from .simulator import (PopulationSpec, SampledData, SyntheticTruth, draw_sample
                         generate_population, impose_responses_and_missingness,
                         simulate_survey)
 from .solver import (DEFAULT_TAU_GRID, CompletionResult, SolverConfig, SolverState,
-                     TuneResult, fit_completion, gradient, objective, tune_tau,
-                     weighted_loss)
+                     TuneResult, fit_completion, gradient, grid_search, objective,
+                     tune_tau, weighted_loss)
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ reproduces output files byte for byte.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,15 +24,13 @@ import numpy as np
 from .baselines import collective_unweighted, hot_deck, soft_impute
 from .errors import DegenerateTruth, InvalidInput, ShapeError, SurveyMCError
 from .families import mean_from_natural
-from .response_model import ResponseProbModel, estimate_response_probs
+from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
-from .solver import DEFAULT_TAU_GRID, SolverConfig, fit_completion, tune_tau
+from .solver import DEFAULT_TAU_GRID, SolverConfig, fit_completion, grid_search
 
 __all__ = ["ReplicationReport", "BenchmarkSummary", "relative_error",
            "block_relative_errors", "run_benchmark", "tune_benchmark_taus",
            "METHODS"]
-
-METHODS = ("ipw", "collective_unweighted", "soft_impute", "hot_deck")
 
 
 def relative_error(estimate, reference) -> float:
@@ -96,34 +95,60 @@ def _method_rng(base_seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng([base_seed ^ r, 1])
 
 
-def _run_method(name: str, sample, probs, tau: float, config: SolverConfig,
-                rng: np.random.Generator) -> np.ndarray:
-    ds = sample.dataset
-    if name == "ipw":
-        return fit_completion(ds, probs, replace(config, tau=tau)).Z_hat
-    if name == "collective_unweighted":
-        return collective_unweighted(ds, tau, config=replace(config, tau=tau)).Z_hat_natural
-    if name == "soft_impute":
-        return soft_impute(ds.Y, ds.R, tau, layout=ds.layout, clamp=config.clamp).Z_hat_natural
-    if name == "hot_deck":
-        return hot_deck(ds.Y, ds.R, ds.strata, rng, layout=ds.layout,
-                        clamp=config.clamp).Z_hat_natural
-    raise InvalidInput(f"unknown method {name!r}")
+# Each method maps (dataset, probs, tau, config, rng) to its natural-parameter
+# estimate.  The solvers are looked up by module-global name at call time so
+# that rebinding fit_completion and the baselines here reaches every fit.
+
+
+def _ipw(ds, probs, tau, config, rng):
+    return fit_completion(ds, probs, replace(config, tau=tau)).Z_hat
+
+
+def _collective_unweighted(ds, probs, tau, config, rng):
+    return collective_unweighted(ds, tau, config=config).Z_hat_natural
+
+
+def _soft_impute(ds, probs, tau, config, rng):
+    return soft_impute(ds.Y, ds.R, tau, layout=ds.layout, clamp=config.clamp).Z_hat_natural
+
+
+def _hot_deck(ds, probs, tau, config, rng):
+    return hot_deck(ds.Y, ds.R, ds.strata, rng, layout=ds.layout,
+                    clamp=config.clamp).Z_hat_natural
+
+
+_Method = namedtuple("_Method", "fit tuned")     # tuned False: the method takes no tau
+
+_REGISTRY = {
+    "ipw": _Method(_ipw, tuned=True),
+    "collective_unweighted": _Method(_collective_unweighted, tuned=True),
+    "soft_impute": _Method(_soft_impute, tuned=True),
+    "hot_deck": _Method(_hot_deck, tuned=False),
+}
+
+METHODS = tuple(_REGISTRY)
+
+
+def _check_methods(methods) -> tuple[str, ...]:
+    methods = tuple(methods)
+    for name in methods:
+        if name not in _REGISTRY:
+            raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
+    return methods
 
 
 def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
                    config: SolverConfig, p_floor: float) -> ReplicationReport:
     t0 = time.perf_counter()
-    rng = _data_rng(base_seed, r)
-    _, sample = simulate_survey(spec, rng)
+    _, sample = simulate_survey(spec, _data_rng(base_seed, r))
     ds = sample.dataset
     probs = estimate_response_probs(ds, p_floor=p_floor) if "ipw" in methods else None
     re: dict[str, dict[str, float]] = {}
     failures: dict[str, str] = {}
     for name in methods:
         try:
-            Z_hat = _run_method(name, sample, probs, taus.get(name, config.tau),
-                                config, _method_rng(base_seed, r))
+            Z_hat = _REGISTRY[name].fit(ds, probs, taus.get(name, config.tau), config,
+                                        _method_rng(base_seed, r))
             scores = block_relative_errors(Z_hat, sample.truth_Z, ds.layout)
             scores["overall_mean_scale"] = relative_error(
                 mean_from_natural(Z_hat, ds.layout),
@@ -147,25 +172,18 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
     to config.tau.  Failures are recorded per replicate and excluded from the
     aggregate, never silently dropped.
     """
-    methods = tuple(methods)
-    for name in methods:
-        if name not in METHODS:
-            raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
+    methods = _check_methods(methods)
     if n_replicates < 2:
         raise InvalidInput("need at least 2 replicates for a standard error")
+    if threads < 1:
+        raise InvalidInput(f"threads must be >= 1, got {threads}")
     config = config or SolverConfig(tau=2.0**-10)
     taus = dict(taus or {})
 
-    ids = list(range(1, n_replicates + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda r: _one_replicate(spec, methods, taus, base_seed, r, config, p_floor),
-                ids))
-    else:
-        reports = [_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
-                   for r in ids]
-    reports.sort(key=lambda rep: rep.replicate)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        reports = list(pool.map(
+            lambda r: _one_replicate(spec, methods, taus, base_seed, r, config, p_floor),
+            range(1, n_replicates + 1)))
 
     aggregate: dict[str, dict[str, tuple[float, float, int]]] = {}
     n_failures = {name: 0 for name in methods}
@@ -193,35 +211,20 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     """Tune each method's tau once on the reserved validation replicate.
 
     The validation replicate (id 0) is generated independently of the
-    benchmark replicates; each tau in the grid is scored by relative error
-    against the validation truth, ties toward the larger tau.
+    benchmark replicates.  Every tuned method fits it once per tau in the
+    grid and scores the relative error against the validation truth; ties
+    break toward the larger tau.  Methods without a tau are left out.
     """
+    methods = _check_methods(methods)
     config = config or SolverConfig(tau=2.0**-10)
-    rng = _data_rng(base_seed, 0)
-    _, sample = simulate_survey(spec, rng)
+    _, sample = simulate_survey(spec, _data_rng(base_seed, 0))
     ds = sample.dataset
+    probs = estimate_response_probs(ds, p_floor=p_floor) if "ipw" in methods else None
     out: dict[str, float] = {}
-    protocol = {"kind": "validation", "truth_Z": sample.truth_Z}
     for name in methods:
-        if name == "hot_deck":
-            continue
-        if name == "ipw":
-            probs = estimate_response_probs(ds, p_floor=p_floor)
-            out[name] = tune_tau(ds, probs, grid=grid, protocol=protocol,
-                                 base_config=config).best_tau
-        elif name == "collective_unweighted":
-            n, L = ds.Y.shape
-            flat = replace(ds, pi=np.ones(n), population_size=float(n))
-            const = ResponseProbModel.constant(n, L, 1.0)
-            out[name] = tune_tau(flat, const, X=None, grid=grid, protocol=protocol,
-                                 base_config=config).best_tau
-        elif name == "soft_impute":
-            taus = sorted(set(float(t) for t in grid))
-            best_tau, best_score = None, None
-            for t in taus:
-                res = soft_impute(ds.Y, ds.R, t, layout=ds.layout, clamp=config.clamp)
-                score = relative_error(res.Z_hat_natural, sample.truth_Z)
-                if best_score is None or score <= best_score:
-                    best_tau, best_score = t, score
-            out[name] = best_tau
+        method = _REGISTRY[name]
+        if method.tuned:
+            out[name] = grid_search(grid, lambda t: relative_error(
+                method.fit(ds, probs, t, config, _method_rng(base_seed, 0)),
+                sample.truth_Z)).best_tau
     return out

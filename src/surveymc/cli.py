@@ -51,10 +51,11 @@ def _spec_from_args(args) -> PopulationSpec:
                           xi=args.xi, n_covariates=args.covariates)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tau=args.tau, iterations=args.iterations,
+def _solver_config(args, tau: float) -> SolverConfig:
+    return SolverConfig(tau=tau, iterations=args.iterations,
                         step_mode=args.step_mode, step_size=args.step_size,
-                        population_size=args.population_size, clamp=args.clamp)
+                        population_size=getattr(args, "population_size", None),
+                        clamp=args.clamp)
 
 
 def _outdir(args) -> str:
@@ -75,7 +76,7 @@ def _load(args) -> MixedDataset:
 def _fit(args, dataset: MixedDataset):
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
-    result = fit_completion(dataset, probs, _solver_config(args))
+    result = fit_completion(dataset, probs, _solver_config(args, args.tau))
     return probs, result
 
 
@@ -134,12 +135,8 @@ def cmd_tune(args) -> int:
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
     grid = mio.parse_tau_grid(args.grid)
-    base = SolverConfig(tau=grid[0], iterations=args.iterations,
-                        step_mode=args.step_mode, step_size=args.step_size,
-                        population_size=args.population_size, clamp=args.clamp)
-    result = tune_tau(dataset, probs, grid=grid,
-                      protocol={"kind": "k_fold", "k": args.folds, "seed": args.seed},
-                      base_config=base)
+    result = tune_tau(dataset, probs, grid=grid, folds=args.folds, seed=args.seed,
+                      base_config=_solver_config(args, grid[0]))
     with open(os.path.join(out, "tau_scores.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "score"])
@@ -155,9 +152,7 @@ def cmd_benchmark(args) -> int:
     out = _outdir(args)
     spec = _spec_from_args(args)
     methods = tuple(m.strip() for m in args.methods.split(","))
-    config = SolverConfig(tau=2.0**-10, iterations=args.iterations,
-                          step_mode=args.step_mode, step_size=args.step_size,
-                          clamp=args.clamp)
+    config = _solver_config(args, 2.0**-10)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}
     else:
@@ -182,9 +177,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, tau_required: bool) -> None:
-    p.add_argument("--tau", type=float, required=tau_required, default=None,
-                   help="nuclear-norm weight")
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=200, help="solver iterations")
     p.add_argument("--step-mode", choices=["standard_prox", "as_printed"],
                    default="standard_prox")
@@ -192,6 +185,17 @@ def _add_solver_flags(p: argparse.ArgumentParser, tau_required: bool) -> None:
                    help="fixed step size (default: automatic)")
     p.add_argument("--clamp", type=float, default=30.0,
                    help="natural-parameter clamp box half-width")
+
+
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that fit one dataset at one tau."""
+    _add_data_flags(p)
+    p.add_argument("--tau", type=float, required=True, help="nuclear-norm weight")
+    _add_solver_flags(p)
+    _add_population_flag(p)
+
+
+def _add_population_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--population-size", type=float, default=None,
                    help="population size N (default: stored or Horvitz-Thompson)")
 
@@ -235,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the completion model to a dataset")
-    _add_data_flags(p)
-    _add_solver_flags(p, tau_required=True)
+    _add_fit_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("impute", help="fit and write mean-scale imputations")
-    _add_data_flags(p)
-    _add_solver_flags(p, tau_required=True)
+    _add_fit_flags(p)
     p.add_argument("--original-scale", action="store_true",
                    help="undo load-time standardization in the imputed file")
     p.add_argument("--out", required=True)
@@ -253,12 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="2^-15..2^-1,1,2", help="tau grid")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--step-mode", choices=["standard_prox", "as_printed"],
-                   default="standard_prox")
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--clamp", type=float, default=30.0)
-    p.add_argument("--population-size", type=float, default=None)
+    _add_solver_flags(p)
+    _add_population_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tune)
 
@@ -271,11 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed tau for every method (default: tune on a "
                         "validation replicate)")
     p.add_argument("--grid", default="2^-15..2^-1,1,2", help="tuning grid")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--step-mode", choices=["standard_prox", "as_printed"],
-                   default="standard_prox")
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--clamp", type=float, default=30.0)
+    _add_solver_flags(p)
     p.add_argument("--p-floor", type=float, default=0.01)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)

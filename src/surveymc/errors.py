@@ -35,7 +35,7 @@ class FoldError(SurveyMCError):
 
 
 class ColumnEmpty(SurveyMCError):
-    """A column has no observed entries anywhere, so no donor exists."""
+    """A column, or the whole dataset, has no observed entries to use."""
 
 
 class DesignError(SurveyMCError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import FoldError, InvalidInput, NumericalFailure, ShapeError
+from .errors import ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError
 from .families import CategoryLayout, mean_from_natural
 from .linalg import concat_cols, nuclear_norm, rank1_approx, svt
 from .response_model import ResponseProbModel
@@ -39,10 +39,11 @@ __all__ = [
     "gradient",
     "fit_completion",
     "tune_tau",
+    "grid_search",
     "DEFAULT_TAU_GRID",
 ]
 
-# tau grid used by the tuning protocols: 2^-15 .. 2^-1, then 1 and 2
+# default tau grid for tuning: 2^-15 .. 2^-1, then 1 and 2
 DEFAULT_TAU_GRID = tuple(2.0**k for k in range(-15, 0)) + (1.0, 2.0)
 
 # sentinel: "use dataset.X" (None means no covariate augmentation)
@@ -237,7 +238,10 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
 
     X defaults to the dataset covariates; pass X=None to drop the covariate
     augmentation (the penalty becomes the plain nuclear norm of Z).
+    Raises ColumnEmpty when the dataset has no observed response.
     """
+    if not dataset.R.any():
+        raise ColumnEmpty("dataset has no observed response to fit")
     N = dataset.resolve_population_size(config.population_size)
     prob = _Problem(dataset, probs, N, config.tau, config.clamp, X)
 
@@ -332,59 +336,55 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
                             diagnostics=diagnostics)
 
 
-def tune_tau(dataset: MixedDataset, probs: ResponseProbModel, X=_DATASET_X,
-             grid=DEFAULT_TAU_GRID, protocol: dict | None = None,
-             base_config: SolverConfig | None = None) -> TuneResult:
-    """Pick tau from a grid; ties break toward the larger value.
+def grid_search(grid, score) -> TuneResult:
+    """Score every tau of the grid in ascending order and keep the best.
 
-    protocol {"kind": "k_fold", "k": 5, "seed": 0} scores each tau by the
-    squared distance between mean-scale imputations and held-out observed
-    responses, summed over folds.  protocol {"kind": "validation",
-    "truth_Z": Z} fits on the full dataset and scores the relative
-    Frobenius error against the supplied reference (simulation use).
+    score maps a tau to a number where lower is better; ties break toward
+    the larger tau.  Raises InvalidInput unless the grid holds positive
+    finite values.
     """
     taus = tuple(sorted(set(float(t) for t in grid)))
     if not taus or any(not (np.isfinite(t) and t > 0) for t in taus):
         raise InvalidInput("grid must contain positive finite tau values")
-    protocol = protocol or {"kind": "k_fold", "k": 5, "seed": 0}
-    base = base_config or SolverConfig(tau=taus[0])
-
-    if protocol["kind"] == "validation":
-        truth = np.asarray(protocol["truth_Z"], dtype=np.float64)
-        denom = float(np.linalg.norm(truth))
-        if denom == 0.0:
-            raise InvalidInput("validation reference matrix is identically zero")
-        scores = []
-        for t in taus:
-            res = fit_completion(dataset, probs, replace(base, tau=t), X)
-            scores.append(float(np.linalg.norm(res.Z_hat - truth)) / denom)
-    elif protocol["kind"] == "k_fold":
-        k = int(protocol.get("k", 5))
-        if k < 2:
-            raise InvalidInput(f"k_fold needs k >= 2, got {k}")
-        obs = np.argwhere(dataset.R)
-        if obs.shape[0] < k:
-            raise FoldError(f"only {obs.shape[0]} observed entries for {k} folds")
-        order = np.random.default_rng(protocol.get("seed", 0)).permutation(obs.shape[0])
-        folds = np.array_split(order, k)
-        if any(f.size == 0 for f in folds):
-            raise FoldError("empty cross-validation fold")
-        scores = [0.0 for _ in taus]
-        for fold in folds:
-            rows, cols = obs[fold, 0], obs[fold, 1]
-            keep = dataset.R.copy()
-            keep[rows, cols] = False
-            ds_f = dataset.with_mask(keep)
-            held_y = dataset.Y[rows, cols]
-            for i, t in enumerate(taus):
-                res = fit_completion(ds_f, probs, replace(base, tau=t), X)
-                imput = mean_from_natural(res.Z_hat, dataset.layout)[rows, cols]
-                scores[i] += float(np.sum((imput - held_y) ** 2))
-    else:
-        raise InvalidInput(f"unknown tuning protocol {protocol!r}")
-
+    scores = tuple(score(t) for t in taus)
     best_i = 0
     for i in range(1, len(taus)):
         if scores[i] <= scores[best_i]:
             best_i = i
-    return TuneResult(best_tau=taus[best_i], taus=taus, scores=tuple(scores))
+    return TuneResult(best_tau=taus[best_i], taus=taus, scores=scores)
+
+
+def tune_tau(dataset: MixedDataset, probs: ResponseProbModel, X=_DATASET_X,
+             grid=DEFAULT_TAU_GRID, folds: int = 5, seed: int = 0,
+             base_config: SolverConfig | None = None) -> TuneResult:
+    """Pick tau from a grid by k-fold cross-validation.
+
+    The observed entries are split into `folds` folds by a permutation drawn
+    from `seed`.  Each tau is scored by the squared distance between the
+    mean-scale imputations and the held-out observed responses, summed over
+    the folds; ties break toward the larger tau (see grid_search).
+    base_config supplies every solver setting except tau.
+    """
+    if folds < 2:
+        raise InvalidInput(f"k-fold tuning needs folds >= 2, got {folds}")
+    obs = np.argwhere(dataset.R)
+    if obs.shape[0] < folds:
+        raise FoldError(f"only {obs.shape[0]} observed entries for {folds} folds")
+    order = np.random.default_rng(seed).permutation(obs.shape[0])
+    held_out = []
+    for fold in np.array_split(order, folds):  # none empty: obs >= folds
+        rows, cols = obs[fold, 0], obs[fold, 1]
+        keep = dataset.R.copy()
+        keep[rows, cols] = False
+        held_out.append((dataset.with_mask(keep), rows, cols, dataset.Y[rows, cols]))
+    base = base_config or SolverConfig(tau=1.0)  # tau is set per grid point
+
+    def score(t: float) -> float:
+        total = 0.0
+        for ds_f, rows, cols, held_y in held_out:
+            res = fit_completion(ds_f, probs, replace(base, tau=t), X)
+            imput = mean_from_natural(res.Z_hat, dataset.layout)[rows, cols]
+            total += float(np.sum((imput - held_y) ** 2))
+        return total
+
+    return grid_search(grid, score)

@@ -1,5 +1,7 @@
 """Scoring identities and the Monte Carlo harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -105,6 +107,12 @@ def test_benchmark_validation():
         run_benchmark(tiny_spec(), n_replicates=1)
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_benchmark_rejects_nonpositive_threads(threads):
+    with pytest.raises(InvalidInput):
+        run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=2, threads=threads)
+
+
 def test_tune_benchmark_taus_smoke():
     cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
     grid = (2.0**-10, 2.0**-6, 2.0**-2)
@@ -112,3 +120,42 @@ def test_tune_benchmark_taus_smoke():
                               grid=grid, base_seed=11, config=cfg)
     assert set(out) == {"ipw", "soft_impute"}   # hot deck has no tau
     assert all(t in grid for t in out.values())
+
+
+def test_tune_benchmark_taus_pinned_values():
+    # recorded before the methods moved behind one registry and one tuning loop
+    cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
+    out = tune_benchmark_taus(tiny_spec(), methods=METHODS, base_seed=11, config=cfg)
+    assert out == {"ipw": 2.0**-6, "collective_unweighted": 2.0, "soft_impute": 2.0}
+
+
+def test_tune_benchmark_taus_rejects_unknown_method():
+    with pytest.raises(InvalidInput):
+        tune_benchmark_taus(tiny_spec(), methods=("nope",))
+    with pytest.raises(InvalidInput):
+        tune_benchmark_taus(tiny_spec(), methods=("ipw", "nope"))
+
+
+def test_tune_benchmark_taus_scores_reproduce_direct_fits():
+    # rebuild the validation replicate (id 0) and fit every tau directly:
+    # each tuned tau is the last argmin of the relative error over the grid
+    base_seed, p_floor = 11, 0.01
+    cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
+    grid = (2.0**-10, 2.0**-6, 2.0**-2)
+    out = tune_benchmark_taus(tiny_spec(), methods=METHODS, grid=grid,
+                              base_seed=base_seed, config=cfg, p_floor=p_floor)
+    _, sample = smc.simulate_survey(tiny_spec(), np.random.default_rng([base_seed, 0]))
+    ds = sample.dataset
+    probs = smc.estimate_response_probs(ds, p_floor=p_floor)
+    direct = {
+        "ipw": lambda t: smc.fit_completion(ds, probs, replace(cfg, tau=t)).Z_hat,
+        "collective_unweighted": lambda t: smc.collective_unweighted(
+            ds, t, config=replace(cfg, tau=t)).Z_hat_natural,
+        "soft_impute": lambda t: smc.soft_impute(ds.Y, ds.R, t, layout=ds.layout,
+                                                 clamp=cfg.clamp).Z_hat_natural,
+    }
+    assert set(out) == set(direct)
+    for name, fit in direct.items():
+        scores = [relative_error(fit(t), sample.truth_Z) for t in grid]
+        best = min(scores)
+        assert out[name] == grid[max(i for i, s in enumerate(scores) if s == best)], name

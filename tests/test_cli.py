@@ -1,5 +1,6 @@
 """End-to-end command line runs, config handling, and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import surveymc.baselines
+import surveymc.benchmark
 import surveymc.cli as cli
+import surveymc.solver
 from surveymc.errors import NumericalFailure
 from surveymc.io import load_matrix_csv
 
@@ -172,3 +176,53 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "benchmark" in proc.stdout
+
+
+# an unknown method fails before tuning; zero threads before the replicates
+@pytest.mark.parametrize("extra", [["--methods", "ipw,nope"],
+                                   ["--threads", "0", "--tau", "0.1"]])
+def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extra):
+    def boom(*a, **k):
+        raise AssertionError("fit_completion called")
+    for module in (surveymc.solver, surveymc.benchmark, surveymc.baselines):
+        monkeypatch.setattr(module, "fit_completion", boom)
+    argv = ["benchmark", *TINY_DESIGN, "--replicates", "2", "--iterations", "5",
+            "--grid", "2^-4", *extra, "--out", str(tmp_path / "b")]
+    assert run(argv) == 2
+
+
+_SOLVER = {"--iterations": 200, "--step-mode": "standard_prox", "--step-size": None,
+           "--clamp": 30.0}
+_DATA = {"--data": None, "--schema": None, "--standardize": False, "--p-floor": 0.01,
+         "--design-weighted": False}
+_DESIGN = {"--strata": 9, "--m1": 5, "--m2": 20, "--covariates": 3,
+           "--blocks": "gaussian:30,poisson:30,bernoulli:30", "--sigma": 1.0, "--xi": 0.3}
+_FIT = {**_DATA, "--tau": None, **_SOLVER, "--population-size": None, "--out": None}
+FLAG_DEFAULTS = {
+    "simulate": {**_DESIGN, "--seed": 0, "--out": None},
+    "fit": _FIT,
+    "impute": {**_FIT, "--original-scale": False},
+    "tune": {**_DATA, "--grid": "2^-15..2^-1,1,2", "--folds": 5, "--seed": 0, **_SOLVER,
+             "--population-size": None, "--out": None},
+    "benchmark": {**_DESIGN, "--methods": "ipw,collective_unweighted,soft_impute,hot_deck",
+                  "--replicates": 20, "--seed": 1, "--tau": None,
+                  "--grid": "2^-15..2^-1,1,2", **_SOLVER, "--p-floor": 0.01,
+                  "--threads": 1, "--out": None},
+}
+REQUIRED = {"simulate": {"--out"}, "fit": {"--data", "--schema", "--tau", "--out"},
+            "impute": {"--data", "--schema", "--tau", "--out"},
+            "tune": {"--data", "--schema", "--out"}, "benchmark": {"--out"}}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_DEFAULTS))
+def test_subcommand_flags_and_defaults(command):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions
+               if a.option_strings and a.dest != "help"]
+    assert {a.option_strings[0]: a.default for a in actions} == FLAG_DEFAULTS[command]
+    assert {a.option_strings[0] for a in actions if a.required} == REQUIRED[command]
+    choices = {a.option_strings[0]: a.choices for a in actions if a.choices}
+    solver = "--step-mode" in FLAG_DEFAULTS[command]
+    assert choices == ({"--step-mode": ["standard_prox", "as_printed"]} if solver else {})

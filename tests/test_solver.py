@@ -8,10 +8,12 @@ descent guarantee and its closed-form fixed point in the Gaussian case.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import surveymc as smc
-from surveymc.errors import FoldError, InvalidInput, ShapeError
+from surveymc.errors import ColumnEmpty, FoldError, InvalidInput, ShapeError
 
 
 def one_cell_dataset(kind, y, pi=1.0, sigma=1.0):
@@ -238,37 +240,33 @@ def test_loss_is_design_unbiased():
     assert abs(draws.mean() - census) <= 3 * se
 
 
-def test_tune_tau_validation_protocol():
-    rng = np.random.default_rng(14)
-    ds, probs, Z = helpers.random_problem(rng, n=40)
-    grid = (2.0**-10, 2.0**-6, 2.0**-2)
-    base = smc.SolverConfig(tau=grid[0], iterations=40)
-    out = smc.tune_tau(ds, probs, grid=grid,
-                       protocol={"kind": "validation", "truth_Z": Z},
-                       base_config=base)
-    assert out.taus == grid
-    assert len(out.scores) == 3
-    assert out.best_tau in grid
-    # reported winner is the last argmin, so ties break toward larger tau
-    best = min(out.scores)
-    assert out.best_tau == out.taus[max(i for i, s in enumerate(out.scores) if s == best)]
-    # scores reproduce a direct fit at the same settings
-    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=grid[1], iterations=40))
-    want = np.linalg.norm(res.Z_hat - Z) / np.linalg.norm(Z)
-    assert out.scores[1] == pytest.approx(want, rel=1e-12)
-
-
-def test_tune_tau_tie_breaks_toward_larger():
+def test_grid_search_tie_breaks_toward_larger():
     # zero is in-domain for this layout, so two huge taus both collapse the
     # iterate to the exact zero matrix: the scores tie and the larger wins
     rng = np.random.default_rng(15)
     lay = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
     ds, probs, Z = helpers.random_problem(rng, n=20, layout=lay)
-    out = smc.tune_tau(ds, probs, X=None, grid=(1e6, 2e6),
-                       protocol={"kind": "validation", "truth_Z": Z},
-                       base_config=smc.SolverConfig(tau=1.0, iterations=5))
+
+    def score(t):
+        res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=t, iterations=5), X=None)
+        return float(np.linalg.norm(res.Z_hat - Z) / np.linalg.norm(Z))
+
+    out = smc.grid_search((2e6, 1e6), score)
+    assert out.taus == (1e6, 2e6)
     assert out.scores[0] == out.scores[1]
     assert out.best_tau == 2e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([2.0**k for k in range(-6, 3)]),
+                       st.integers(min_value=0, max_value=3), min_size=1))
+def test_grid_search_returns_largest_minimizer(table):
+    # few distinct scores, so ties are common
+    out = smc.grid_search(list(table), table.__getitem__)
+    assert out.taus == tuple(sorted(table))
+    assert out.scores == tuple(table[t] for t in out.taus)
+    best = min(table.values())
+    assert out.best_tau == max(t for t, s in table.items() if s == best)
 
 
 def test_tune_tau_k_fold():
@@ -276,15 +274,11 @@ def test_tune_tau_k_fold():
     ds, probs, _ = helpers.random_problem(rng, n=30)
     grid = (2.0**-8, 2.0**-4)
     base = smc.SolverConfig(tau=grid[0], iterations=25)
-    out = smc.tune_tau(ds, probs, grid=grid,
-                       protocol={"kind": "k_fold", "k": 3, "seed": 0},
-                       base_config=base)
+    out = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, base_config=base)
     assert out.best_tau in grid
     assert all(np.isfinite(out.scores))
     # deterministic in the fold seed
-    again = smc.tune_tau(ds, probs, grid=grid,
-                         protocol={"kind": "k_fold", "k": 3, "seed": 0},
-                         base_config=base)
+    again = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, base_config=base)
     assert out == again
 
 
@@ -296,11 +290,17 @@ def test_tune_tau_errors():
     with pytest.raises(InvalidInput):
         smc.tune_tau(ds, probs, grid=(0.0, 1.0))
     with pytest.raises(InvalidInput):
-        smc.tune_tau(ds, probs, protocol={"kind": "bootstrap"})
-    with pytest.raises(InvalidInput):
-        smc.tune_tau(ds, probs, protocol={"kind": "k_fold", "k": 1})
+        smc.tune_tau(ds, probs, folds=1)
     few = one_cell_dataset("gaussian", 1.0)
     few_probs = smc.ResponseProbModel.constant(1, 1, 1.0)
     with pytest.raises(FoldError):
-        smc.tune_tau(few, few_probs, grid=(0.1,),
-                     protocol={"kind": "k_fold", "k": 5})
+        smc.tune_tau(few, few_probs, grid=(0.1,), folds=5)
+
+
+def test_fit_rejects_dataset_without_observed_response():
+    rng = np.random.default_rng(18)
+    ds, probs, _ = helpers.random_problem(rng, n=10)
+    empty = ds.with_mask(np.zeros_like(ds.R))
+    for mode in ("standard_prox", "as_printed"):
+        with pytest.raises(ColumnEmpty):
+            smc.fit_completion(empty, probs, smc.SolverConfig(tau=0.1, step_mode=mode))
