@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import ColumnEmpty, InvalidInput, ShapeError
 from .families import CategoryLayout, mean_from_natural, natural_from_mean
-from .linalg import svd_thin
+from .linalg import svt_factors
 from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
 
@@ -59,10 +59,9 @@ def soft_impute(Y, R, tau: float, max_iter: int = 200, tol: float = 1e-6,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        f = svd_thin(np.where(R, Yf, M))
-        shrunk = np.maximum(f.s - tau, 0.0)
-        M_new = (f.U * shrunk) @ f.V.T
-        trace.append(0.5 * float(np.sum(((Y - M_new)[R]) ** 2)) + tau * float(shrunk.sum()))
+        f = svt_factors(np.where(R, Yf, M), tau)
+        M_new = f.reconstruct()
+        trace.append(0.5 * float(np.sum(((Y - M_new)[R]) ** 2)) + tau * float(f.s.sum()))
         delta = np.linalg.norm(M_new - M) / max(np.linalg.norm(M), 1.0)
         M = M_new
         if delta <= tol:

@@ -29,8 +29,8 @@ from .simulator import PopulationSpec, simulate_survey
 from .solver import DEFAULT_TAU_GRID, SolverConfig, fit_completion, grid_search
 
 __all__ = ["ReplicationReport", "BenchmarkSummary", "relative_error",
-           "block_relative_errors", "run_benchmark", "tune_benchmark_taus",
-           "METHODS"]
+           "block_relative_errors", "check_run_args", "run_benchmark",
+           "tune_benchmark_taus", "METHODS"]
 
 
 def relative_error(estimate, reference) -> float:
@@ -129,11 +129,16 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def _check_methods(methods) -> tuple[str, ...]:
+def check_run_args(methods, n_replicates: int = 2, threads: int = 1) -> tuple[str, ...]:
+    """Reject unknown methods, replicates < 2 or threads < 1 before any fit."""
     methods = tuple(methods)
     for name in methods:
         if name not in _REGISTRY:
             raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
+    if n_replicates < 2:
+        raise InvalidInput("need at least 2 replicates for a standard error")
+    if threads < 1:
+        raise InvalidInput(f"threads must be >= 1, got {threads}")
     return methods
 
 
@@ -172,11 +177,7 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
     to config.tau.  Failures are recorded per replicate and excluded from the
     aggregate, never silently dropped.
     """
-    methods = _check_methods(methods)
-    if n_replicates < 2:
-        raise InvalidInput("need at least 2 replicates for a standard error")
-    if threads < 1:
-        raise InvalidInput(f"threads must be >= 1, got {threads}")
+    methods = check_run_args(methods, n_replicates, threads)
     config = config or SolverConfig(tau=2.0**-10)
     taus = dict(taus or {})
 
@@ -215,7 +216,7 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     grid and scores the relative error against the validation truth; ties
     break toward the larger tau.  Methods without a tau are left out.
     """
-    methods = _check_methods(methods)
+    methods = check_run_args(methods)
     config = config or SolverConfig(tau=2.0**-10)
     _, sample = simulate_survey(spec, _data_rng(base_seed, 0))
     ds = sample.dataset

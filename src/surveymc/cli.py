@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .benchmark import METHODS, run_benchmark, tune_benchmark_taus
+from .benchmark import METHODS, check_run_args, run_benchmark, tune_benchmark_taus
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, DegenerateTruth, DesignError, DomainError,
                      FoldError, InvalidInput, NumericalFailure, SchemaViolation,
@@ -151,7 +151,8 @@ def cmd_tune(args) -> int:
 def cmd_benchmark(args) -> int:
     out = _outdir(args)
     spec = _spec_from_args(args)
-    methods = tuple(m.strip() for m in args.methods.split(","))
+    methods = check_run_args([m.strip() for m in args.methods.split(",")],
+                             args.replicates, args.threads)
     config = _solver_config(args, 2.0**-10)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}

@@ -26,7 +26,8 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError
 from .families import CategoryLayout, mean_from_natural
-from .linalg import concat_cols, nuclear_norm, rank1_approx, svt
+from .linalg import (SvdFactors, concat_cols, nuclear_norm, rank1_approx,
+                     singular_values, svt, svt_factors)
 from .response_model import ResponseProbModel
 
 __all__ = [
@@ -133,6 +134,7 @@ class _Problem:
         if X is _DATASET_X:
             X = dataset.X
         self.X = None if X is None else np.asarray(X, dtype=np.float64)
+        self.D = 0 if X is None else self.X.shape[1]
         self.slices = self.layout.slices()
         self.boxes = [fam.domain_box(clamp) for fam, _ in self.slices]
 
@@ -160,22 +162,28 @@ class _Problem:
             G[:, sl] = self.W[:, sl] * (fam.g_prime(Z[:, sl]) - self.Yf[:, sl])
         return G
 
-    def penalty(self, Z: np.ndarray) -> float:
-        M = Z if self.X is None else concat_cols(self.X, Z)
-        return self.tau * nuclear_norm(M)
+    def penalty(self, Z: np.ndarray, factors: SvdFactors | None = None) -> float:
+        """tau * ||[X, Z]||_*; given Z's factors from prox_step, the norm of
+        R blockdiag(I_D, diag(s) V_k[D:]^T) with [X, U_k] = QR (or sum(s))."""
+        if factors is None:
+            M = Z if self.X is None else concat_cols(self.X, Z)
+            return self.tau * nuclear_norm(M)
+        if self.X is None:
+            return self.tau * float(np.sum(factors.s))
+        _, R = np.linalg.qr(np.hstack([self.X, factors.U]))
+        tail = R[:, self.D:] @ (factors.s[:, None] * factors.V[self.D:].T)
+        return self.tau * float(np.sum(singular_values(np.hstack([R[:, :self.D], tail]))))
 
     def objective(self, Z: np.ndarray) -> float:
         return self.loss(Z) + self.penalty(Z)
 
-    def prox_step(self, T: np.ndarray, thresh: float) -> np.ndarray:
-        """Threshold [X, T] and keep the trailing response columns.
-
-        thresh is eta * tau in standard_prox mode (proximal scaling) and tau
-        in as_printed mode.
-        """
-        M = T if self.X is None else concat_cols(self.X, T)
-        shrunk = svt(M, thresh)
-        return shrunk if self.X is None else shrunk[:, self.X.shape[1]:]
+    def prox_step(self, T: np.ndarray, thresh: float) -> tuple:
+        """Threshold [X, T], keep the response columns, project them into the
+        clamp box.  thresh is eta * tau (standard_prox) or tau (as_printed).
+        Returns the candidate, the entries moved and, if none, its factors."""
+        f = svt_factors(T if self.X is None else concat_cols(self.X, T), thresh)
+        cand, moved = self.project((f.U * f.s) @ f.V[self.D:].T)
+        return cand, moved, (f if moved == 0 else None)
 
     def curvature_bound(self, beta: float) -> float:
         """Curvature scale for the automatic step size: the largest
@@ -272,7 +280,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
 
         if config.step_mode == "as_printed":
             T = Q - (1.0 / config.tau) * svt(G, config.tau)
-            cand, moved = prob.project(prob.prox_step(T, config.tau))
+            cand, moved, factors = prob.prox_step(T, config.tau)
             n_proj += moved
             cand_loss = prob.loss(cand)
         else:
@@ -282,7 +290,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             loss_Q = prob.loss(Q)
             tries = 0
             while True:
-                cand, moved = prob.project(prob.prox_step(Q - eta * G, eta * config.tau))
+                cand, moved, factors = prob.prox_step(Q - eta * G, eta * config.tau)
                 diff = cand - Q
                 cand_loss = prob.loss(cand)
                 majorant = (loss_Q + float(np.vdot(G, diff))
@@ -296,7 +304,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
                 tries += 1
             n_backtracks += tries
 
-        cand_obj = cand_loss + prob.penalty(cand)
+        cand_obj = cand_loss + prob.penalty(cand, factors)
         if not np.isfinite(cand_obj):
             err = NumericalFailure(f"objective non-finite at iteration {k}")
             err.trace = np.asarray(trace)
@@ -320,7 +328,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
 
     Z_hat = state.Z1
     final_concat = Z_hat if prob.X is None else concat_cols(prob.X, Z_hat)
-    svals = np.linalg.svd(final_concat, compute_uv=False)
+    svals = singular_values(final_concat)
     diagnostics = {
         "final_nuclear_norm": float(np.sum(svals)),
         "rank_estimate": int(np.count_nonzero(svals > 1e-8 * max(svals[0], 1e-300))),

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -72,6 +73,27 @@ def test_fit_outputs_and_determinism(sim_dir, tmp_path):
     assert all(b <= a for a, b in zip(objs, objs[1:]))
     Z = load_matrix_csv(out1 / "z_hat.csv")
     assert Z.shape[1] == 12 and not np.isnan(Z).any()
+
+
+def test_fit_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # the default design (900 x 90 plus 3 covariates) is large enough for
+    # OpenBLAS to split its products across threads
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--seed", "2", "--out", str(sim)]) == 0
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run([sys.executable, "-m", "surveymc", "fit",
+                               "--data", str(sim / "data.csv"),
+                               "--schema", str(sim / "schema.json"),
+                               "--tau", "0.0009765625", "--iterations", "40",
+                               "--out", str(out)],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("z_hat.csv", "trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_impute_preserves_observed_and_fills_missing(sim_dir, tmp_path):
@@ -178,8 +200,10 @@ def test_module_entry_point_help():
     assert "simulate" in proc.stdout and "benchmark" in proc.stdout
 
 
-# an unknown method fails before tuning; zero threads before the replicates
-@pytest.mark.parametrize("extra", [["--methods", "ipw,nope"],
+# an unknown method, one replicate or zero threads fail before tuning and
+# before the replicates
+@pytest.mark.parametrize("extra", [["--methods", "ipw,nope"], ["--replicates", "1"],
+                                   ["--threads", "0"],
                                    ["--threads", "0", "--tau", "0.1"]])
 def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extra):
     def boom(*a, **k):

@@ -4,14 +4,27 @@ defining variational properties of the prox operator."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surveymc.errors import InvalidInput, ShapeError
+import surveymc.linalg as linalg
+from surveymc.errors import InvalidInput, NumericalFailure, ShapeError
 from surveymc.linalg import (as_matrix, concat_cols, norms, nuclear_norm,
-                             rank1_approx, svd_thin, svt)
+                             rank1_approx, singular_values, svd_thin, svt,
+                             svt_factors)
 
 
 def prox_objective(A, M, tau):
     return 0.5 * np.sum((A - M) ** 2) + tau * nuclear_norm(A)
+
+
+GUARD = 1e-3  # svt_factors takes the Gram path when tau >= GUARD * ||M||_F
+
+
+def svt_oracle(M, tau):
+    """LAPACK reference: full thin SVD, then shrink every singular value."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (7, 7), (1, 4), (6, 1)])
@@ -143,3 +156,56 @@ def test_as_matrix_validation():
         as_matrix(np.array([[1.0, np.nan]]))
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.float64
+
+
+# svt_factors against the LAPACK oracle.  Bound: ||svt_factors - oracle||_F
+# <= 1e-11 ||M||_F, about the worst case (m + p(n)) u / c of the docstring
+# of svt_factors for these m <= 40; a zero matrix must come back exact.
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       rank_frac=st.floats(0.0, 1.0), low_exp=st.floats(-12.0, 0.0),
+       tau_mode=st.sampled_from(["zero", "below_guard", "at_guard", "above_guard"]),
+       tau_frac=st.floats(2e-3, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_svt_factors_matches_lapack_oracle(rows, cols, rank_frac, low_exp, tau_mode,
+                                           tau_frac, seed):
+    rng = np.random.default_rng(seed)
+    r = int(round(rank_frac * min(rows, cols)))  # 0 gives the zero matrix
+    s = np.sort(10.0 ** rng.uniform(low_exp, 1.0, r))[::-1]
+    U, _ = np.linalg.qr(rng.normal(size=(rows, max(r, 1))))
+    V, _ = np.linalg.qr(rng.normal(size=(cols, max(r, 1))))
+    M = (U[:, :r] * s) @ V[:, :r].T
+    s1, fro = (s[0] if r else 0.0), np.linalg.norm(M)
+    tau = {"zero": 0.0, "below_guard": 0.5 * GUARD * fro,
+           "at_guard": GUARD * fro, "above_guard": tau_frac * s1}[tau_mode]
+    f = svt_factors(M, tau)
+    k = f.s.size
+    assert f.U.shape == (rows, k) and f.V.shape == (cols, k)
+    assert np.all(f.s > 0) and np.all(np.diff(f.s) <= 0)
+    ref = svt_oracle(M, tau)
+    assert np.linalg.norm(f.reconstruct() - ref) <= 1e-11 * np.linalg.norm(M)
+    assert abs(f.s.sum() - np.maximum(s - tau, 0.0).sum()) <= 1e-11 * max(s.sum(), 1.0)
+
+
+def test_svt_factors_guard_picks_the_factorization(monkeypatch):
+    rng = np.random.default_rng(9)
+    M = rng.normal(size=(30, 8))
+    fro = np.linalg.norm(M)
+    full = []
+    monkeypatch.setattr(linalg, "svd_thin", lambda A: full.append(1) or svd_thin(A))
+    for tau, want_full in ((0.0, True), (0.9e-3 * fro, True),
+                           (1.1e-3 * fro, False), (0.3 * fro, False)):
+        full.clear()
+        npt.assert_allclose(svt_factors(M, tau).reconstruct(), svt_oracle(M, tau),
+                            atol=1e-12 * fro)
+        assert bool(full) == want_full
+
+
+def test_backend_failures_raise_numerical_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    M = np.random.default_rng(11).normal(size=(6, 4))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    gram_path, full_path = (lambda A: svt_factors(A, 0.5)), (lambda A: svt_factors(A, 0.0))
+    for fn in (svd_thin, singular_values, nuclear_norm, gram_path, full_path):
+        with pytest.raises(NumericalFailure):
+            fn(M)

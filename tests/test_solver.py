@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import helpers
 import surveymc as smc
-from surveymc.errors import ColumnEmpty, FoldError, InvalidInput, ShapeError
+from surveymc.errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure,
+                             ShapeError)
+from surveymc.solver import _Problem
 
 
 def one_cell_dataset(kind, y, pi=1.0, sigma=1.0):
@@ -304,3 +306,98 @@ def test_fit_rejects_dataset_without_observed_response():
     for mode in ("standard_prox", "as_printed"):
         with pytest.raises(ColumnEmpty):
             smc.fit_completion(empty, probs, smc.SolverConfig(tau=0.1, step_mode=mode))
+
+
+GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 40), with_x=st.booleans(), rank=st.integers(1, 6),
+       thresh_frac=st.floats(1e-4, 1.2), seed=st.integers(0, 2**32 - 1))
+def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, seed):
+    rng = np.random.default_rng(seed)
+    ds, probs, _ = helpers.random_problem(rng, n=n, layout=GPB)
+    prob = _Problem(ds, probs, ds.resolve_population_size(None), tau=0.3, clamp=30.0,
+                    X=ds.X if with_x else None)
+    T = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, GPB.n_cols))
+    T += 0.1 * rng.normal(size=T.shape)
+    M = T if prob.X is None else np.hstack([prob.X, T])
+    cand, moved, factors = prob.prox_step(T, thresh_frac * np.linalg.norm(M, 2))
+    assert moved == 0 and factors is not None
+    full = 0.3 * smc.nuclear_norm(cand if prob.X is None else np.hstack([prob.X, cand]))
+    assert prob.penalty(cand) == full
+    assert abs(prob.penalty(cand, factors) - full) <= 1e-12 * full
+
+
+def test_clipped_candidate_takes_the_full_penalty():
+    rng = np.random.default_rng(19)
+    ds, probs, _ = helpers.random_problem(rng, n=20, layout=GPB)
+    prob = _Problem(ds, probs, ds.resolve_population_size(None), tau=0.3, clamp=0.5,
+                    X=ds.X)
+    cand, moved, factors = prob.prox_step(5.0 * rng.normal(size=ds.Y.shape), 0.1)
+    assert moved > 0 and factors is None
+    assert np.all(np.abs(cand) <= 0.5)
+
+
+@pytest.mark.parametrize("clamp", [30.0, 0.5])
+def test_recorded_objective_is_the_objective_of_z_hat(clamp):
+    # the trace's last value was priced by the factor penalty when the final
+    # candidate was not clipped and by the full SVD when it was
+    rng = np.random.default_rng(20)
+    ds, probs, _ = helpers.random_problem(rng, n=40, layout=GPB)
+    cfg = smc.SolverConfig(tau=2.0**-6, iterations=60, clamp=clamp)
+    for X in (ds.X, None):
+        res = smc.fit_completion(ds, probs, cfg, X=X)
+        assert res.diagnostics["accepted_steps"] > 0
+        assert (res.diagnostics["domain_projections"] > 0) == (clamp < 1.0)
+        want = smc.objective(res.Z_hat, ds, probs, cfg, X=X)
+        assert abs(res.objective_trace[-1] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def small_survey():
+    spec = smc.PopulationSpec(n_strata=4, m1=5, m2=10, layout=smc.CategoryLayout.of(
+        ("gaussian", 10), ("poisson", 10), ("bernoulli", 10)), xi=0.3, n_covariates=3)
+    _, sample = smc.simulate_survey(spec, np.random.default_rng(0))
+    return sample.dataset, smc.estimate_response_probs(sample.dataset, p_floor=0.01)
+
+
+def counting_svd(monkeypatch, raise_at=None):
+    """Count np.linalg.svd calls by row count; raise LinAlgError on call raise_at."""
+    calls = []
+    svd = np.linalg.svd
+
+    def wrapped(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        if len(calls) == raise_at:
+            raise np.linalg.LinAlgError("did not converge")
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", wrapped)
+    return calls
+
+
+def test_iterations_make_no_full_svd(monkeypatch):
+    # 200 iterations, no clipping: the full-size SVDs are the rank-1 start,
+    # the initial objective and the diagnostics, not one or two per iteration
+    ds, probs = small_survey()
+    calls = counting_svd(monkeypatch)
+    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-10, iterations=200))
+    assert res.iterations_run == 200 and res.diagnostics["domain_projections"] == 0
+    assert calls.count(ds.n) == 3
+    # plus, per iteration, the SVD of the Gram matrix and a (D+k) x (D+L) one
+    assert len(calls) == 3 + 2 * 200
+
+
+def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
+    ds, probs = small_survey()
+    cfg = smc.SolverConfig(tau=2.0**-10, iterations=3)
+    calls = counting_svd(monkeypatch)
+    smc.fit_completion(ds, probs, cfg)
+    monkeypatch.undo()
+    counting_svd(monkeypatch, raise_at=len(calls))  # the diagnostics spectrum
+    with pytest.raises(NumericalFailure):
+        smc.fit_completion(ds, probs, cfg)
+    monkeypatch.undo()
+    calls = counting_svd(monkeypatch, raise_at=3)  # the first prox step's Gram SVD
+    with pytest.raises(NumericalFailure):
+        smc.fit_completion(ds, probs, cfg)
+    assert calls[-1] == ds.layout.n_cols + ds.X.shape[1]
