@@ -9,7 +9,6 @@ the config.  Exit codes: 0 success, 2 usage problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -137,11 +136,7 @@ def cmd_tune(args) -> int:
     grid = mio.parse_tau_grid(args.grid)
     result = tune_tau(dataset, probs, grid=grid, folds=args.folds, seed=args.seed,
                       base_config=_solver_config(args, grid[0]))
-    with open(os.path.join(out, "tau_scores.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "score"])
-        for t, s in zip(result.taus, result.scores):
-            writer.writerow([mio.fmt(t), mio.fmt(s)])
+    mio.write_tau_scores(result, os.path.join(out, "tau_scores.csv"))
     mio.write_meta_json(_meta(args, {"best_tau": result.best_tau}),
                         os.path.join(out, "meta.json"))
     print(f"best tau {mio.fmt(result.best_tau)}")

@@ -27,8 +27,8 @@ from .families import FAMILY_NAMES, Block, CategoryLayout, Family
 
 __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
            "save_dataset", "save_matrix_csv", "load_matrix_csv",
-           "write_trace_csv", "write_benchmark_csvs", "write_meta_json",
-           "parse_tau_grid", "fmt"]
+           "write_trace_csv", "write_tau_scores", "write_benchmark_csvs",
+           "write_meta_json", "parse_tau_grid", "fmt"]
 
 _ROLES = ("stratum", "weight", "covariate", "response")
 
@@ -36,6 +36,11 @@ _ROLES = ("stratum", "weight", "covariate", "response")
 def fmt(x: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
     return format(float(x), ".17g")
+
+
+def _token(x: float, na_marker: str) -> str:
+    """A value as written to CSV: the NA marker for NaN, else fmt."""
+    return na_marker if math.isnan(x) else fmt(x)
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,8 @@ class SchemaFile:
             if c.role == "response":
                 if c.family not in FAMILY_NAMES:
                     raise SchemaViolation(f"column {c.name!r} has unknown family {c.family!r}")
+                if c.family == "gaussian" and not (math.isfinite(c.sigma) and c.sigma > 0):
+                    raise SchemaViolation(f"column {c.name!r} needs a positive finite sigma")
             elif c.family is not None:
                 raise SchemaViolation(f"column {c.name!r} with role {c.role!r} must not set a family")
         if roles.count("stratum") != 1 or roles.count("weight") != 1:
@@ -72,7 +79,7 @@ class SchemaFile:
             raise SchemaViolation("schema needs at least one covariate and one response column")
         if self.population_size is not None and not self.population_size > 0:
             raise SchemaViolation("population_size must be positive when present")
-        if len(self.delimiter) != 1:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise SchemaViolation("delimiter must be a single character")
 
     def layout(self) -> CategoryLayout:
@@ -96,7 +103,8 @@ def load_schema(path) -> SchemaFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and over-long integers
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaViolation(f"cannot read schema {path}: {exc}") from exc
     try:
         cols = tuple(ColumnSpec(name=c["name"], role=c["role"],
@@ -106,20 +114,53 @@ def load_schema(path) -> SchemaFile:
         return SchemaFile(columns=cols, delimiter=raw.get("delimiter", ","),
                           na_marker=raw.get("na_marker", "NA"),
                           population_size=float(pop) if pop is not None else None)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(f"malformed schema {path}: {exc}") from exc
 
 
-def _parse_float(token: str, where: str) -> float:
+def _read_rows(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV with at least one row, each as wide as the header."""
     try:
-        return float(token)
-    except ValueError as exc:
-        raise SchemaViolation(f"non-numeric value {token!r} in {where}") from exc
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaViolation(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise SchemaViolation(f"{path} has no data rows")
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaViolation(f"row {r + 2} has {len(row)} fields, expected {len(header)}")
+    return header, rows
+
+
+def _parse_column(tokens, name: str, na_marker: str, na_ok: bool) -> np.ndarray:
+    """One column's tokens as finite floats; the NA marker is NaN where na_ok."""
+    values = []
+    for r, token in enumerate(tokens):
+        if token == na_marker:
+            if not na_ok:
+                raise SchemaViolation(f"column {name!r}, row {r + 2}: "
+                                      "NA is only allowed in response columns")
+            values.append(math.nan)
+            continue
+        try:
+            v = float(token)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise SchemaViolation(f"column {name!r}, row {r + 2}: "
+                                  f"{token!r} is not a finite number")
+        values.append(v)
+    return np.array(values, dtype=np.float64)
 
 
 def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedDataset:
     """Read a CSV against its schema; header order must match the schema.
 
+    Every token parses as a finite float except the schema's NA marker, which
+    marks a missing response and is allowed only in response columns.
     Strata labels are relabeled to 1..H by sorted original value.  With
     standardize=True, covariates and gaussian responses are centered and
     scaled to unit variance (responses on observed entries only) and the
@@ -127,46 +168,16 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
     """
     schema = load_schema(schema_path)
     expected = [c.name for c in schema.columns]
-    try:
-        with open(data_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError as exc:
-        raise SchemaViolation(f"cannot read data {data_path}: {exc}") from exc
+    header, rows = _read_rows(data_path, schema.delimiter)
     if header != expected:
         raise SchemaViolation(f"header {header} does not match schema columns {expected}")
-    if not rows:
-        raise SchemaViolation("data file has no rows")
 
-    role_of = {i: c for i, c in enumerate(schema.columns)}
-    n = len(rows)
-    strata_raw = np.empty(n)
-    pi = np.empty(n)
-    cov_cols = [i for i, c in role_of.items() if c.role == "covariate"]
-    resp_cols = [i for i, c in role_of.items() if c.role == "response"]
-    X = np.empty((n, len(cov_cols)))
-    Y = np.empty((n, len(resp_cols)))
-    for r, row in enumerate(rows):
-        if len(row) != len(expected):
-            raise SchemaViolation(f"row {r + 2} has {len(row)} fields, expected {len(expected)}")
-        for i, c in role_of.items():
-            token = row[i]
-            where = f"column {c.name!r}, row {r + 2}"
-            if c.role == "response" and token == schema.na_marker:
-                Y[r, resp_cols.index(i)] = np.nan
-                continue
-            if token == schema.na_marker:
-                raise SchemaViolation(f"{where}: NA is only allowed in response columns")
-            v = _parse_float(token, where)
-            if c.role == "stratum":
-                strata_raw[r] = v
-            elif c.role == "weight":
-                pi[r] = v
-            elif c.role == "covariate":
-                X[r, cov_cols.index(i)] = v
-            else:
-                Y[r, resp_cols.index(i)] = v
+    by_role: dict[str, list[np.ndarray]] = {role: [] for role in _ROLES}
+    for c, tokens in zip(schema.columns, zip(*rows)):
+        by_role[c.role].append(_parse_column(tokens, c.name, schema.na_marker,
+                                             na_ok=c.role == "response"))
+    (strata_raw,), (pi,) = by_role["stratum"], by_role["weight"]
+    X, Y = np.column_stack(by_role["covariate"]), np.column_stack(by_role["response"])
 
     if np.any(strata_raw != np.round(strata_raw)):
         raise SchemaViolation("stratum labels must be integers")
@@ -214,9 +225,16 @@ def default_schema(dataset: MixedDataset) -> SchemaFile:
     return SchemaFile(columns=tuple(cols), population_size=dataset.population_size)
 
 
-def save_dataset(dataset: MixedDataset, data_path, schema_path,
-                 schema: SchemaFile | None = None) -> None:
-    schema = schema or default_schema(dataset)
+def _write_csv(path, header, rows, delimiter: str = ",") -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
+    """Write the dataset under default_schema's column names, and that schema."""
+    schema = default_schema(dataset)
     doc = {
         "delimiter": schema.delimiter,
         "na_marker": schema.na_marker,
@@ -234,50 +252,45 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path,
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(data_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter)
-        writer.writerow([c.name for c in schema.columns])
-        for i in range(dataset.n):
-            row = [str(int(dataset.strata[i])), fmt(dataset.pi[i])]
-            row += [fmt(v) for v in dataset.X[i]]
-            row += [schema.na_marker if math.isnan(v) else fmt(v) for v in dataset.Y[i]]
-            writer.writerow(row)
+    _write_csv(data_path, [c.name for c in schema.columns],
+               ([str(int(dataset.strata[i])), fmt(dataset.pi[i])]
+                + [fmt(v) for v in dataset.X[i]]
+                + [_token(v, schema.na_marker) for v in dataset.Y[i]]
+                for i in range(dataset.n)),
+               schema.delimiter)
 
 
 def save_matrix_csv(M, path, prefix: str = "c", na_marker: str = "NA") -> None:
     M = np.asarray(M, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{j + 1}" for j in range(M.shape[1])])
-        for row in M:
-            writer.writerow([na_marker if math.isnan(v) else fmt(v) for v in row])
+    _write_csv(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])],
+               ([_token(v, na_marker) for v in row] for row in M))
 
 
 def load_matrix_csv(path, na_marker: str = "NA") -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = [[np.nan if tok == na_marker else float(tok) for tok in row]
-                for row in reader]
-    return np.asarray(rows, dtype=np.float64)
+    """Read a save_matrix_csv file; values must be finite or the NA marker."""
+    header, rows = _read_rows(path, ",")
+    M = np.empty((len(rows), len(header)))
+    for j, tokens in enumerate(zip(*rows)):
+        M[:, j] = _parse_column(tokens, header[j], na_marker, na_ok=True)
+    return M
 
 
 def write_trace_csv(result, path) -> None:
     """Objective trace: iteration, objective, accepted flag (1 for k = 0)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "objective", "accepted"])
-        for k, obj in enumerate(result.objective_trace):
-            acc = 1 if k == 0 else int(result.accepted[k - 1])
-            writer.writerow([str(k), fmt(obj), str(acc)])
+    _write_csv(path, ["k", "objective", "accepted"],
+               ([str(k), fmt(obj), str(1 if k == 0 else int(result.accepted[k - 1]))]
+                for k, obj in enumerate(result.objective_trace)))
 
 
-_BLOCK_ORDER_FIRST = "overall"
+def write_tau_scores(result, path) -> None:
+    """Cross-validation score per tau of a TuneResult."""
+    _write_csv(path, ["tau", "score"],
+               ([fmt(t), fmt(s)] for t, s in zip(result.taus, result.scores)))
 
 
 def _block_order(labels) -> list[str]:
     rest = sorted(lab for lab in labels if lab not in ("overall", "overall_mean_scale"))
-    out = [_BLOCK_ORDER_FIRST] + rest
+    out = ["overall"] + rest
     if "overall_mean_scale" in labels:
         out.append("overall_mean_scale")
     return out
@@ -285,30 +298,27 @@ def _block_order(labels) -> list[str]:
 
 def write_benchmark_csvs(summary, scenario: str, summary_path, replicates_path) -> None:
     """Aggregate table and per-replicate long table (no wall times)."""
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "scenario", "block", "mean_re", "se_re",
-                         "n_replicates", "n_failures"])
-        for method in summary.methods:
-            agg = summary.aggregate.get(method, {})
-            for lab in _block_order(agg.keys()):
-                mean, se, count = agg[lab]
-                writer.writerow([method, scenario, lab, fmt(mean), fmt(se),
-                                 str(count), str(summary.n_failures[method])])
+    rows = []
+    for method in summary.methods:
+        agg = summary.aggregate.get(method, {})
+        for lab in _block_order(agg.keys()):
+            mean, se, count = agg[lab]
+            rows.append([method, scenario, lab, fmt(mean), fmt(se),
+                         str(count), str(summary.n_failures[method])])
+    _write_csv(summary_path, ["method", "scenario", "block", "mean_re", "se_re",
+                              "n_replicates", "n_failures"], rows)
 
-    with open(replicates_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "seed", "response_rate", "method",
-                         "scenario", "block", "re"])
-        for rep in summary.reports:
-            for method in summary.methods:
-                if method not in rep.re:
-                    continue
-                scores = rep.re[method]
-                for lab in _block_order(scores.keys()):
-                    writer.writerow([str(rep.replicate), str(rep.seed),
-                                     fmt(rep.response_rate), method, scenario,
-                                     lab, fmt(scores[lab])])
+    rows = []
+    for rep in summary.reports:
+        for method in summary.methods:
+            if method not in rep.re:
+                continue
+            scores = rep.re[method]
+            for lab in _block_order(scores.keys()):
+                rows.append([str(rep.replicate), str(rep.seed), fmt(rep.response_rate),
+                             method, scenario, lab, fmt(scores[lab])])
+    _write_csv(replicates_path, ["replicate", "seed", "response_rate", "method",
+                                 "scenario", "block", "re"], rows)
 
 
 def write_meta_json(doc: dict, path) -> None:
@@ -329,8 +339,9 @@ def parse_tau_grid(text: str) -> tuple[float, ...]:
         token = token.strip()
         if not token:
             raise InvalidInput("empty token in tau grid")
-        if ".." in token:
-            lo, hi = token.split("..", 1)
+        if ".." in token or token.startswith("2^"):
+            lo, sep, hi = token.partition("..")
+            hi = hi if sep else lo
             if not (lo.startswith("2^") and hi.startswith("2^")):
                 raise InvalidInput(f"range token {token!r} must use 2^a..2^b form")
             try:
@@ -339,17 +350,13 @@ def parse_tau_grid(text: str) -> tuple[float, ...]:
                 raise InvalidInput(f"bad exponents in {token!r}") from exc
             if a > b:
                 raise InvalidInput(f"empty range {token!r}")
-            out.extend(2.0**k for k in range(a, b + 1))
-        elif token.startswith("2^"):
             try:
-                out.append(2.0 ** int(token[2:]))
-            except ValueError as exc:
-                raise InvalidInput(f"bad exponent in {token!r}") from exc
+                out.extend(2.0**k for k in range(a, b + 1))
+            except OverflowError as exc:
+                raise InvalidInput(f"{token!r} overflows a float") from exc
         else:
             try:
                 out.append(float(token))
             except ValueError as exc:
                 raise InvalidInput(f"cannot parse grid token {token!r}") from exc
-    if not out:
-        raise InvalidInput("tau grid is empty")
     return tuple(out)

@@ -137,17 +137,13 @@ class _Problem:
         self.D = 0 if X is None else self.X.shape[1]
         self.slices = self.layout.slices()
         self.boxes = [fam.domain_box(clamp) for fam, _ in self.slices]
+        widths = [sl.stop - sl.start for _, sl in self.slices]
+        self.lo, self.hi = (np.repeat(bound, widths) for bound in np.array(self.boxes).T)
 
     def project(self, Z: np.ndarray) -> tuple[np.ndarray, int]:
         """Clip entries into the per-family clamp box; count entries moved."""
-        out = Z.copy()
-        moved = 0
-        for (lo, hi), (_, sl) in zip(self.boxes, self.slices):
-            blk = out[:, sl]
-            clipped = np.clip(blk, lo, hi)
-            moved += int(np.count_nonzero(clipped != blk))
-            out[:, sl] = clipped
-        return out, moved
+        out = np.clip(Z, self.lo, self.hi)
+        return out, int(np.count_nonzero(out != Z))
 
     def loss(self, Z: np.ndarray) -> float:
         total = 0.0

@@ -167,6 +167,29 @@ def test_schema_mismatch_is_data_error(sim_dir, tmp_path):
     assert run(argv) == 3
 
 
+@pytest.mark.parametrize("col, token", [(-1, b"nan"), (2, b"inf"), (3, b"\xff"),
+                                        (3, b"1" * 131073)],
+                         ids=["nan-response", "inf-covariate", "non-utf8", "long-field"])
+def test_non_finite_or_unreadable_data_is_data_error(sim_dir, tmp_path, col, token):
+    lines = (sim_dir / "data.csv").read_bytes().split(b"\r\n")
+    fields = lines[1].split(b",")
+    fields[col] = token
+    lines[1] = b",".join(fields)
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"\r\n".join(lines))
+    argv = ["fit", "--data", str(data), "--schema", str(sim_dir / "schema.json"),
+            "--tau", "0.1", "--out", str(tmp_path / "x")]
+    assert run(argv) == 3
+
+
+@pytest.mark.parametrize("grid", ["2^2000", "2^-3..2^1100"])
+def test_overflowing_tau_grid_is_usage_error(sim_dir, tmp_path, grid):
+    argv = ["tune", "--data", str(sim_dir / "data.csv"),
+            "--schema", str(sim_dir / "schema.json"),
+            "--grid", grid, "--out", str(tmp_path / "x")]
+    assert run(argv) == 2
+
+
 def test_numerical_failure_exit_code(sim_dir, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise NumericalFailure("synthetic blow-up")

@@ -6,14 +6,18 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import surveymc as smc
 from surveymc.benchmark import BenchmarkSummary, ReplicationReport
-from surveymc.errors import InvalidInput, SchemaViolation
+from surveymc.errors import InvalidInput, SchemaViolation, SurveyMCError
+from surveymc.families import FAMILY_NAMES
 from surveymc.io import (ColumnSpec, SchemaFile, default_schema, fmt,
-                         load_dataset, load_matrix_csv, parse_tau_grid,
-                         save_dataset, save_matrix_csv, write_benchmark_csvs,
-                         write_meta_json, write_trace_csv)
+                         load_dataset, load_matrix_csv, load_schema,
+                         parse_tau_grid, save_dataset, save_matrix_csv,
+                         write_benchmark_csvs, write_meta_json, write_trace_csv)
 from surveymc.simulator import PopulationSpec, simulate_survey
 
 from helpers import random_problem
@@ -115,6 +119,15 @@ def test_schema_rejects_bad_delimiter_and_population_size():
         SchemaFile(columns=make_cols(), population_size=0.0)
 
 
+def test_schema_rejects_bad_sigma_and_non_string_delimiter():
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(SchemaViolation):
+            SchemaFile(columns=make_cols(y1=ColumnSpec("y1", "response",
+                                                       family="gaussian", sigma=sigma)))
+    with pytest.raises(SchemaViolation):
+        SchemaFile(columns=make_cols(), delimiter=[","])
+
+
 def test_schema_layout_merges_consecutive_same_family():
     cols = (ColumnSpec("stratum", "stratum"), ColumnSpec("pi", "weight"),
             ColumnSpec("x1", "covariate"),
@@ -173,6 +186,31 @@ def test_load_dataset_rejects_bad_float(tmp_path):
     data, schema = write_small_csv(tmp_path, ["1,0.5,zap,2.0,1"])
     with pytest.raises(SchemaViolation):
         load_dataset(data, schema)
+
+
+@pytest.mark.parametrize("row", [
+    "1,0.5,0.1,nan,1",                  # a literal nan is not the NA marker
+    "1,0.5,0.1,2.0,NaN",
+    "1,0.5,inf,2.0,1",
+    "1,-Infinity,0.1,2.0,1",
+    "1,0.5,0.1,1e999,1",
+    "1,0.5,0.1,2.0,\x00",
+    "1,0.5,0.1," + "1" * 131073 + ",1",  # over the csv module's field limit
+], ids=["nan", "NaN", "inf", "-Infinity", "1e999", "NUL", "long-field"])
+def test_load_dataset_rejects_non_finite_and_unreadable_tokens(tmp_path, row):
+    data, schema = write_small_csv(tmp_path, [row])
+    with pytest.raises(SchemaViolation):
+        load_dataset(data, schema)
+
+
+def test_load_dataset_and_schema_reject_non_utf8(tmp_path):
+    data, schema = write_small_csv(tmp_path, ["1,0.5,0.1,2.0,1"])
+    data.write_bytes(b"stratum,pi,x1,y1,y2\n1,0.5,\xff,2.0,1\n")
+    with pytest.raises(SchemaViolation):
+        load_dataset(data, schema)
+    schema.write_bytes(b'{"columns": "\xff"}')
+    with pytest.raises(SchemaViolation):
+        load_schema(schema)
 
 
 def test_load_dataset_rejects_empty_body(tmp_path):
@@ -241,6 +279,18 @@ def test_matrix_csv_round_trip_with_nan(tmp_path):
     assert path.read_text().splitlines()[0] == "c1,c2"
 
 
+@pytest.mark.parametrize("body", ["c1,c2\n0.1,zap\n", "c1,c2\n0.1,inf\n",
+                                  "c1,c2\n0.1\n", "c1,c2\n0.1,2,3\n", "c1,c2\n", "", None],
+                         ids=["junk", "inf", "short-row", "long-row", "no-rows", "empty",
+                              "missing"])
+def test_load_matrix_csv_rejects_bad_files(tmp_path, body):
+    path = tmp_path / "m.csv"
+    if body is not None:
+        path.write_text(body)
+    with pytest.raises(SchemaViolation):
+        load_matrix_csv(path)
+
+
 def test_write_trace_csv_header_and_flags(tmp_path):
     result = types.SimpleNamespace(objective_trace=[3.0, 2.5, 2.5, 2.0],
                                    accepted=[True, False, True])
@@ -305,7 +355,147 @@ def test_parse_tau_grid_forms():
 
 
 @pytest.mark.parametrize("text", ["", "1,", "foo", "3..5", "2^a..2^b",
-                                  "2^5..2^1", "2^x"])
+                                  "2^5..2^1", "2^x", "2^3..", "2^2000", "2^-3..2^1100"])
 def test_parse_tau_grid_rejects(text):
     with pytest.raises(InvalidInput):
         parse_tau_grid(text)
+
+
+# -- generated inputs ---------------------------------------------------------
+
+SMALL_SCHEMA = {"columns": [{"name": "stratum", "role": "stratum"},
+                            {"name": "pi", "role": "weight"},
+                            {"name": "x1", "role": "covariate"},
+                            {"name": "y1", "role": "response", "family": "gaussian"},
+                            {"name": "y2", "role": "response", "family": "bernoulli"}]}
+
+TOKENS = st.one_of(
+    st.floats(0.01, 1.0).map(fmt),
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),                      # nan, inf and huge values too
+    st.sampled_from(["NA", "nan", "inf", "-inf", "", "zap", " 1", "1_0", '"',
+                     "1,5", "\x00", "1" * 131073]),
+    st.text(max_size=3),
+)
+
+# a stray byte spliced into the encoded file: none, undecodable or NUL
+STRAY_BYTES = st.sampled_from([b"", b"", b"\xff", b"\xc3", b"\x00"])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def csv_bodies(draw):
+    header = draw(st.one_of(st.just("stratum,pi,x1,y1,y2"), st.text(max_size=12)))
+    rows = draw(st.lists(st.lists(TOKENS, min_size=3, max_size=7), max_size=4))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    raw = text.encode("utf-8")
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(STRAY_BYTES) + raw[at:]
+
+
+@st.composite
+def schema_files(draw):
+    doc = json.loads(json.dumps(SMALL_SCHEMA))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["columns", "delimiter", "na_marker", "population_size",
+                                    "name", "role", "family", "sigma"]))
+        cols = doc.get("columns")
+        if key in ("name", "role", "family", "sigma") and isinstance(cols, list) and cols:
+            col = cols[draw(st.integers(0, len(cols) - 1))]
+            if isinstance(col, dict):
+                col[key] = draw(JSON_VALUES)
+        else:
+            doc[key] = draw(JSON_VALUES)
+    raw = json.dumps(doc).encode("utf-8")
+    return draw(st.one_of(st.just(raw), st.binary(max_size=40),
+                          st.integers(0, len(raw)).map(lambda k: raw[:k]),
+                          st.just(b"[" * 100000)))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=csv_bodies(), standardize=st.booleans())
+def test_loaders_raise_only_package_errors_on_generated_csv(scratch, body, standardize):
+    data, schema = scratch / "d.csv", scratch / "s.json"
+    data.write_bytes(body)
+    schema.write_text(json.dumps(SMALL_SCHEMA))
+    for load in (lambda: load_dataset(data, schema, standardize=standardize),
+                 lambda: load_matrix_csv(data)):
+        try:
+            load()
+        except SurveyMCError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=schema_files())
+def test_loaders_raise_only_package_errors_on_generated_schema(scratch, raw):
+    data, schema = scratch / "d.csv", scratch / "s.json"
+    data.write_text("stratum,pi,x1,y1,y2\n1,0.5,0.1,2.0,1\n2,0.25,0.3,NA,0\n")
+    schema.write_bytes(raw)
+    for load in (lambda: load_schema(schema), lambda: load_dataset(data, schema)):
+        try:
+            load()
+        except SurveyMCError:
+            pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(FAMILY_NAMES), min_size=1, max_size=3))
+    layout = smc.CategoryLayout.of(*[(k, draw(st.integers(1, 2))) for k in kinds],
+                                   sigma=draw(st.floats(0.1, 10.0)))
+    L, D = layout.n_cols, draw(st.integers(1, 3))
+    Y = draw(arrays(np.float64, (n, L), elements=FINITE))
+    Y[draw(arrays(bool, (n, L)))] = np.nan
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+    pop = draw(st.one_of(st.none(), st.floats(1.0, 1e9)))
+    return smc.MixedDataset(
+        Y=Y, R=~np.isnan(Y), X=draw(arrays(np.float64, (n, D), elements=FINITE)),
+        strata=np.unique(labels, return_inverse=True)[1] + 1,
+        pi=draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0, exclude_min=True))),
+        layout=layout, population_size=pop)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    nan = np.isnan(a)
+    npt.assert_array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=datasets())
+def test_save_load_dataset_round_trips_generated(scratch, ds):
+    data, schema = scratch / "rt.csv", scratch / "rt.json"
+    save_dataset(ds, data, schema)
+    back = load_dataset(data, schema)
+    for name in ("Y", "X", "pi"):
+        assert_same_bits(getattr(ds, name), getattr(back, name))
+    npt.assert_array_equal(back.R, ds.R)
+    npt.assert_array_equal(back.strata, ds.strata)
+    # the format keeps each column's family (and a gaussian's sigma), not block
+    # boundaries between equal families or a sigma carried by other families
+    assert default_schema(back) == default_schema(ds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(allow_infinity=False))))
+def test_save_load_matrix_round_trips_generated(scratch, M):
+    path = scratch / "m.csv"
+    save_matrix_csv(M, path)
+    assert_same_bits(M, load_matrix_csv(path))
