@@ -25,8 +25,8 @@ from .response_model import (LogisticFit, ResponseProbModel, estimate_response_p
 from .simulator import (PopulationSpec, SampledData, SyntheticTruth, draw_sample,
                         generate_population, impose_responses_and_missingness,
                         simulate_survey)
-from .solver import (DEFAULT_TAU_GRID, CompletionResult, SolverConfig, SolverState,
-                     TuneResult, fit_completion, gradient, grid_search, objective,
-                     tune_tau, weighted_loss)
+from .solver import (DEFAULT_TAU_GRID, CompletionResult, SolverConfig, TuneResult,
+                     fit_completion, gradient, grid_search, objective, tune_tau,
+                     weighted_loss)
 
 __version__ = "0.1.0"

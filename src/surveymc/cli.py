@@ -104,8 +104,9 @@ def cmd_fit(args) -> int:
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
                                      "iterations_run": result.iterations_run}),
                         os.path.join(out, "meta.json"))
+    stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
     print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
-          f"{result.iterations_run} iterations")
+          f"{result.iterations_run} iterations, stopped at {stop}")
     return 0
 
 
@@ -174,7 +175,7 @@ def cmd_benchmark(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=200, help="solver iterations")
+    p.add_argument("--iterations", type=int, default=200, help="iteration cap")
     p.add_argument("--step-mode", choices=["standard_prox", "as_printed"],
                    default="standard_prox")
     p.add_argument("--step-size", type=float, default=None,

@@ -191,7 +191,8 @@ class CategoryLayout:
     @classmethod
     def of(cls, *specs: tuple[str, int], sigma: float = 1.0) -> "CategoryLayout":
         """Build from (kind, count) pairs; gaussian blocks take the shared sigma."""
-        return cls(tuple(Block(Family(kind, sigma), count) for kind, count in specs))
+        return cls(tuple(Block(Family(kind, sigma if kind == "gaussian" else 1.0), count)
+                         for kind, count in specs))
 
     @property
     def n_cols(self) -> int:

@@ -350,10 +350,9 @@ def parse_tau_grid(text: str) -> tuple[float, ...]:
                 raise InvalidInput(f"bad exponents in {token!r}") from exc
             if a > b:
                 raise InvalidInput(f"empty range {token!r}")
-            try:
-                out.extend(2.0**k for k in range(a, b + 1))
-            except OverflowError as exc:
-                raise InvalidInput(f"{token!r} overflows a float") from exc
+            if a < -1074 or b > 1023:
+                raise InvalidInput(f"{token!r} leaves float64's powers of two 2^-1074..2^1023")
+            out.extend(2.0**k for k in range(a, b + 1))
         else:
             try:
                 out.append(float(token))

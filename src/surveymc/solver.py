@@ -10,7 +10,16 @@ probabilities, and p_ij are fitted response probabilities.  The loop is an
 accelerated proximal gradient method: momentum blend, gradient step, singular
 value thresholding of the covariate-augmented matrix, and a descent guard
 that only accepts a candidate when it lowers the objective, which makes the
-recorded objective trace nonincreasing by construction.
+recorded objective trace nonincreasing by construction (monotone FISTA, Beck
+& Teboulle 2009).  With the automatic step size every step meets the
+quadratic majorant, so a rejection restarts the momentum (O'Donoghue &
+Candes 2015) and the next step is a plain prox-gradient step from the
+iterate.  If that is rejected too and the next iteration would start from
+the same step size, every later iteration repeats it: the loop stops at this
+fixed point (diagnostics["stop"] is "fixed_point", else "cap") with the Z_hat
+and objective the ``iterations`` cap would give, and the trace ends there.
+A fixed step_size and ``as_printed`` need not descend: their momentum
+extrapolates through rejected candidates and they run to the cap.
 
 Two gradient-step modes are supported.  ``standard_prox`` (default) takes
 T = Q - eta * grad with an automatic, backtracked step size; ``as_printed``
@@ -32,7 +41,6 @@ from .response_model import ResponseProbModel
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "CompletionResult",
     "TuneResult",
     "weighted_loss",
@@ -59,7 +67,8 @@ class SolverConfig:
     and halve while the local quadratic majorization is violated.  An
     explicit positive step_size is used as given (no backtracking).
     population_size None falls back to the dataset value or the
-    Horvitz-Thompson estimate.  early_stop_tol None runs all iterations.
+    Horvitz-Thompson estimate.  iterations caps the loop, which stops
+    earlier at a fixed point with the automatic step (see fit_completion).
     """
 
     tau: float
@@ -68,8 +77,6 @@ class SolverConfig:
     step_size: float | None = None
     population_size: float | None = None
     clamp: float = 30.0
-    early_stop_tol: float | None = None
-    early_stop_patience: int = 10
     max_backtracks: int = 60
 
     def __post_init__(self):
@@ -83,16 +90,6 @@ class SolverConfig:
             raise InvalidInput(f"step_size must be positive, got {self.step_size}")
         if not self.clamp > 0:
             raise InvalidInput(f"clamp must be positive, got {self.clamp}")
-
-
-@dataclass
-class SolverState:
-    """Loop state after iteration k (k = 0 is the initialization)."""
-
-    k: int
-    Z1: np.ndarray
-    Z2: np.ndarray
-    objective: float
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,8 @@ def _check_Z(Z, dataset: MixedDataset) -> np.ndarray:
 
 def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
                    config: SolverConfig, X=_DATASET_X) -> CompletionResult:
-    """Run the descent-guarded accelerated proximal loop.
+    """Run the descent-guarded accelerated proximal loop with momentum
+    restart, until a fixed point or config.iterations (see the module notes).
 
     X defaults to the dataset covariates; pass X=None to drop the covariate
     augmentation (the penalty becomes the plain nuclear norm of Z).
@@ -250,14 +248,13 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     prob = _Problem(dataset, probs, N, config.tau, config.clamp, X)
 
     Z1, n_proj = prob.project(rank1_approx(np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)))
-    Z2 = Z1.copy()
     obj1 = prob.objective(Z1)
     if not np.isfinite(obj1):
         raise NumericalFailure(f"objective non-finite at initialization: {obj1}")
 
     trace = [obj1]
     accepted = []
-    n_backtracks = 0
+    n_backtracks = n_restarts = 0
     eta = config.step_size
     ceiling = None
     if eta is None and config.step_mode == "standard_prox":
@@ -266,11 +263,11 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         eta = ceiling
     backtrack = config.step_size is None and config.step_mode == "standard_prox"
 
-    state = SolverState(k=0, Z1=Z1, Z2=Z2, objective=obj1)
-    stall = 0
+    Z2, j, stop = Z1, 0, "cap"  # j counts iterations since the last restart
     for k in range(1, config.iterations + 1):
-        theta = 2.0 / (k + 1.0)
-        Q, moved = prob.project((1.0 - theta) * state.Z1 + theta * state.Z2)
+        j += 1
+        theta = 2.0 / (j + 1.0)
+        Q, moved = prob.project((1.0 - theta) * Z1 + theta * Z2)
         n_proj += moved
         G = prob.grad(Q)
 
@@ -283,6 +280,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             if backtrack:
                 # recover from transient curvature spikes, never past the ceiling
                 eta = min(ceiling, 2.0 * eta)
+            eta_start = eta
             loss_Q = prob.loss(Q)
             tries = 0
             while True:
@@ -306,24 +304,23 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             err.trace = np.asarray(trace)
             raise err
 
+        accepted.append(bool(cand_obj < obj1))
         # momentum extrapolates through the candidate whether or not accepted
-        Z2 = state.Z1 + (cand - state.Z1) / theta
-        if cand_obj < state.objective:
-            state = SolverState(k=k, Z1=cand, Z2=Z2, objective=cand_obj)
-            accepted.append(True)
-        else:
-            state = SolverState(k=k, Z1=state.Z1, Z2=Z2, objective=state.objective)
-            accepted.append(False)
-        trace.append(state.objective)
-
-        if config.early_stop_tol is not None and k >= 2:
-            rel = abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2]))
-            stall = stall + 1 if rel <= config.early_stop_tol else 0
-            if stall >= config.early_stop_patience:
+        Z2 = Z1 + (cand - Z1) / theta
+        if accepted[-1]:
+            Z1, obj1 = cand, cand_obj
+        trace.append(obj1)
+        if backtrack and not accepted[-1]:
+            # a rejected plain step (j = 1) that the next iteration would
+            # start from the same step size recomputes: a fixed point
+            if j == 1 and min(ceiling, 2.0 * eta) == eta_start:
+                stop = "fixed_point"
                 break
+            # adaptive restart: drop the momentum, so the next step is plain
+            n_restarts += j > 1
+            Z2, j = Z1, 0
 
-    Z_hat = state.Z1
-    final_concat = Z_hat if prob.X is None else concat_cols(prob.X, Z_hat)
+    final_concat = Z1 if prob.X is None else concat_cols(prob.X, Z1)
     svals = singular_values(final_concat)
     diagnostics = {
         "final_nuclear_norm": float(np.sum(svals)),
@@ -332,11 +329,13 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         "backtracks": n_backtracks,
         "accepted_steps": int(np.count_nonzero(accepted)),
         "step_size_final": float(eta) if eta is not None else None,
+        "restarts": n_restarts,
+        "stop": stop,
         "population_size": N,
     }
-    return CompletionResult(Z_hat=Z_hat, objective_trace=np.asarray(trace),
+    return CompletionResult(Z_hat=Z1, objective_trace=np.asarray(trace),
                             accepted=np.asarray(accepted, dtype=bool),
-                            iterations_run=state.k, config=config,
+                            iterations_run=len(accepted), config=config,
                             diagnostics=diagnostics)
 
 

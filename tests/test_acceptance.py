@@ -109,17 +109,20 @@ def test_criterion_04_solver_convergence_rate():
     config = smc.SolverConfig(tau=2.0**-10, iterations=2000)
     result = smc.fit_completion(sample.dataset, probs, config)
     f = np.asarray(result.objective_trace)
-    gaps = {k: f[k] - f[-1] for k in (25, 50, 100, 200)}
+    # the loop stops at a fixed point, where every later iteration would
+    # record f[-1] again: the trace past the stop is f[-1]
+    gaps = {k: f[min(k, len(f) - 1)] - f[-1] for k in (25, 50, 100, 200)}
     ratios = [(gaps[2 * k], gaps[k]) for k in (25, 50, 100)]
-    ok = all(g2 <= 0.6 * g1 for g2, g1 in ratios)
+    ok = (all(g2 <= 0.6 * g1 for g2, g1 in ratios)
+          and result.diagnostics["stop"] == "fixed_point")
     elapsed = time.perf_counter() - t0
     shown = ", ".join(f"gap({2*k})/gap({k})="
                       f"{(gaps[2*k] / gaps[k] if gaps[k] > 0 else 0.0):.3f}"
                       for k in (25, 50, 100))
     report("criterion 04 geometric objective decay",
            ok and elapsed < 120.0,
-           f"K_ref=2000 benchmark instance: {shown} (all <= 0.6), "
-           f"{elapsed:.0f}s (< 120s)")
+           f"K_ref=2000 benchmark instance: {shown} (all <= 0.6), stopped at a "
+           f"fixed point after {result.iterations_run} iterations, {elapsed:.0f}s (< 120s)")
 
 
 def test_criterion_05_design_inclusion_and_weighted_total():

@@ -75,6 +75,20 @@ def test_fit_outputs_and_determinism(sim_dir, tmp_path):
     assert Z.shape[1] == 12 and not np.isnan(Z).any()
 
 
+@pytest.mark.parametrize("iterations, stop", [("3", "cap"), ("5000", "fixed_point")])
+def test_fit_reports_how_it_stopped(sim_dir, tmp_path, capsys, iterations, stop):
+    out = tmp_path / "f"
+    argv = fit_args(sim_dir, out)
+    argv[argv.index("--iterations") + 1] = iterations
+    assert run(argv) == 0
+    diag = json.loads((out / "meta.json").read_text())["diagnostics"]
+    assert diag["stop"] == stop and diag["restarts"] >= 0
+    k = len((out / "trace.csv").read_text().splitlines()) - 2
+    assert (k == 3) == (stop == "cap") and k < 5000
+    said = {"cap": "the cap", "fixed_point": "a fixed point"}[stop]
+    assert capsys.readouterr().out.endswith(f"after {k} iterations, stopped at {said}\n")
+
+
 def test_fit_is_byte_identical_across_blas_thread_counts(tmp_path):
     # the default design (900 x 90 plus 3 covariates) is large enough for
     # OpenBLAS to split its products across threads

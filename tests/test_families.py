@@ -180,7 +180,7 @@ def test_layout_bookkeeping():
 def test_layout_sigma_applies_to_gaussian_blocks():
     lay = CategoryLayout.of(("gaussian", 2), ("poisson", 1), sigma=3.0)
     assert lay.blocks[0].family.sigma == 3.0
-    assert lay.blocks[1].family.kind == "poisson"
+    assert lay.blocks[1].family == Family("poisson")
 
 
 def test_mean_natural_matrix_maps():

@@ -2,6 +2,7 @@
 
 import json
 import types
+from itertools import groupby
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import surveymc as smc
 from surveymc.benchmark import BenchmarkSummary, ReplicationReport
 from surveymc.errors import InvalidInput, SchemaViolation, SurveyMCError
-from surveymc.families import FAMILY_NAMES
+from surveymc.families import FAMILY_NAMES, Block
 from surveymc.io import (ColumnSpec, SchemaFile, default_schema, fmt,
                          load_dataset, load_matrix_csv, load_schema,
                          parse_tau_grid, save_dataset, save_matrix_csv,
@@ -352,10 +353,13 @@ def test_parse_tau_grid_forms():
     assert len(grid) == 17 and grid[0] == 2.0**-15 and grid[-2:] == (1.0, 2.0)
     assert parse_tau_grid(" 0.5 , 2^3 ") == (0.5, 8.0)
     assert parse_tau_grid("1e-4") == (1e-4,)
+    assert parse_tau_grid("2^-1074,2^1023") == (5e-324, 2.0**1023)
 
 
 @pytest.mark.parametrize("text", ["", "1,", "foo", "3..5", "2^a..2^b",
-                                  "2^5..2^1", "2^x", "2^3..", "2^2000", "2^-3..2^1100"])
+                                  "2^5..2^1", "2^x", "2^3..", "2^2000", "2^-3..2^1100",
+                                  "2^1024", "2^-1075", "2^-1075..2^0",
+                                  "2^-3000000000..2^0"])
 def test_parse_tau_grid_rejects(text):
     with pytest.raises(InvalidInput):
         parse_tau_grid(text)
@@ -487,9 +491,11 @@ def test_save_load_dataset_round_trips_generated(scratch, ds):
         assert_same_bits(getattr(ds, name), getattr(back, name))
     npt.assert_array_equal(back.R, ds.R)
     npt.assert_array_equal(back.strata, ds.strata)
-    # the format keeps each column's family (and a gaussian's sigma), not block
-    # boundaries between equal families or a sigma carried by other families
-    assert default_schema(back) == default_schema(ds)
+    # the file keeps each column's family, so adjacent blocks of one family
+    # reload as one block
+    merged = tuple(Block(fam, sum(b.count for b in run))
+                   for fam, run in groupby(ds.layout.blocks, key=lambda b: b.family))
+    assert back.layout == smc.CategoryLayout(merged)
 
 
 @settings(max_examples=150, deadline=None)

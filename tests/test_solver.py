@@ -173,9 +173,7 @@ def test_gaussian_identity_fixed_point():
     assert np.max(np.abs(res.Z_hat - Y)) < 1e-3
 
 
-def test_early_stop():
-    # fully observed gaussian problem converges fast, so the stall counter
-    # must cut the run well short of the iteration budget
+def early_stop_problem():
     rng = np.random.default_rng(10)
     n, L = 20, 6
     lay = smc.CategoryLayout.of(("gaussian", L))
@@ -183,18 +181,39 @@ def test_early_stop():
     ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.ones((n, 1)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
-    probs = smc.ResponseProbModel.constant(n, L, 1.0)
-    cfg = smc.SolverConfig(tau=2.0**-30, iterations=500,
-                           early_stop_tol=1e-12, early_stop_patience=5)
-    res = smc.fit_completion(ds, probs, cfg, X=None)
-    assert res.iterations_run < 500
+    return ds, smc.ResponseProbModel.constant(n, L, 1.0)
+
+
+def test_early_stop():
+    # a fully observed gaussian problem converges fast, so the loop must stop
+    # at its fixed point well short of the iteration cap
+    ds, probs = early_stop_problem()
+    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-30, iterations=500),
+                             X=None)
+    assert res.diagnostics["stop"] == "fixed_point"
+    assert res.iterations_run == 3 and not res.accepted[-1]
     assert helpers.trace_is_monotone(res)
+
+
+def test_steps_without_a_majorant_check_keep_their_momentum():
+    # as_printed and a fixed step need not be descent steps, so a rejected
+    # plain step proves nothing there: their momentum extrapolates through
+    # rejected candidates and they run to the cap.  Restarting as_printed at
+    # tau 2^-8 would stop it after one iteration at -0.1078.
+    ds, probs = early_stop_problem()
+    for kw, reach in [(dict(tau=2.0**-8, step_mode="as_printed"), -0.3031),
+                      (dict(tau=2.0**-30, step_size=50.0), -0.38596)]:
+        res = smc.fit_completion(ds, probs, smc.SolverConfig(iterations=500, **kw), X=None)
+        assert res.diagnostics["stop"] == "cap" and res.diagnostics["restarts"] == 0
+        assert res.iterations_run == 500 and res.objective_trace[-1] <= reach
+        assert helpers.trace_is_monotone(res)
 
 
 def test_diagnostics_keys():
     res, _ = fit_small(np.random.default_rng(11), iterations=20)
     keys = {"final_nuclear_norm", "rank_estimate", "domain_projections",
-            "backtracks", "accepted_steps", "step_size_final", "population_size"}
+            "backtracks", "accepted_steps", "step_size_final", "restarts", "stop",
+            "population_size"}
     assert keys <= set(res.diagnostics)
     assert res.diagnostics["accepted_steps"] == int(res.accepted.sum())
     assert res.diagnostics["rank_estimate"] >= 1
@@ -401,3 +420,56 @@ def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
     with pytest.raises(NumericalFailure):
         smc.fit_completion(ds, probs, cfg)
     assert calls[-1] == ds.layout.n_cols + ds.X.shape[1]
+
+
+STOP_MODES = {"standard_prox": {}, "as_printed": dict(step_mode="as_printed"),
+              "fixed step": dict(step_size=0.5), "active clamp": dict(clamp=0.5)}
+
+
+def next_plain_step(prob, ds, cfg, Z, eta):
+    """The candidate and step size of a plain automatic step from Z that
+    starts where the loop's next iteration would, written out from the
+    method's rules."""
+    G = prob.grad(Z)
+    Z0 = prob.project(smc.rank1_approx(np.where(ds.R, np.nan_to_num(ds.Y), 0.0)))[0]
+    eta = min(1.0 / prob.curvature_bound(min(cfg.clamp, max(1.0, np.max(np.abs(Z0))))),
+              2.0 * eta)
+    loss_Z = prob.loss(Z)
+    while True:  # halve while the quadratic majorant is violated
+        step = prob.prox_step(Z - eta * G, eta * cfg.tau)
+        diff = step[0] - Z
+        majorant = loss_Z + float(np.vdot(G, diff)) + float(np.vdot(diff, diff)) / (2.0 * eta)
+        if prob.loss(step[0]) <= majorant + 1e-12 * max(1.0, abs(loss_Z)):
+            return step, eta
+        eta *= 0.5
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(sorted(STOP_MODES)), n=st.integers(2, 12),
+       log2_tau=st.integers(-12, 0), with_x=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x, seed):
+    rng = np.random.default_rng(seed)
+    ds, probs, _ = helpers.random_problem(rng, n=n, layout=helpers.mixed_layout())
+    cfg = smc.SolverConfig(tau=2.0**log2_tau, iterations=300, **STOP_MODES[mode])
+    X = ds.X if with_x else None
+    res = smc.fit_completion(ds, probs, cfg, X=X)
+    t = res.objective_trace
+    assert np.all(np.diff(t) <= 0)
+    if res.diagnostics["stop"] == "cap":
+        assert res.iterations_run == cfg.iterations
+        return
+    # only the automatic step is checked against a majorant, so only it stops
+    assert cfg.step_mode == "standard_prox" and cfg.step_size is None
+    assert res.iterations_run <= cfg.iterations and not res.accepted[-1]
+    # one more plain step from Z_hat, priced as the loop prices it, does not
+    # lower the objective, and it ends at step_size_final: the next iteration
+    # would repeat the last one
+    prob = _Problem(ds, probs, ds.resolve_population_size(None), cfg.tau, cfg.clamp, X)
+    eta = res.diagnostics["step_size_final"]
+    (cand, _, factors), eta_next = next_plain_step(prob, ds, cfg, res.Z_hat, eta)
+    assert eta_next == eta
+    assert prob.loss(cand) + prob.penalty(cand, factors) >= t[-1]
+    # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
+    want = smc.objective(res.Z_hat, ds, probs, cfg, X=X)
+    assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
