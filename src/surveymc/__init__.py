@@ -18,8 +18,7 @@ from .errors import (ColumnEmpty, DegenerateTruth, DesignError, DomainError,
 from .families import (Block, CategoryLayout, Family, mean_from_natural,
                        natural_from_mean)
 from .io import SchemaFile, load_dataset, parse_tau_grid, save_dataset
-from .linalg import (MatrixNorms, SvdFactors, concat_cols, norms, nuclear_norm,
-                     rank1_approx, svd_thin, svt)
+from .linalg import SvdFactors, concat_cols, nuclear_norm, rank1_approx, svd_thin, svt
 from .response_model import (LogisticFit, ResponseProbModel, estimate_response_probs,
                              fit_logistic, predict_p)
 from .simulator import (PopulationSpec, SampledData, SyntheticTruth, draw_sample,

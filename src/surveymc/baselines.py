@@ -114,9 +114,8 @@ def hot_deck(Y, R, strata, rng: np.random.Generator,
     )
 
 
-def collective_unweighted(dataset: MixedDataset, tau: float, iterations: int = 200,
-                          *, config: SolverConfig | None = None) -> BaselineResult:
-    """Main solver with all weights switched off.
+def collective_unweighted(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
+    """Main solver with all weights switched off; config holds every setting.
 
     Inclusion and response probabilities are set to one, the population size
     to the sample size, and the covariate augmentation is dropped, so the
@@ -125,10 +124,7 @@ def collective_unweighted(dataset: MixedDataset, tau: float, iterations: int = 2
     n, L = dataset.Y.shape
     flat = replace(dataset, pi=np.ones(n), population_size=float(n))
     probs = ResponseProbModel.constant(n, L, 1.0)
-    cfg = config or SolverConfig(tau=tau, iterations=iterations)
-    if cfg.tau != tau:
-        cfg = replace(cfg, tau=tau)
-    res = fit_completion(flat, probs, cfg, X=None)
+    res = fit_completion(flat, probs, config, X=None)
     means = mean_from_natural(res.Z_hat, dataset.layout)
     return BaselineResult(
         method="collective_unweighted",

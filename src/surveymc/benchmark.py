@@ -105,7 +105,7 @@ def _ipw(ds, probs, tau, config, rng):
 
 
 def _collective_unweighted(ds, probs, tau, config, rng):
-    return collective_unweighted(ds, tau, config=config).Z_hat_natural
+    return collective_unweighted(ds, replace(config, tau=tau)).Z_hat_natural
 
 
 def _soft_impute(ds, probs, tau, config, rng):

@@ -9,6 +9,7 @@ the config.  Exit codes: 0 success, 2 usage problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,7 +54,6 @@ def _spec_from_args(args) -> PopulationSpec:
 def _solver_config(args, tau: float) -> SolverConfig:
     return SolverConfig(tau=tau, iterations=args.iterations,
                         step_mode=args.step_mode, step_size=args.step_size,
-                        population_size=getattr(args, "population_size", None),
                         clamp=args.clamp)
 
 
@@ -69,7 +69,11 @@ def _meta(args, extra: dict | None = None) -> dict:
 
 
 def _load(args) -> MixedDataset:
-    return mio.load_dataset(args.data, args.schema, standardize=args.standardize)
+    """The dataset, with --population-size (if given) as its population size."""
+    dataset = mio.load_dataset(args.data, args.schema, standardize=args.standardize)
+    if args.population_size is None:
+        return dataset
+    return dataclasses.replace(dataset, population_size=args.population_size)
 
 
 def _fit(args, dataset: MixedDataset):
@@ -194,7 +198,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_population_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--population-size", type=float, default=None,
-                   help="population size N (default: stored or Horvitz-Thompson)")
+                   help="population size N, overriding the schema's "
+                        "(default: stored or Horvitz-Thompson)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:

@@ -71,8 +71,10 @@ class MixedDataset:
         labels = np.unique(strata)
         if labels[0] != 1 or labels[-1] != labels.size:
             raise InvalidInput("strata labels must be the contiguous integers 1..H")
-        if self.population_size is not None and not self.population_size > 0:
-            raise InvalidInput(f"population_size must be positive, got {self.population_size}")
+        if self.population_size is not None and not (np.isfinite(self.population_size)
+                                                     and self.population_size > 0):
+            raise InvalidInput(f"population_size must be positive and finite, "
+                               f"got {self.population_size}")
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "X", X)
@@ -103,12 +105,8 @@ class MixedDataset:
         """Horvitz-Thompson population size estimate: sum of 1/pi."""
         return float(np.sum(1.0 / self.pi))
 
-    def resolve_population_size(self, explicit: float | None = None) -> float:
-        """explicit value if given, else the stored size, else the HT estimate."""
-        if explicit is not None:
-            if not explicit > 0:
-                raise InvalidInput(f"population size must be positive, got {explicit}")
-            return float(explicit)
+    def resolve_population_size(self) -> float:
+        """The stored population size N, else the HT estimate."""
         if self.population_size is not None:
             return float(self.population_size)
         return self.ht_population_size()

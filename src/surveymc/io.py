@@ -77,8 +77,9 @@ class SchemaFile:
             raise SchemaViolation("schema needs exactly one stratum and one weight column")
         if roles.count("covariate") < 1 or roles.count("response") < 1:
             raise SchemaViolation("schema needs at least one covariate and one response column")
-        if self.population_size is not None and not self.population_size > 0:
-            raise SchemaViolation("population_size must be positive when present")
+        if self.population_size is not None and not (math.isfinite(self.population_size)
+                                                     and self.population_size > 0):
+            raise SchemaViolation("population_size must be positive and finite when present")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise SchemaViolation("delimiter must be a single character")
 
@@ -156,6 +157,24 @@ def _parse_column(tokens, name: str, na_marker: str, na_ok: bool) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _standardize(column: np.ndarray, name: str) -> tuple[float, float]:
+    """Center and scale a column in place to unit variance over its non-NaN
+    entries (a constant column is only centered); return (mean, scale).
+
+    Raises SchemaViolation, naming the column, when the mean or the standard
+    deviation overflows float64.
+    """
+    obs = column[~np.isnan(column)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale = float(obs.mean()), float(obs.std())
+    if not (math.isfinite(mean) and math.isfinite(scale)):
+        raise SchemaViolation(f"column {name!r}: mean {mean} or standard deviation "
+                              f"{scale} is not finite, so it cannot be standardized")
+    scale = scale if scale > 0 else 1.0
+    column[:] = (column - mean) / scale
+    return mean, scale
+
+
 def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedDataset:
     """Read a CSV against its schema; header order must match the schema.
 
@@ -184,30 +203,18 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
     uniq = np.unique(strata_raw)
     strata = np.searchsorted(uniq, strata_raw) + 1
 
+    layout = schema.layout()
     standardization = None
     if standardize:
-        cov_t: dict[int, tuple[float, float]] = {}
-        resp_t: dict[int, tuple[float, float]] = {}
-        layout = schema.layout()
-        for d in range(X.shape[1]):
-            mean, scale = float(X[:, d].mean()), float(X[:, d].std())
-            scale = scale if scale > 0 else 1.0
-            X[:, d] = (X[:, d] - mean) / scale
-            cov_t[d] = (mean, scale)
-        for j in range(Y.shape[1]):
-            if layout.family_of_col(j).kind != "gaussian":
-                continue
-            obs = ~np.isnan(Y[:, j])
-            if not obs.any():
-                continue
-            mean, scale = float(Y[obs, j].mean()), float(Y[obs, j].std())
-            scale = scale if scale > 0 else 1.0
-            Y[:, j] = (Y[:, j] - mean) / scale
-            resp_t[j] = (mean, scale)
-        standardization = Standardization(covariate=cov_t, response=resp_t)
+        covariates, responses = schema.names("covariate"), schema.names("response")
+        standardization = Standardization(
+            covariate={d: _standardize(X[:, d], covariates[d]) for d in range(X.shape[1])},
+            response={j: _standardize(Y[:, j], responses[j]) for j in range(Y.shape[1])
+                      if layout.family_of_col(j).kind == "gaussian"
+                      and not np.isnan(Y[:, j]).all()})
 
     return MixedDataset(Y=Y, R=~np.isnan(Y), X=X, strata=strata, pi=pi,
-                        layout=schema.layout(),
+                        layout=layout,
                         population_size=schema.population_size,
                         standardization=standardization)
 

@@ -1,5 +1,5 @@
 """Dense matrix kernels: thin SVD, rank-1 approximation, singular value
-thresholding, norms, and column concatenation.
+thresholding, singular values and the nuclear norm, and column concatenation.
 
 All operations take and return plain float64 ndarrays.  Inputs are validated
 once at the boundary; numerically suspect results raise
@@ -16,13 +16,11 @@ from .errors import InvalidInput, NumericalFailure, ShapeError
 
 __all__ = [
     "SvdFactors",
-    "MatrixNorms",
     "as_matrix",
     "svd_thin",
     "rank1_approx",
     "svt",
     "svt_factors",
-    "norms",
     "singular_values",
     "nuclear_norm",
     "concat_cols",
@@ -43,16 +41,6 @@ class SvdFactors:
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.s) @ self.V.T
-
-
-@dataclass(frozen=True)
-class MatrixNorms:
-    """Frobenius, operator (largest singular value), nuclear, and sup norms."""
-
-    frobenius: float
-    operator: float
-    nuclear: float
-    sup: float
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -128,21 +116,6 @@ def svt(M, tau: float) -> np.ndarray:
     up to SVD round-off; tau >= s_1 returns the zero matrix.
     """
     return svt_factors(M, tau).reconstruct()
-
-
-def norms(M) -> MatrixNorms:
-    """All four norms from a single SVD plus an entrywise pass.
-
-    sup is the entrywise max absolute value (not the induced inf-norm).
-    """
-    A = as_matrix(M)
-    s = svd_thin(A).s
-    return MatrixNorms(
-        frobenius=float(np.sqrt(np.sum(s * s))),
-        operator=float(s[0]),
-        nuclear=float(np.sum(s)),
-        sup=float(np.max(np.abs(A))),
-    )
 
 
 def singular_values(M) -> np.ndarray:

@@ -23,8 +23,13 @@ from .errors import InvalidInput, NumericalFailure, ShapeError, StratumTooSmall
 
 __all__ = ["LogisticFit", "ResponseProbModel", "fit_logistic", "predict_p", "estimate_response_probs"]
 
-# ridge escalation ladder used when a cell is separated or singular
-_RIDGE_LADDER = (1e-4, 1e-2)
+# ridges tried in turn: the plain fit, then escalation when a cell is
+# separated or singular
+_RIDGE_LADDER = (0.0, 1e-4, 1e-2)
+
+# IRLS iteration cap and sup-norm score tolerance
+_MAX_ITER = 100
+_TOL = 1e-8
 
 # coefficient sup-norm beyond which we declare separation
 _SEPARATION_BOUND = 30.0
@@ -48,15 +53,23 @@ class LogisticFit:
 class ResponseProbModel:
     """Per-cell logistic fits and the assembled n x L probability matrix.
 
-    fits is keyed by (block index, column offset within block, stratum label).
-    p_hat entries always lie in [p_floor, 1].
+    fits is keyed by (block index, column offset within block, stratum label)
+    in stratum-major order.  p_hat entries always lie in [p_floor, 1].
     """
 
     fits: dict[tuple[int, int, int], LogisticFit]
     p_hat: np.ndarray
     p_floor: float
-    degenerate_cells: tuple[tuple[int, int, int], ...] = ()
-    fallback_cells: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def degenerate_cells(self) -> tuple[tuple[int, int, int], ...]:
+        """Keys of the all-0 / all-1 cells, in the order of fits."""
+        return tuple(key for key, fit in self.fits.items() if fit.degenerate)
+
+    @property
+    def fallback_cells(self) -> tuple[tuple[int, int, int], ...]:
+        """Keys of the cells that needed a ridge, in the order of fits."""
+        return tuple(key for key, fit in self.fits.items() if fit.separation_fallback)
 
     @classmethod
     def constant(cls, n: int, n_cols: int, value: float = 1.0) -> "ResponseProbModel":
@@ -69,8 +82,7 @@ class ResponseProbModel:
         return cls(fits={}, p_hat=np.full((n, n_cols), value), p_floor=value)
 
 
-def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray,
-          ridge: float, max_iter: int, tol: float):
+def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray, ridge: float):
     """One IRLS run at a fixed ridge.
 
     Returns (beta, converged, iterations) or None when the run separated or
@@ -78,11 +90,11 @@ def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray,
     """
     p_dim = features.shape[1]
     beta = np.zeros(p_dim)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         eta = features @ beta
         p = expit(eta)
         grad = features.T @ (row_weights * (y - p)) - ridge * beta
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= _TOL:
             return beta, True, it - 1
         w = row_weights * np.clip(p * (1.0 - p), 1e-10, None)
         H = (features * w[:, None]).T @ features
@@ -94,11 +106,10 @@ def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray,
         beta = beta + step
         if not np.isfinite(beta).all() or np.max(np.abs(beta)) > _SEPARATION_BOUND:
             return None
-    return beta, False, max_iter
+    return beta, False, _MAX_ITER
 
 
-def fit_logistic(features, indicators, *, max_iter: int = 100, tol: float = 1e-8,
-                 ridge: float = 0.0, row_weights=None) -> LogisticFit:
+def fit_logistic(features, indicators, *, row_weights=None) -> LogisticFit:
     """Fit one logistic cell by IRLS.
 
     features must carry a leading ones column; indicators are 0/1.  Optional
@@ -132,9 +143,8 @@ def fit_logistic(features, indicators, *, max_iter: int = 100, tol: float = 1e-8
         return LogisticFit(coef, converged=True, iterations=0,
                            separation_fallback=False, degenerate=True)
 
-    tried = [ridge] + [r for r in _RIDGE_LADDER if r > ridge]
-    for attempt, r in enumerate(tried):
-        out = _irls(F, y, rw, r, max_iter, tol)
+    for attempt, ridge in enumerate(_RIDGE_LADDER):
+        out = _irls(F, y, rw, ridge)
         if out is not None:
             beta, converged, iterations = out
             return LogisticFit(beta, converged=converged, iterations=iterations,
@@ -152,7 +162,6 @@ def predict_p(fit: LogisticFit, x) -> np.ndarray:
 
 
 def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
-                            max_iter: int = 100, tol: float = 1e-8,
                             use_design_weights: bool = False) -> ResponseProbModel:
     """Fit every (column, stratum) cell and assemble the clamped p_hat matrix."""
     if not 0 < p_floor < 1:
@@ -161,8 +170,6 @@ def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
     D = dataset.n_covariates
     p_hat = np.empty((n, L))
     fits: dict[tuple[int, int, int], LogisticFit] = {}
-    degenerate: list[tuple[int, int, int]] = []
-    fallback: list[tuple[int, int, int]] = []
 
     col_keys = [dataset.layout.block_of_col(j) for j in range(L)]
     for h in range(1, dataset.n_strata + 1):
@@ -173,15 +180,8 @@ def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
         rw = 1.0 / dataset.pi[rows] if use_design_weights else None
         for j in range(L):
             fit = fit_logistic(features, dataset.R[rows, j].astype(np.float64),
-                               max_iter=max_iter, tol=tol, row_weights=rw)
-            s, jj = col_keys[j]
-            fits[(s, jj, h)] = fit
-            if fit.degenerate:
-                degenerate.append((s, jj, h))
-            if fit.separation_fallback:
-                fallback.append((s, jj, h))
+                               row_weights=rw)
+            fits[(*col_keys[j], h)] = fit
             p_hat[rows, j] = np.clip(expit(features @ fit.coefficients), p_floor, 1.0)
 
-    return ResponseProbModel(fits=fits, p_hat=p_hat, p_floor=p_floor,
-                             degenerate_cells=tuple(degenerate),
-                             fallback_cells=tuple(fallback))
+    return ResponseProbModel(fits=fits, p_hat=p_hat, p_floor=p_floor)

@@ -58,6 +58,9 @@ DEFAULT_TAU_GRID = tuple(2.0**k for k in range(-15, 0)) + (1.0, 2.0)
 # sentinel: "use dataset.X" (None means no covariate augmentation)
 _DATASET_X = object()
 
+# step halvings allowed per iteration before the step size counts as collapsed
+_MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -66,18 +69,16 @@ class SolverConfig:
     step_size None means automatic: start from the inverse curvature bound
     and halve while the local quadratic majorization is violated.  An
     explicit positive step_size is used as given (no backtracking).
-    population_size None falls back to the dataset value or the
-    Horvitz-Thompson estimate.  iterations caps the loop, which stops
-    earlier at a fixed point with the automatic step (see fit_completion).
+    iterations caps the loop, which stops earlier at a fixed point with the
+    automatic step (see fit_completion).  The population size N is the
+    dataset's (MixedDataset.resolve_population_size).
     """
 
     tau: float
     iterations: int = 200
     step_mode: str = "standard_prox"
     step_size: float | None = None
-    population_size: float | None = None
     clamp: float = 30.0
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
@@ -115,7 +116,7 @@ class _Problem:
     """Precomputed pieces shared by loss/gradient/objective evaluations."""
 
     def __init__(self, dataset: MixedDataset, probs: ResponseProbModel,
-                 N: float, tau: float, clamp: float, X):
+                 tau: float, clamp: float, X):
         p_hat = np.asarray(probs.p_hat, dtype=np.float64)
         if p_hat.shape != dataset.Y.shape:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
@@ -124,8 +125,9 @@ class _Problem:
         self.layout = dataset.layout
         self.R = dataset.R
         self.Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
-        n, L = dataset.Y.shape
-        self.W = np.where(dataset.R, 1.0 / (N * L * dataset.pi[:, None] * p_hat), 0.0)
+        self.N = dataset.resolve_population_size()
+        self.W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses
+                                            * dataset.pi[:, None] * p_hat), 0.0)
         self.tau = tau
         self.clamp = clamp
         if X is _DATASET_X:
@@ -197,31 +199,24 @@ class _Problem:
         return bound
 
 
-def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel,
-                  N: float | None = None) -> float:
-    """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L."""
+def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel) -> float:
+    """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L
+    with N the dataset's population size."""
     Z = _check_Z(Z, dataset)
-    N = dataset.resolve_population_size(N)
-    prob = _Problem(dataset, probs, N, tau=1.0, clamp=np.inf, X=None)
-    return prob.loss(Z)
+    return _Problem(dataset, probs, tau=1.0, clamp=np.inf, X=None).loss(Z)
 
 
-def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel,
-             N: float | None = None) -> np.ndarray:
+def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel) -> np.ndarray:
     """Entrywise gradient of weighted_loss; exactly zero at missing entries."""
     Z = _check_Z(Z, dataset)
-    N = dataset.resolve_population_size(N)
-    prob = _Problem(dataset, probs, N, tau=1.0, clamp=np.inf, X=None)
-    return prob.grad(Z)
+    return _Problem(dataset, probs, tau=1.0, clamp=np.inf, X=None).grad(Z)
 
 
 def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
               config: SolverConfig, X=_DATASET_X) -> float:
     """weighted_loss plus tau times the nuclear norm of [X, Z]."""
     Z = _check_Z(Z, dataset)
-    N = dataset.resolve_population_size(config.population_size)
-    prob = _Problem(dataset, probs, N, tau=config.tau, clamp=config.clamp, X=X)
-    return prob.objective(Z)
+    return _Problem(dataset, probs, config.tau, config.clamp, X).objective(Z)
 
 
 def _check_Z(Z, dataset: MixedDataset) -> np.ndarray:
@@ -240,12 +235,13 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
 
     X defaults to the dataset covariates; pass X=None to drop the covariate
     augmentation (the penalty becomes the plain nuclear norm of Z).
-    Raises ColumnEmpty when the dataset has no observed response.
+    Raises ColumnEmpty when the dataset has no observed response, and
+    NumericalFailure when the curvature bound gives the automatic step no
+    finite positive size (an N so large that every weight is 0).
     """
     if not dataset.R.any():
         raise ColumnEmpty("dataset has no observed response to fit")
-    N = dataset.resolve_population_size(config.population_size)
-    prob = _Problem(dataset, probs, N, config.tau, config.clamp, X)
+    prob = _Problem(dataset, probs, config.tau, config.clamp, X)
 
     Z1, n_proj = prob.project(rank1_approx(np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)))
     obj1 = prob.objective(Z1)
@@ -259,8 +255,10 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     ceiling = None
     if eta is None and config.step_mode == "standard_prox":
         beta0 = min(config.clamp, max(1.0, float(np.max(np.abs(Z1)))))
-        ceiling = 1.0 / prob.curvature_bound(beta0)
-        eta = ceiling
+        bound = prob.curvature_bound(beta0)
+        ceiling = eta = 1.0 / bound if bound > 0 else np.inf
+        if not 0 < ceiling < np.inf:
+            raise NumericalFailure(f"curvature bound {bound} leaves no finite step size")
     backtrack = config.step_size is None and config.step_mode == "standard_prox"
 
     Z2, j, stop = Z1, 0, "cap"  # j counts iterations since the last restart
@@ -292,7 +290,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
                 if not backtrack or cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
                     n_proj += moved
                     break
-                if tries >= config.max_backtracks:
+                if tries >= _MAX_BACKTRACKS:
                     raise NumericalFailure("step size collapsed during backtracking")
                 eta *= 0.5
                 tries += 1
@@ -331,7 +329,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         "step_size_final": float(eta) if eta is not None else None,
         "restarts": n_restarts,
         "stop": stop,
-        "population_size": N,
+        "population_size": prob.N,
     }
     return CompletionResult(Z_hat=Z1, objective_trace=np.asarray(trace),
                             accepted=np.asarray(accepted, dtype=bool),

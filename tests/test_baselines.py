@@ -138,11 +138,11 @@ def test_hot_deck_deterministic_in_rng():
 def test_collective_unweighted_equals_flattened_solver():
     rng = np.random.default_rng(7)
     ds, _, _ = helpers.random_problem(rng, n=30)
-    out = collective_unweighted(ds, tau=2.0**-6, iterations=40)
+    cfg = smc.SolverConfig(tau=2.0**-6, iterations=40)
+    out = collective_unweighted(ds, cfg)
     n, L = ds.Y.shape
     flat = replace(ds, pi=np.ones(n), population_size=float(n))
     probs = smc.ResponseProbModel.constant(n, L, 1.0)
-    cfg = smc.SolverConfig(tau=2.0**-6, iterations=40)
     res = smc.fit_completion(flat, probs, cfg, X=None)
     npt.assert_array_equal(out.Z_hat_natural, res.Z_hat)
     npt.assert_array_equal(out.notes["objective_trace"], res.objective_trace)
@@ -151,7 +151,7 @@ def test_collective_unweighted_equals_flattened_solver():
 def test_collective_unweighted_imputes_means():
     rng = np.random.default_rng(8)
     ds, _, _ = helpers.random_problem(rng, n=25)
-    out = collective_unweighted(ds, tau=2.0**-8, iterations=30)
+    out = collective_unweighted(ds, smc.SolverConfig(tau=2.0**-8, iterations=30))
     npt.assert_array_equal(out.Y_imputed[ds.R], ds.Y[ds.R])
     means = smc.mean_from_natural(out.Z_hat_natural, ds.layout)
     npt.assert_array_equal(out.Y_imputed[~ds.R], means[~ds.R])

@@ -150,7 +150,7 @@ def test_tune_benchmark_taus_scores_reproduce_direct_fits():
     direct = {
         "ipw": lambda t: smc.fit_completion(ds, probs, replace(cfg, tau=t)).Z_hat,
         "collective_unweighted": lambda t: smc.collective_unweighted(
-            ds, t, config=replace(cfg, tau=t)).Z_hat_natural,
+            ds, replace(cfg, tau=t)).Z_hat_natural,
         "soft_impute": lambda t: smc.soft_impute(ds.Y, ds.R, t, layout=ds.layout,
                                                  clamp=cfg.clamp).Z_hat_natural,
     }

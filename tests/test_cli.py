@@ -211,6 +211,62 @@ def test_numerical_failure_exit_code(sim_dir, tmp_path, monkeypatch):
     assert run(fit_args(sim_dir, tmp_path / "x")) == 4
 
 
+def with_population_size(sim_dir, tmp_path, size):
+    """A copy of the simulated schema that stores `size` as its population size."""
+    schema = tmp_path / f"schema_{size}.json"
+    doc = json.loads((sim_dir / "schema.json").read_text())
+    doc["population_size"] = size
+    schema.write_text(json.dumps(doc))
+    return schema
+
+
+COMMAND_ARGS = {"fit": ["--tau", "0.00390625", "--iterations", "40"],
+                "impute": ["--tau", "0.00390625", "--iterations", "40"],
+                "tune": ["--grid", "2^-8,2^-4", "--folds", "2", "--iterations", "20"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_population_size_flag_writes_what_the_schema_size_writes(sim_dir, tmp_path,
+                                                                 command):
+    stored = json.loads((sim_dir / "schema.json").read_text())["population_size"]
+    size = 2.5 * stored
+    outs = {}
+    for name, schema, extra in [("flag", sim_dir / "schema.json", ["--population-size", str(size)]),
+                                ("schema", with_population_size(sim_dir, tmp_path, size), []),
+                                ("stored", sim_dir / "schema.json", [])]:
+        outs[name] = tmp_path / name
+        assert run([command, "--data", str(sim_dir / "data.csv"), "--schema", str(schema),
+                    *COMMAND_ARGS[command], *extra, "--out", str(outs[name])]) == 0
+    names = sorted(p.name for p in outs["flag"].iterdir() if p.name != "meta.json")
+    assert names == sorted(p.name for p in outs["schema"].iterdir() if p.name != "meta.json")
+    for name in names:
+        assert (outs["flag"] / name).read_bytes() == (outs["schema"] / name).read_bytes()
+    # the size moves the weights (tune's scores, the others' fits)
+    assert any((outs["flag"] / name).read_bytes() != (outs["stored"] / name).read_bytes()
+               for name in names)
+    if command != "tune":
+        metas = [json.loads((outs[k] / "meta.json").read_text())["diagnostics"]
+                 for k in ("flag", "schema", "stored")]
+        assert metas[0] == metas[1] and metas[0]["population_size"] == size
+        assert metas[2]["population_size"] == stored
+
+
+@pytest.mark.parametrize("size, code", [("inf", 2), ("-inf", 2), ("nan", 2), ("0", 2),
+                                        ("1e308", 4)])
+def test_bad_population_size_flag_exit_code(sim_dir, tmp_path, size, code):
+    # at 1e308, N * L overflows and every weight is 0: no finite step size
+    assert run(fit_args(sim_dir, tmp_path / "x", [f"--population-size={size}"])) == code
+
+
+def test_non_finite_schema_population_size_is_data_error(sim_dir, tmp_path):
+    schema = tmp_path / "s.json"
+    schema.write_text((sim_dir / "schema.json").read_text().replace(
+        '"population_size": ', '"population_size": Infinity, "was": '))
+    argv = ["fit", "--data", str(sim_dir / "data.csv"), "--schema", str(schema),
+            "--tau", "0.1", "--out", str(tmp_path / "x")]
+    assert run(argv) == 3
+
+
 def test_unknown_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["fit", "--frobnicate"])

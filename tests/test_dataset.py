@@ -36,12 +36,14 @@ def test_ht_population_size():
 def test_resolve_population_size_precedence():
     ds = small_dataset()
     assert ds.resolve_population_size() == pytest.approx(7.0)
-    assert ds.resolve_population_size(100.0) == 100.0
     stored = small_dataset(population_size=50.0)
     assert stored.resolve_population_size() == 50.0
-    assert stored.resolve_population_size(10.0) == 10.0
+
+
+@pytest.mark.parametrize("size", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_population_size_must_be_positive_and_finite(size):
     with pytest.raises(InvalidInput):
-        ds.resolve_population_size(-1.0)
+        small_dataset(population_size=size)
 
 
 def test_r_must_match_nan_pattern():

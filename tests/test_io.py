@@ -116,8 +116,9 @@ def test_schema_rejects_missing_required_roles():
 def test_schema_rejects_bad_delimiter_and_population_size():
     with pytest.raises(SchemaViolation):
         SchemaFile(columns=make_cols(), delimiter=";;")
-    with pytest.raises(SchemaViolation):
-        SchemaFile(columns=make_cols(), population_size=0.0)
+    for size in (0.0, float("inf"), float("nan")):
+        with pytest.raises(SchemaViolation):
+            SchemaFile(columns=make_cols(), population_size=size)
 
 
 def test_schema_rejects_bad_sigma_and_non_string_delimiter():
@@ -258,6 +259,19 @@ def test_load_dataset_standardize_and_inverse(tmp_path):
     mean, scale = ds.standardization.response[0]
     got = ds.Y[obs, 0] * scale + mean
     npt.assert_allclose(got, [g for _, g, _ in raw if g is not None], rtol=1e-12)
+
+
+@pytest.mark.parametrize("column", ["x1", "y1"])
+def test_standardize_rejects_a_column_whose_spread_overflows(tmp_path, column):
+    # finite values whose standard deviation overflows float64; dividing by
+    # it would turn the column into zeros
+    huge = ["1e308", "-1e308", "1.7e308"]
+    rows = [f"1,0.5,{v if column == 'x1' else '0.5'},{v if column == 'y1' else '0.5'},1"
+            for v in huge]
+    data, schema = write_small_csv(tmp_path, rows)
+    load_dataset(data, schema)  # loads unstandardized
+    with pytest.raises(SchemaViolation, match=repr(column)):
+        load_dataset(data, schema, standardize=True)
 
 
 def test_default_schema_names_and_population_size():

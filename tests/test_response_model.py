@@ -1,6 +1,8 @@
 """Stage-one logistic fits: recovery of known coefficients, degenerate and
 separated cells, and assembly of the clamped probability matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -101,6 +103,22 @@ def test_estimate_response_probs_structure():
     assert len(model.fits) == H * L
     # keys are (block, offset within block, stratum)
     assert (0, 0, 1) in model.fits and (0, L - 1, H) in model.fits
+
+
+def test_cell_flags_list_cells_in_stratum_major_order():
+    rng = np.random.default_rng(3)
+    strata = np.repeat([1, 2], 60)
+    X = rng.normal(size=(120, 2))
+    ds, _ = build_missingness_dataset(rng.normal(0.3, 0.1, size=(2, 4, 3)), strata, X, rng)
+    R, in1 = ds.R.copy(), strata == 1
+    R[~in1, 0] = True               # all observed: degenerate
+    R[in1, 3] = False               # all missing: degenerate
+    R[in1, 1] = X[in1, 0] > 0       # separated: ridge fallback
+    flagged = replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan), R=R)
+    model = smc.estimate_response_probs(flagged)
+    key = lambda j, h: (*ds.layout.block_of_col(j), h)
+    assert model.degenerate_cells == (key(3, 1), key(0, 2))
+    assert model.fallback_cells == (key(1, 1),)
 
 
 def test_estimate_matches_per_cell_fit():

@@ -5,6 +5,8 @@ written independently in helpers.py; the loop is checked for its exact
 descent guarantee and its closed-form fixed point in the Gaussian case.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -29,7 +31,8 @@ def test_loss_single_entry_closed_form():
     # gaussian, y = z = 1, all weights 1, N = 1:  -y z + z^2/2 = -0.5
     ds = one_cell_dataset("gaussian", 1.0)
     probs = smc.ResponseProbModel.constant(1, 1, 1.0)
-    assert smc.weighted_loss([[1.0]], ds, probs, N=1.0) == pytest.approx(-0.5, abs=1e-15)
+    ds1 = replace(ds, population_size=1.0)
+    assert smc.weighted_loss([[1.0]], ds1, probs) == pytest.approx(-0.5, abs=1e-15)
 
     # poisson, y = 2, z = 0, pi = p_hat = 0.5, N from HT is 2:
     # W = 1/(2 * 1 * 0.5 * 0.5) = 2 and -y z + e^z = 1
@@ -43,7 +46,8 @@ def test_loss_matches_extended_precision_oracle():
     ds, probs, Z = helpers.random_problem(rng)
     N = ds.ht_population_size()
     want = float(helpers.loss_oracle(Z, ds.Y, ds.R, ds.pi, probs.p_hat, ds.layout, N))
-    assert smc.weighted_loss(Z, ds, probs, N) == pytest.approx(want, rel=1e-13)
+    assert smc.weighted_loss(Z, replace(ds, population_size=N), probs) == pytest.approx(
+        want, rel=1e-13)
 
 
 def test_gradient_matches_finite_differences():
@@ -51,7 +55,7 @@ def test_gradient_matches_finite_differences():
     ds, probs, Z = helpers.random_problem(rng, n=6,
                                           layout=helpers.mixed_layout(sigma=1.4))
     N = ds.ht_population_size()
-    G = smc.gradient(Z, ds, probs, N)
+    G = smc.gradient(Z, replace(ds, population_size=N), probs)
     FD = helpers.fd_gradient(Z, ds.Y, ds.R, ds.pi, probs.p_hat, ds.layout, N)
     assert np.linalg.norm(G - FD) / np.linalg.norm(FD) < 1e-6
 
@@ -68,8 +72,9 @@ def test_gradient_single_entry_closed_form():
     ds = one_cell_dataset("gaussian", 1.0)
     probs = smc.ResponseProbModel.constant(1, 1, 1.0)
     # W = 1, grad = g'(z) - y = z - 1
-    assert smc.gradient([[2.0]], ds, probs, N=1.0)[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert smc.gradient([[1.0]], ds, probs, N=1.0)[0, 0] == 0.0
+    ds1 = replace(ds, population_size=1.0)
+    assert smc.gradient([[2.0]], ds1, probs)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert smc.gradient([[1.0]], ds1, probs)[0, 0] == 0.0
 
 
 def test_gradient_scales_inversely_with_pi():
@@ -77,20 +82,21 @@ def test_gradient_scales_inversely_with_pi():
     ds, probs, Z = helpers.random_problem(rng)
     halved = smc.MixedDataset(Y=ds.Y, R=ds.R, X=ds.X, strata=ds.strata,
                               pi=ds.pi / 2.0, layout=ds.layout)
-    G1 = smc.gradient(Z, ds, probs, N=500.0)
-    G2 = smc.gradient(Z, halved, probs, N=500.0)
+    G1 = smc.gradient(Z, replace(ds, population_size=500.0), probs)
+    G2 = smc.gradient(Z, replace(halved, population_size=500.0), probs)
     npt.assert_allclose(G2, 2.0 * G1, rtol=1e-12)
 
 
 def test_objective_composes_loss_and_penalty():
     rng = np.random.default_rng(4)
     ds, probs, Z = helpers.random_problem(rng)
-    cfg = smc.SolverConfig(tau=0.3, population_size=200.0)
-    want = (smc.weighted_loss(Z, ds, probs, 200.0)
+    ds = replace(ds, population_size=200.0)
+    cfg = smc.SolverConfig(tau=0.3)
+    want = (smc.weighted_loss(Z, ds, probs)
             + 0.3 * smc.nuclear_norm(np.hstack([ds.X, Z])))
     assert smc.objective(Z, ds, probs, cfg) == pytest.approx(want, rel=1e-12)
     # X=None drops the augmentation
-    want_plain = smc.weighted_loss(Z, ds, probs, 200.0) + 0.3 * smc.nuclear_norm(Z)
+    want_plain = smc.weighted_loss(Z, ds, probs) + 0.3 * smc.nuclear_norm(Z)
     assert smc.objective(Z, ds, probs, cfg, X=None) == pytest.approx(want_plain, rel=1e-12)
 
 
@@ -255,7 +261,8 @@ def test_loss_is_design_unbiased():
                               X=np.ones((len(rows), 1)),
                               strata=strata_pop[rows], pi=pi, layout=lay)
         probs = smc.ResponseProbModel.constant(len(rows), 4, 1.0)
-        draws.append(smc.weighted_loss(Z_pop[rows], ds, probs, N=float(N)))
+        draws.append(smc.weighted_loss(Z_pop[rows], replace(ds, population_size=float(N)),
+                                       probs))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - census) <= 3 * se
@@ -336,8 +343,7 @@ GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
 def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, seed):
     rng = np.random.default_rng(seed)
     ds, probs, _ = helpers.random_problem(rng, n=n, layout=GPB)
-    prob = _Problem(ds, probs, ds.resolve_population_size(None), tau=0.3, clamp=30.0,
-                    X=ds.X if with_x else None)
+    prob = _Problem(ds, probs, tau=0.3, clamp=30.0, X=ds.X if with_x else None)
     T = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, GPB.n_cols))
     T += 0.1 * rng.normal(size=T.shape)
     M = T if prob.X is None else np.hstack([prob.X, T])
@@ -351,8 +357,7 @@ def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, 
 def test_clipped_candidate_takes_the_full_penalty():
     rng = np.random.default_rng(19)
     ds, probs, _ = helpers.random_problem(rng, n=20, layout=GPB)
-    prob = _Problem(ds, probs, ds.resolve_population_size(None), tau=0.3, clamp=0.5,
-                    X=ds.X)
+    prob = _Problem(ds, probs, tau=0.3, clamp=0.5, X=ds.X)
     cand, moved, factors = prob.prox_step(5.0 * rng.normal(size=ds.Y.shape), 0.1)
     assert moved > 0 and factors is None
     assert np.all(np.abs(cand) <= 0.5)
@@ -465,7 +470,7 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     # one more plain step from Z_hat, priced as the loop prices it, does not
     # lower the objective, and it ends at step_size_final: the next iteration
     # would repeat the last one
-    prob = _Problem(ds, probs, ds.resolve_population_size(None), cfg.tau, cfg.clamp, X)
+    prob = _Problem(ds, probs, cfg.tau, cfg.clamp, X)
     eta = res.diagnostics["step_size_final"]
     (cand, _, factors), eta_next = next_plain_step(prob, ds, cfg, res.Z_hat, eta)
     assert eta_next == eta
