@@ -1,9 +1,17 @@
 """Comparison methods: soft-impute, stratified hot deck, and the unweighted
 variant of the main solver.
 
+Soft-impute (Mazumder, Hastie & Tibshirani 2010) and the unweighted variant
+are both the main solver with every weight switched off: inclusion and
+response probabilities one, population size n, no covariates.  The unweighted
+variant keeps the dataset's families.  Soft-impute treats every column as
+gaussian with sigma 1, so the solver's objective times n*L is
+0.5 ||P_obs(Y - M)||_F^2 + n*L*tau ||M||_*, fit on the mean scale inside the
+clamp box; it stops like the solver and obeys config.iterations.
+
 Every baseline keeps observed entries exactly in Y_imputed and also reports a
 natural-parameter matrix so all methods can be scored on a common scale.
-Soft-impute maps its low-rank matrix through each family's inverse mean
+Soft-impute maps its mean-scale matrix through each family's inverse mean
 function; the hot deck, which has no model matrix, maps the imputed
 observation matrix itself.
 """
@@ -17,7 +25,6 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import ColumnEmpty, InvalidInput, ShapeError
 from .families import CategoryLayout, mean_from_natural, natural_from_mean
-from .linalg import svt_factors
 from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
 
@@ -42,38 +49,28 @@ def _check_pair(Y, R):
     return Y, R
 
 
-def soft_impute(Y, R, tau: float, max_iter: int = 200, tol: float = 1e-6,
-                *, layout: CategoryLayout, clamp: float = 30.0) -> BaselineResult:
-    """Iterate M <- svt(P_obs(Y) + P_miss(M), tau) to a fixed point.
+def _unweighted_fit(dataset: MixedDataset, config: SolverConfig,
+                    layout: CategoryLayout) -> tuple[np.ndarray, dict]:
+    """fit_completion with pi = 1, N = n, p_hat = 1 and X=None, the columns
+    read under `layout`; returns Z_hat and the notes of the fit."""
+    n, L = dataset.Y.shape
+    flat = replace(dataset, pi=np.ones(n), population_size=float(n), layout=layout)
+    res = fit_completion(flat, ResponseProbModel.constant(n, L, 1.0), config, X=None)
+    return res.Z_hat, {"diagnostics": res.diagnostics,
+                       "objective_trace": res.objective_trace,
+                       "iterations": res.iterations_run}
 
-    Majorization-minimization on 0.5 ||P_obs(Y - M)||_F^2 + tau ||M||_*, so
-    the recorded objective trace is nonincreasing.  Stops when the relative
-    change of M drops below tol.
-    """
-    Y, R = _check_pair(Y, R)
-    if not (np.isfinite(tau) and tau >= 0):
-        raise InvalidInput(f"tau must be finite and >= 0, got {tau}")
-    Yf = np.where(R, Y, 0.0)
-    M = np.zeros_like(Yf)
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        f = svt_factors(np.where(R, Yf, M), tau)
-        M_new = f.reconstruct()
-        trace.append(0.5 * float(np.sum(((Y - M_new)[R]) ** 2)) + tau * float(f.s.sum()))
-        delta = np.linalg.norm(M_new - M) / max(np.linalg.norm(M), 1.0)
-        M = M_new
-        if delta <= tol:
-            converged = True
-            break
-    Y_imputed = np.where(R, Y, M)
+
+def soft_impute(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
+    """Soft-impute at lam = n*L*config.tau: the unweighted fit with every
+    column gaussian (sigma 1), so Z_hat estimates the means directly."""
+    layout = CategoryLayout.of(("gaussian", dataset.n_responses))
+    M, notes = _unweighted_fit(dataset, config, layout)
     return BaselineResult(
         method="soft_impute",
-        Y_imputed=Y_imputed,
-        Z_hat_natural=natural_from_mean(M, layout, clamp),
-        notes={"iterations": it, "converged": converged,
-               "objective_trace": np.asarray(trace)},
+        Y_imputed=np.where(dataset.R, dataset.Y, M),
+        Z_hat_natural=natural_from_mean(M, dataset.layout, config.clamp),
+        notes=notes,
     )
 
 
@@ -115,22 +112,13 @@ def hot_deck(Y, R, strata, rng: np.random.Generator,
 
 
 def collective_unweighted(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
-    """Main solver with all weights switched off; config holds every setting.
-
-    Inclusion and response probabilities are set to one, the population size
-    to the sample size, and the covariate augmentation is dropped, so the
-    penalty is the plain nuclear norm of Z.
-    """
-    n, L = dataset.Y.shape
-    flat = replace(dataset, pi=np.ones(n), population_size=float(n))
-    probs = ResponseProbModel.constant(n, L, 1.0)
-    res = fit_completion(flat, probs, config, X=None)
-    means = mean_from_natural(res.Z_hat, dataset.layout)
+    """Main solver with all weights switched off and the dataset's families;
+    config holds every setting.  The penalty is the plain nuclear norm of Z."""
+    Z, notes = _unweighted_fit(dataset, config, dataset.layout)
+    means = mean_from_natural(Z, dataset.layout)
     return BaselineResult(
         method="collective_unweighted",
         Y_imputed=np.where(dataset.R, dataset.Y, means),
-        Z_hat_natural=res.Z_hat,
-        notes={"diagnostics": res.diagnostics,
-               "objective_trace": res.objective_trace,
-               "iterations_run": res.iterations_run},
+        Z_hat_natural=Z,
+        notes=notes,
     )

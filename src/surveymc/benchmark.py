@@ -109,7 +109,7 @@ def _collective_unweighted(ds, probs, tau, config, rng):
 
 
 def _soft_impute(ds, probs, tau, config, rng):
-    return soft_impute(ds.Y, ds.R, tau, layout=ds.layout, clamp=config.clamp).Z_hat_natural
+    return soft_impute(ds, replace(config, tau=tau)).Z_hat_natural
 
 
 def _hot_deck(ds, probs, tau, config, rng):

@@ -27,6 +27,9 @@ from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
 from .solver import SolverConfig, fit_completion, tune_tau
 
+# the tau grid flags' default; parse_tau_grid(DEFAULT_GRID) is solver.DEFAULT_TAU_GRID
+DEFAULT_GRID = "2^-15..2^-1,1,2"
+
 _USAGE_ERRORS = (InvalidInput,)
 _DATA_ERRORS = (SchemaViolation, WeightError, ColumnEmpty, StratumTooSmall,
                 DesignError, DegenerateTruth, ShapeError, FoldError, OSError)
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="cross-validate tau on a dataset")
     _add_data_flags(p)
-    p.add_argument("--grid", default="2^-15..2^-1,1,2", help="tau grid")
+    p.add_argument("--grid", default=DEFAULT_GRID, help="tau grid")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
     _add_solver_flags(p)
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None,
                    help="fixed tau for every method (default: tune on a "
                         "validation replicate)")
-    p.add_argument("--grid", default="2^-15..2^-1,1,2", help="tuning grid")
+    p.add_argument("--grid", default=DEFAULT_GRID, help="tuning grid")
     _add_solver_flags(p)
     p.add_argument("--p-floor", type=float, default=0.01)
     p.add_argument("--threads", type=int, default=1)

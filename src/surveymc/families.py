@@ -37,7 +37,8 @@ _MEAN_EPS = 1e-3
 
 @dataclass(frozen=True)
 class Family:
-    """One exponential family; gaussian carries its known scale sigma."""
+    """One exponential family; gaussian carries its known scale sigma, and
+    every other kind has sigma 1.0 whatever is passed."""
 
     kind: str
     sigma: float = 1.0
@@ -45,7 +46,9 @@ class Family:
     def __post_init__(self):
         if self.kind not in FAMILY_NAMES:
             raise InvalidInput(f"unknown family {self.kind!r}, expected one of {FAMILY_NAMES}")
-        if self.kind == "gaussian" and not (np.isfinite(self.sigma) and self.sigma > 0):
+        if self.kind != "gaussian":
+            object.__setattr__(self, "sigma", 1.0)  # only gaussian has a scale
+        elif not (np.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidInput(f"gaussian sigma must be positive, got {self.sigma}")
 
     # -- domain ---------------------------------------------------------
@@ -152,18 +155,6 @@ class Family:
             return m / self.sigma**2
         return -1.0 / np.maximum(m, _MEAN_EPS)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {"family": self.kind}
-        if self.kind == "gaussian":
-            d["sigma"] = self.sigma
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Family":
-        return cls(kind=d["family"], sigma=float(d.get("sigma", 1.0)))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -191,8 +182,7 @@ class CategoryLayout:
     @classmethod
     def of(cls, *specs: tuple[str, int], sigma: float = 1.0) -> "CategoryLayout":
         """Build from (kind, count) pairs; gaussian blocks take the shared sigma."""
-        return cls(tuple(Block(Family(kind, sigma if kind == "gaussian" else 1.0), count)
-                         for kind, count in specs))
+        return cls(tuple(Block(Family(kind, sigma), count) for kind, count in specs))
 
     @property
     def n_cols(self) -> int:

@@ -89,7 +89,7 @@ class SchemaFile:
         for c in self.columns:
             if c.role != "response":
                 continue
-            fam = Family(c.family, c.sigma if c.family == "gaussian" else 1.0)
+            fam = Family(c.family, c.sigma)
             if blocks and blocks[-1].family == fam:
                 blocks[-1] = Block(fam, blocks[-1].count + 1)
             else:
@@ -227,8 +227,7 @@ def default_schema(dataset: MixedDataset) -> SchemaFile:
     for fam, sl in dataset.layout.slices():
         for _ in range(sl.stop - sl.start):
             j += 1
-            cols.append(ColumnSpec(f"y{j}", "response", family=fam.kind,
-                                   sigma=fam.sigma if fam.kind == "gaussian" else 1.0))
+            cols.append(ColumnSpec(f"y{j}", "response", family=fam.kind, sigma=fam.sigma))
     return SchemaFile(columns=tuple(cols), population_size=dataset.population_size)
 
 

@@ -126,8 +126,12 @@ class _Problem:
         self.R = dataset.R
         self.Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
         self.N = dataset.resolve_population_size()
-        self.W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses
-                                            * dataset.pi[:, None] * p_hat), 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            self.W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses
+                                                * dataset.pi[:, None] * p_hat), 0.0)
+        if not np.isfinite(self.W).all():
+            raise NumericalFailure(f"population size N={self.N} makes a response "
+                                   f"weight 1/(N L pi p_hat) overflow")
         self.tau = tau
         self.clamp = clamp
         if X is _DATASET_X:
@@ -237,13 +241,14 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     augmentation (the penalty becomes the plain nuclear norm of Z).
     Raises ColumnEmpty when the dataset has no observed response, and
     NumericalFailure when the curvature bound gives the automatic step no
-    finite positive size (an N so large that every weight is 0).
+    finite positive size (an N so large that every weight is 0) or when a
+    weight overflows (an N so small that N*L*pi*p_hat underflows).
     """
     if not dataset.R.any():
         raise ColumnEmpty("dataset has no observed response to fit")
     prob = _Problem(dataset, probs, config.tau, config.clamp, X)
 
-    Z1, n_proj = prob.project(rank1_approx(np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)))
+    Z1, n_proj = prob.project(rank1_approx(prob.Yf))
     obj1 = prob.objective(Z1)
     if not np.isfinite(obj1):
         raise NumericalFailure(f"objective non-finite at initialization: {obj1}")

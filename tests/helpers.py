@@ -126,3 +126,26 @@ def trace_is_monotone(result) -> bool:
         if not acc and t[k] != t[k - 1]:
             return False
     return True
+
+
+def soft_impute_mm(Y, R, lam, tol=1e-12, max_iter=200_000):
+    """Slow reference soft-impute (Mazumder, Hastie & Tibshirani 2010):
+    M <- svt(P_obs(Y) + P_miss(M), lam) from M = 0, a majorization-
+    minimization step of soft_impute_objective, until the relative change
+    of M is at most tol."""
+    Yf = np.where(R, Y, 0.0)
+    M = np.zeros_like(Yf)
+    for _ in range(max_iter):
+        U, s, Vt = np.linalg.svd(np.where(R, Yf, M), full_matrices=False)
+        M_new = (U * np.maximum(s - lam, 0.0)) @ Vt
+        delta = np.linalg.norm(M_new - M) / max(np.linalg.norm(M), 1.0)
+        M = M_new
+        if delta <= tol:
+            break
+    return M
+
+
+def soft_impute_objective(M, Y, R, lam):
+    """0.5 ||P_obs(Y - M)||_F^2 + lam ||M||_*."""
+    return (0.5 * float(np.sum((Y - M)[R] ** 2))
+            + lam * float(np.linalg.svd(M, compute_uv=False).sum()))

@@ -1,11 +1,15 @@
-"""Comparison methods: fixed points, donor bookkeeping, and the exact
-equivalence of the unweighted variant with a flattened solver run."""
+"""Comparison methods: fixed points, donor bookkeeping, the exact
+equivalence of the unweighted variant with a flattened solver run, and
+soft-impute against the slow majorization-minimization reference."""
 
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import helpers
 import surveymc as smc
@@ -22,13 +26,27 @@ def masked_lowrank(rng, n=30, L=8, rank=1, miss=0.4):
     return np.where(R, M, np.nan), R, M
 
 
+def one_block_dataset(Y, R=None, kind="gaussian"):
+    """One-stratum, self-weighting dataset over Y: one block of `kind`, one covariate."""
+    R = ~np.isnan(Y) if R is None else R
+    n, L = Y.shape
+    return smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=np.ones((n, 1)),
+                            strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
+                            layout=smc.CategoryLayout.of((kind, L)))
+
+
+def si_config(lam, n, L, **kw):
+    """Config whose solver objective is soft-impute's at lam, divided by n*L."""
+    return smc.SolverConfig(tau=lam / (n * L), **kw)
+
+
 def test_soft_impute_identity_when_fully_observed():
     rng = np.random.default_rng(0)
-    lay = smc.CategoryLayout.of(("gaussian", 5))
     Y = rng.normal(size=(12, 5))
-    out = soft_impute(Y, np.ones_like(Y, dtype=bool), tau=0.0, layout=lay)
-    npt.assert_allclose(out.Y_imputed, Y, atol=1e-10)
-    assert out.notes["converged"]
+    out = soft_impute(one_block_dataset(Y), si_config(1e-12, 12, 5))
+    npt.assert_array_equal(out.Y_imputed, Y)
+    npt.assert_allclose(out.Z_hat_natural, Y, atol=1e-10)
+    assert out.notes["diagnostics"]["stop"] == "fixed_point"
 
 
 def test_soft_impute_recovers_masked_rank1():
@@ -37,9 +55,8 @@ def test_soft_impute_recovers_masked_rank1():
     rng = np.random.default_rng(3)
     Y, R, M = masked_lowrank(rng, miss=0.25)
     assert R.sum(axis=1).min() >= 3
-    lay = smc.CategoryLayout.of(("gaussian", 8))
-    out = soft_impute(Y, R, tau=0.05, max_iter=2000, tol=1e-12, layout=lay)
-    assert out.notes["converged"]
+    out = soft_impute(one_block_dataset(Y, R), si_config(0.05, 30, 8, iterations=2000))
+    assert out.notes["diagnostics"]["stop"] == "fixed_point"
     filled = np.where(R, Y, out.Y_imputed)
     assert np.linalg.norm(filled - M) / np.linalg.norm(M) < 1e-2
     # observed entries pass through untouched
@@ -49,37 +66,67 @@ def test_soft_impute_recovers_masked_rank1():
 def test_soft_impute_trace_monotone():
     rng = np.random.default_rng(2)
     Y, R, _ = masked_lowrank(rng, rank=3)
-    lay = smc.CategoryLayout.of(("gaussian", 8))
-    out = soft_impute(Y, R, tau=0.5, layout=lay)
+    out = soft_impute(one_block_dataset(Y, R), si_config(0.5, 30, 8))
     t = out.notes["objective_trace"]
-    assert np.all(np.diff(t) <= 1e-9 * np.maximum(1.0, np.abs(t[:-1])))
+    assert t.size == out.notes["iterations"] + 1
+    assert np.all(np.diff(t) <= 0)
 
 
 def test_soft_impute_huge_tau_gives_zero_matrix():
     rng = np.random.default_rng(3)
     Y, R, _ = masked_lowrank(rng)
-    lay = smc.CategoryLayout.of(("gaussian", 8))
-    out = soft_impute(Y, R, tau=1e6, layout=lay)
+    out = soft_impute(one_block_dataset(Y, R), si_config(1e6, 30, 8))
     assert np.all(out.Y_imputed[~R] == 0.0)
     npt.assert_array_equal(out.Y_imputed[R], Y[R])
 
 
 def test_soft_impute_maps_through_inverse_mean():
     rng = np.random.default_rng(4)
-    lay = smc.CategoryLayout.of(("poisson", 4))
     Z = rng.uniform(0.1, 1.0, (15, 4))
     Y = np.exp(Z)  # exact means, fully observed
-    out = soft_impute(Y, np.ones_like(Y, dtype=bool), tau=0.0, layout=lay)
+    out = soft_impute(one_block_dataset(Y, kind="poisson"), si_config(1e-12, 15, 4))
     npt.assert_allclose(out.Z_hat_natural, Z, atol=1e-8)
 
 
 def test_soft_impute_validation():
-    lay = smc.CategoryLayout.of(("gaussian", 2))
     Y = np.ones((3, 2))
-    with pytest.raises(InvalidInput):
-        soft_impute(Y, np.ones_like(Y, dtype=bool), tau=-1.0, layout=lay)
+    for tau in (-1.0, 0.0):
+        with pytest.raises(InvalidInput):
+            soft_impute(one_block_dataset(Y), smc.SolverConfig(tau=tau))
     with pytest.raises(ShapeError):
-        soft_impute(Y, np.ones((2, 2), dtype=bool), tau=0.1, layout=lay)
+        replace(one_block_dataset(Y), R=np.ones((2, 2), dtype=bool))
+    with pytest.raises(ColumnEmpty):
+        soft_impute(one_block_dataset(np.full((3, 2), np.nan)), smc.SolverConfig(tau=0.1))
+
+
+@st.composite
+def soft_impute_problems(draw):
+    """A noisy rank-r matrix with a random mask (at least one entry seen)
+    and a lam from 1e-4 to 2 times sigma_1 of the observed part."""
+    n, L = draw(st.integers(2, 10)), draw(st.integers(2, 7))
+    rank = draw(st.integers(1, min(n, L, 3)))
+    unit = st.floats(-2.0, 2.0)
+    U = draw(arrays(np.float64, (n, rank), elements=unit))
+    V = draw(arrays(np.float64, (L, rank), elements=unit))
+    noise = draw(arrays(np.float64, (n, L), elements=st.floats(-0.1, 0.1)))
+    R = draw(arrays(bool, (n, L)))
+    R[draw(st.integers(0, n - 1)), draw(st.integers(0, L - 1))] = True
+    Y = U @ V.T + noise
+    s1 = float(np.linalg.norm(np.where(R, Y, 0.0), 2))
+    lam = draw(st.floats(1e-4, 2.0)) * max(s1, 1e-3)
+    return Y, R, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(soft_impute_problems())
+def test_soft_impute_reaches_the_mm_oracle_objective(problem):
+    Y, R, lam = problem
+    n, L = Y.shape
+    out = soft_impute(one_block_dataset(Y, R), si_config(lam, n, L, iterations=5000))
+    mine = helpers.soft_impute_objective(out.Z_hat_natural, Y, R, lam)
+    ref = helpers.soft_impute_objective(helpers.soft_impute_mm(Y, R, lam, tol=1e-12),
+                                        Y, R, lam)
+    assert mine <= ref + 1e-8 * abs(ref)
 
 
 def test_hot_deck_draws_from_same_column_and_stratum():

@@ -123,10 +123,13 @@ def test_tune_benchmark_taus_smoke():
 
 
 def test_tune_benchmark_taus_pinned_values():
-    # recorded before the methods moved behind one registry and one tuning loop
+    # ipw and collective_unweighted recorded before the methods moved behind
+    # one registry and one tuning loop; soft_impute re-recorded when it became
+    # the unweighted solver on an all-gaussian layout (its tau was the grid
+    # maximum 2.0, its loss then unscaled by 1/(n L))
     cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
     out = tune_benchmark_taus(tiny_spec(), methods=METHODS, base_seed=11, config=cfg)
-    assert out == {"ipw": 2.0**-6, "collective_unweighted": 2.0, "soft_impute": 2.0}
+    assert out == {"ipw": 2.0**-6, "collective_unweighted": 2.0, "soft_impute": 2.0**-8}
 
 
 def test_tune_benchmark_taus_rejects_unknown_method():
@@ -151,8 +154,7 @@ def test_tune_benchmark_taus_scores_reproduce_direct_fits():
         "ipw": lambda t: smc.fit_completion(ds, probs, replace(cfg, tau=t)).Z_hat,
         "collective_unweighted": lambda t: smc.collective_unweighted(
             ds, replace(cfg, tau=t)).Z_hat_natural,
-        "soft_impute": lambda t: smc.soft_impute(ds.Y, ds.R, t, layout=ds.layout,
-                                                 clamp=cfg.clamp).Z_hat_natural,
+        "soft_impute": lambda t: smc.soft_impute(ds, replace(cfg, tau=t)).Z_hat_natural,
     }
     assert set(out) == set(direct)
     for name, fit in direct.items():

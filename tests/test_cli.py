@@ -14,7 +14,8 @@ import surveymc.benchmark
 import surveymc.cli as cli
 import surveymc.solver
 from surveymc.errors import NumericalFailure
-from surveymc.io import load_matrix_csv
+from surveymc.io import load_matrix_csv, parse_tau_grid
+from surveymc.solver import DEFAULT_TAU_GRID
 
 TINY_DESIGN = ["--strata", "3", "--m1", "3", "--m2", "8",
                "--blocks", "gaussian:4,poisson:4,bernoulli:4",
@@ -256,6 +257,17 @@ def test_population_size_flag_writes_what_the_schema_size_writes(sim_dir, tmp_pa
 def test_bad_population_size_flag_exit_code(sim_dir, tmp_path, size, code):
     # at 1e308, N * L overflows and every weight is 0: no finite step size
     assert run(fit_args(sim_dir, tmp_path / "x", [f"--population-size={size}"])) == code
+
+
+@pytest.mark.parametrize("size", ["5e-324", "1e-310"])
+def test_population_size_that_overflows_a_weight_names_n(sim_dir, tmp_path, capsys, size):
+    assert run(fit_args(sim_dir, tmp_path / "x", [f"--population-size={size}"])) == 4
+    assert f"population size N={float(size)!r}" in capsys.readouterr().err
+
+
+def test_default_grid_text_is_the_default_tau_grid():
+    # the --grid defaults are pinned in FLAG_DEFAULTS below
+    assert parse_tau_grid(cli.DEFAULT_GRID) == DEFAULT_TAU_GRID
 
 
 def test_non_finite_schema_population_size_is_data_error(sim_dir, tmp_path):

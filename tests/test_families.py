@@ -145,16 +145,18 @@ def test_mean_to_natural_boundary_clamps():
     assert Family("exponential").mean_to_natural(0.0) == pytest.approx(-1000.0)
 
 
-def test_family_validation_and_serialization():
+def test_family_validation_and_sigma_rule():
     with pytest.raises(InvalidInput):
         Family("gamma")
-    with pytest.raises(InvalidInput):
-        Family("gaussian", sigma=0.0)
-    f = Family("gaussian", sigma=2.5)
-    assert Family.from_dict(f.to_dict()) == f
-    g = Family("poisson")
-    assert g.to_dict() == {"family": "poisson"}
-    assert Family.from_dict(g.to_dict()) == g
+    for sigma in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            Family("gaussian", sigma=sigma)
+    assert Family("gaussian", sigma=2.5).sigma == 2.5
+    # only gaussian has a scale: any other kind keeps sigma 1.0, whatever is passed
+    for kind in ("poisson", "bernoulli", "exponential"):
+        for sigma in (2.5, 0.0, np.nan):
+            assert Family(kind, sigma=sigma) == Family(kind)
+            assert Family(kind, sigma=sigma).sigma == 1.0
 
 
 def test_layout_bookkeeping():

@@ -411,6 +411,20 @@ def test_iterations_make_no_full_svd(monkeypatch):
     assert len(calls) == 3 + 2 * 200
 
 
+@pytest.mark.parametrize("N", [5e-324, 1e-310])
+def test_population_size_that_overflows_a_weight_is_numerical_failure(N):
+    # N * L * pi * p_hat underflows to 0 (5e-324) or to a subnormal whose
+    # inverse overflows (1e-310); no numpy warning may escape either way
+    ds, probs = small_survey()
+    tiny = replace(ds, population_size=N)
+    Z = np.zeros(ds.Y.shape)
+    for call in (lambda: smc.fit_completion(tiny, probs, smc.SolverConfig(tau=0.1)),
+                 lambda: smc.weighted_loss(Z, tiny, probs),
+                 lambda: smc.gradient(Z, tiny, probs)):
+        with pytest.raises(NumericalFailure, match=f"N={N!r}"):
+            call()
+
+
 def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
     ds, probs = small_survey()
     cfg = smc.SolverConfig(tau=2.0**-10, iterations=3)
