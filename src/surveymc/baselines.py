@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import ColumnEmpty, InvalidInput, ShapeError
+from .errors import ColumnEmpty
 from .families import CategoryLayout, mean_from_natural, natural_from_mean
 from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
@@ -37,16 +37,6 @@ class BaselineResult:
     Y_imputed: np.ndarray
     Z_hat_natural: np.ndarray
     notes: dict
-
-
-def _check_pair(Y, R):
-    Y = np.asarray(Y, dtype=np.float64)
-    R = np.asarray(R, dtype=bool)
-    if Y.ndim != 2 or R.shape != Y.shape:
-        raise ShapeError(f"Y and R must be matching 2-d arrays, got {Y.shape} and {R.shape}")
-    if not np.isfinite(Y[R]).all():
-        raise InvalidInput("observed entries must be finite")
-    return Y, R
 
 
 def _unweighted_fit(dataset: MixedDataset, config: SolverConfig,
@@ -74,19 +64,16 @@ def soft_impute(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
     )
 
 
-def hot_deck(Y, R, strata, rng: np.random.Generator,
-             *, layout: CategoryLayout, clamp: float = 30.0) -> BaselineResult:
+def hot_deck(dataset: MixedDataset, rng: np.random.Generator,
+             *, clamp: float = 30.0) -> BaselineResult:
     """Fill each missing entry with a uniformly drawn observed donor from the
     same column and stratum, falling back to the whole column when a
     (column, stratum) cell has no donor.
 
     Raises ColumnEmpty when a column has no observed entry in any stratum.
     """
-    Y, R = _check_pair(Y, R)
-    strata = np.asarray(strata, dtype=np.int64)
-    if strata.shape[0] != Y.shape[0]:
-        raise ShapeError("strata must have one label per row")
-    Y_imputed = np.where(R, Y, np.nan)
+    Y, R, strata = dataset.Y, dataset.R, dataset.strata
+    Y_imputed = Y.copy()  # missing entries are NaN until drawn
     fallback_cells = 0
     for j in range(Y.shape[1]):
         col_pool = Y[R[:, j], j]
@@ -106,7 +93,7 @@ def hot_deck(Y, R, strata, rng: np.random.Generator,
     return BaselineResult(
         method="hot_deck",
         Y_imputed=Y_imputed,
-        Z_hat_natural=natural_from_mean(Y_imputed, layout, clamp),
+        Z_hat_natural=natural_from_mean(Y_imputed, dataset.layout, clamp),
         notes={"fallback_cells": fallback_cells},
     )
 

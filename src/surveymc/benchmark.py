@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import collective_unweighted, hot_deck, soft_impute
-from .errors import DegenerateTruth, InvalidInput, ShapeError, SurveyMCError
+from .errors import DegenerateTruth, InvalidInput, ShapeError, SurveyMCError, check_int
 from .families import mean_from_natural
 from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
@@ -113,8 +113,7 @@ def _soft_impute(ds, probs, tau, config, rng):
 
 
 def _hot_deck(ds, probs, tau, config, rng):
-    return hot_deck(ds.Y, ds.R, ds.strata, rng, layout=ds.layout,
-                    clamp=config.clamp).Z_hat_natural
+    return hot_deck(ds, rng, clamp=config.clamp).Z_hat_natural
 
 
 _Method = namedtuple("_Method", "fit tuned")     # tuned False: the method takes no tau
@@ -129,16 +128,17 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def check_run_args(methods, n_replicates: int = 2, threads: int = 1) -> tuple[str, ...]:
-    """Reject unknown methods, replicates < 2 or threads < 1 before any fit."""
+def check_run_args(methods, n_replicates: int = 2, threads: int = 1,
+                   base_seed: int = 0) -> tuple[str, ...]:
+    """Reject unknown methods, replicates < 2 (a standard error needs two),
+    threads < 1 or a negative seed before any fit."""
     methods = tuple(methods)
     for name in methods:
         if name not in _REGISTRY:
             raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
-    if n_replicates < 2:
-        raise InvalidInput("need at least 2 replicates for a standard error")
-    if threads < 1:
-        raise InvalidInput(f"threads must be >= 1, got {threads}")
+    check_int("replicates", n_replicates, 2)
+    check_int("threads", threads, 1)
+    check_int("base_seed", base_seed, 0)
     return methods
 
 
@@ -177,7 +177,7 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
     to config.tau.  Failures are recorded per replicate and excluded from the
     aggregate, never silently dropped.
     """
-    methods = check_run_args(methods, n_replicates, threads)
+    methods = check_run_args(methods, n_replicates, threads, base_seed)
     config = config or SolverConfig(tau=2.0**-10)
     taus = dict(taus or {})
 
@@ -216,7 +216,7 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     grid and scores the relative error against the validation truth; ties
     break toward the larger tau.  Methods without a tau are left out.
     """
-    methods = check_run_args(methods)
+    methods = check_run_args(methods, base_seed=base_seed)
     config = config or SolverConfig(tau=2.0**-10)
     _, sample = simulate_survey(spec, _data_rng(base_seed, 0))
     ds = sample.dataset

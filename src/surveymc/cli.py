@@ -21,7 +21,8 @@ from .benchmark import METHODS, check_run_args, run_benchmark, tune_benchmark_ta
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, DegenerateTruth, DesignError, DomainError,
                      FoldError, InvalidInput, NumericalFailure, SchemaViolation,
-                     ShapeError, StratumTooSmall, SurveyMCError, WeightError)
+                     ShapeError, StratumTooSmall, SurveyMCError, WeightError,
+                     check_int)
 from .families import CategoryLayout, mean_from_natural
 from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
@@ -55,9 +56,7 @@ def _spec_from_args(args) -> PopulationSpec:
 
 
 def _solver_config(args, tau: float) -> SolverConfig:
-    return SolverConfig(tau=tau, iterations=args.iterations,
-                        step_mode=args.step_mode, step_size=args.step_size,
-                        clamp=args.clamp)
+    return SolverConfig(tau=tau, iterations=args.iterations, clamp=args.clamp)
 
 
 def _outdir(args) -> str:
@@ -89,6 +88,7 @@ def _fit(args, dataset: MixedDataset):
 def cmd_simulate(args) -> int:
     out = _outdir(args)
     spec = _spec_from_args(args)
+    check_int("seed", args.seed, 0)
     _, sample = simulate_survey(spec, np.random.default_rng(args.seed))
     mio.save_dataset(sample.dataset, os.path.join(out, "data.csv"),
                      os.path.join(out, "schema.json"))
@@ -155,7 +155,7 @@ def cmd_benchmark(args) -> int:
     out = _outdir(args)
     spec = _spec_from_args(args)
     methods = check_run_args([m.strip() for m in args.methods.split(",")],
-                             args.replicates, args.threads)
+                             args.replicates, args.threads, args.seed)
     config = _solver_config(args, 2.0**-10)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}
@@ -183,10 +183,6 @@ def cmd_benchmark(args) -> int:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=200, help="iteration cap")
-    p.add_argument("--step-mode", choices=["standard_prox", "as_printed"],
-                   default="standard_prox")
-    p.add_argument("--step-size", type=float, default=None,
-                   help="fixed step size (default: automatic)")
     p.add_argument("--clamp", type=float, default=30.0,
                    help="natural-parameter clamp box half-width")
 

@@ -5,6 +5,8 @@ numpy/ValueError surprises escape.  The CLI maps them onto exit codes:
 usage problems -> 2, data problems -> 3, numerical problems -> 4.
 """
 
+import numbers
+
 
 class SurveyMCError(Exception):
     """Base class for all package errors."""
@@ -52,3 +54,11 @@ class SchemaViolation(SurveyMCError):
 
 class WeightError(SurveyMCError):
     """Inclusion probabilities outside (0, 1]."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidInput unless value is an integer (Python or numpy) of at
+    least minimum; counts and seeds pass through here before reaching
+    range() or numpy's seeding."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInput(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import MixedDataset
-from .errors import DegenerateTruth, DesignError, InvalidInput
+from .errors import DegenerateTruth, DesignError, InvalidInput, check_int
 from .families import CategoryLayout
 
 __all__ = ["PopulationSpec", "SyntheticTruth", "SampledData",
@@ -48,9 +48,7 @@ class PopulationSpec:
 
     def __post_init__(self):
         for name in ("n_strata", "m1", "m2", "n_covariates"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise InvalidInput(f"{name} must be a positive integer, got {v!r}")
+            check_int(name, getattr(self, name), 1)
         if not np.isfinite(self.xi):
             raise InvalidInput(f"xi must be finite, got {self.xi}")
 

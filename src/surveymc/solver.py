@@ -11,19 +11,15 @@ accelerated proximal gradient method: momentum blend, gradient step, singular
 value thresholding of the covariate-augmented matrix, and a descent guard
 that only accepts a candidate when it lowers the objective, which makes the
 recorded objective trace nonincreasing by construction (monotone FISTA, Beck
-& Teboulle 2009).  With the automatic step size every step meets the
-quadratic majorant, so a rejection restarts the momentum (O'Donoghue &
-Candes 2015) and the next step is a plain prox-gradient step from the
-iterate.  If that is rejected too and the next iteration would start from
-the same step size, every later iteration repeats it: the loop stops at this
-fixed point (diagnostics["stop"] is "fixed_point", else "cap") with the Z_hat
-and objective the ``iterations`` cap would give, and the trace ends there.
-A fixed step_size and ``as_printed`` need not descend: their momentum
-extrapolates through rejected candidates and they run to the cap.
-
-Two gradient-step modes are supported.  ``standard_prox`` (default) takes
-T = Q - eta * grad with an automatic, backtracked step size; ``as_printed``
-takes T = Q - (1/tau) * svt(grad, tau) verbatim.
+& Teboulle 2009).  The step size is automatic: it starts from the inverse
+curvature bound and is halved until the quadratic majorant holds, so every
+step is a descent step for the loss and a rejection restarts the momentum
+(O'Donoghue & Candes 2015); the next step is then a plain prox-gradient step
+from the iterate.  If that is rejected too and the next iteration would
+start from the same step size, every later iteration repeats it: the loop
+stops at this fixed point (diagnostics["stop"] is "fixed_point", else "cap")
+with the Z_hat and objective the ``iterations`` cap would give, and the
+trace ends there.
 """
 
 from __future__ import annotations
@@ -33,10 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError
+from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
+                     check_int)
 from .families import CategoryLayout, mean_from_natural
 from .linalg import (SvdFactors, concat_cols, nuclear_norm, rank1_approx,
-                     singular_values, svt, svt_factors)
+                     singular_values, svt_factors)
+from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
 
 __all__ = [
@@ -64,31 +62,20 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
-
-    step_size None means automatic: start from the inverse curvature bound
-    and halve while the local quadratic majorization is violated.  An
-    explicit positive step_size is used as given (no backtracking).
-    iterations caps the loop, which stops earlier at a fixed point with the
-    automatic step (see fit_completion).  The population size N is the
-    dataset's (MixedDataset.resolve_population_size).
+    """Solver settings: the penalty weight tau, the iteration cap (the loop
+    stops earlier at a fixed point, see fit_completion) and the clamp box
+    half-width.  The step size is always automatic and backtracked.  The
+    population size N is the dataset's (MixedDataset.resolve_population_size).
     """
 
     tau: float
     iterations: int = 200
-    step_mode: str = "standard_prox"
-    step_size: float | None = None
     clamp: float = 30.0
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise InvalidInput(f"tau must be positive, got {self.tau}")
-        if self.iterations < 1:
-            raise InvalidInput(f"iterations must be >= 1, got {self.iterations}")
-        if self.step_mode not in ("standard_prox", "as_printed"):
-            raise InvalidInput(f"unknown step_mode {self.step_mode!r}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise InvalidInput(f"step_size must be positive, got {self.step_size}")
+        check_int("iterations", self.iterations, 1)
         if not self.clamp > 0:
             raise InvalidInput(f"clamp must be positive, got {self.clamp}")
 
@@ -178,7 +165,7 @@ class _Problem:
 
     def prox_step(self, T: np.ndarray, thresh: float) -> tuple:
         """Threshold [X, T], keep the response columns, project them into the
-        clamp box.  thresh is eta * tau (standard_prox) or tau (as_printed).
+        clamp box at threshold thresh (the step size times tau).
         Returns the candidate, the entries moved and, if none, its factors."""
         f = svt_factors(T if self.X is None else concat_cols(self.X, T), thresh)
         cand, moved = self.project((f.U * f.s) @ f.V[self.D:].T)
@@ -256,15 +243,11 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     trace = [obj1]
     accepted = []
     n_backtracks = n_restarts = 0
-    eta = config.step_size
-    ceiling = None
-    if eta is None and config.step_mode == "standard_prox":
-        beta0 = min(config.clamp, max(1.0, float(np.max(np.abs(Z1)))))
-        bound = prob.curvature_bound(beta0)
-        ceiling = eta = 1.0 / bound if bound > 0 else np.inf
-        if not 0 < ceiling < np.inf:
-            raise NumericalFailure(f"curvature bound {bound} leaves no finite step size")
-    backtrack = config.step_size is None and config.step_mode == "standard_prox"
+    beta0 = min(config.clamp, max(1.0, float(np.max(np.abs(Z1)))))
+    bound = prob.curvature_bound(beta0)
+    ceiling = eta = 1.0 / bound if bound > 0 else np.inf
+    if not 0 < ceiling < np.inf:
+        raise NumericalFailure(f"curvature bound {bound} leaves no finite step size")
 
     Z2, j, stop = Z1, 0, "cap"  # j counts iterations since the last restart
     for k in range(1, config.iterations + 1):
@@ -273,33 +256,22 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         Q, moved = prob.project((1.0 - theta) * Z1 + theta * Z2)
         n_proj += moved
         G = prob.grad(Q)
-
-        if config.step_mode == "as_printed":
-            T = Q - (1.0 / config.tau) * svt(G, config.tau)
-            cand, moved, factors = prob.prox_step(T, config.tau)
-            n_proj += moved
+        # recover from transient curvature spikes, never past the ceiling
+        eta = eta_start = min(ceiling, 2.0 * eta)
+        loss_Q = prob.loss(Q)
+        for tries in range(_MAX_BACKTRACKS + 1):
+            cand, moved, factors = prob.prox_step(Q - eta * G, eta * config.tau)
+            diff = cand - Q
             cand_loss = prob.loss(cand)
+            majorant = (loss_Q + float(np.vdot(G, diff))
+                        + float(np.vdot(diff, diff)) / (2.0 * eta))
+            if cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
+                break
+            eta *= 0.5
         else:
-            if backtrack:
-                # recover from transient curvature spikes, never past the ceiling
-                eta = min(ceiling, 2.0 * eta)
-            eta_start = eta
-            loss_Q = prob.loss(Q)
-            tries = 0
-            while True:
-                cand, moved, factors = prob.prox_step(Q - eta * G, eta * config.tau)
-                diff = cand - Q
-                cand_loss = prob.loss(cand)
-                majorant = (loss_Q + float(np.vdot(G, diff))
-                            + float(np.vdot(diff, diff)) / (2.0 * eta))
-                if not backtrack or cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
-                    n_proj += moved
-                    break
-                if tries >= _MAX_BACKTRACKS:
-                    raise NumericalFailure("step size collapsed during backtracking")
-                eta *= 0.5
-                tries += 1
-            n_backtracks += tries
+            raise NumericalFailure("step size collapsed during backtracking")
+        n_backtracks += tries
+        n_proj += moved
 
         cand_obj = cand_loss + prob.penalty(cand, factors)
         if not np.isfinite(cand_obj):
@@ -308,17 +280,16 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             raise err
 
         accepted.append(bool(cand_obj < obj1))
-        # momentum extrapolates through the candidate whether or not accepted
-        Z2 = Z1 + (cand - Z1) / theta
+        trace.append(cand_obj if accepted[-1] else obj1)
         if accepted[-1]:
+            Z2 = Z1 + (cand - Z1) / theta
             Z1, obj1 = cand, cand_obj
-        trace.append(obj1)
-        if backtrack and not accepted[-1]:
-            # a rejected plain step (j = 1) that the next iteration would
-            # start from the same step size recomputes: a fixed point
-            if j == 1 and min(ceiling, 2.0 * eta) == eta_start:
-                stop = "fixed_point"
-                break
+        elif j == 1 and min(ceiling, 2.0 * eta) == eta_start:
+            # a rejected plain step that the next iteration would start from
+            # the same step size recomputes: a fixed point
+            stop = "fixed_point"
+            break
+        else:
             # adaptive restart: drop the momentum, so the next step is plain
             n_restarts += j > 1
             Z2, j = Z1, 0
@@ -331,7 +302,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         "domain_projections": n_proj,
         "backtracks": n_backtracks,
         "accepted_steps": int(np.count_nonzero(accepted)),
-        "step_size_final": float(eta) if eta is not None else None,
+        "step_size_final": float(eta),
         "restarts": n_restarts,
         "stop": stop,
         "population_size": prob.N,
@@ -371,8 +342,8 @@ def tune_tau(dataset: MixedDataset, probs: ResponseProbModel, X=_DATASET_X,
     the folds; ties break toward the larger tau (see grid_search).
     base_config supplies every solver setting except tau.
     """
-    if folds < 2:
-        raise InvalidInput(f"k-fold tuning needs folds >= 2, got {folds}")
+    check_int("folds", folds, 2)
+    check_int("seed", seed, 0)
     obs = np.argwhere(dataset.R)
     if obs.shape[0] < folds:
         raise FoldError(f"only {obs.shape[0]} observed entries for {folds} folds")

@@ -82,11 +82,11 @@ def test_criterion_03_all_traces_exactly_nonincreasing():
     runs = []
     for seed, layout, kwargs in [
             (0, mixed_layout(), dict(tau=2.0**-6)),
-            (1, mixed_layout(), dict(tau=0.5, step_mode="as_printed")),
+            (1, mixed_layout(), dict(tau=0.5)),
             (2, GPB_SMALL, dict(tau=2.0**-10)),
-            (3, GPB_SMALL, dict(tau=2.0**-8, step_size=0.5)),
+            (3, GPB_SMALL, dict(tau=2.0**-8)),
             (4, mixed_layout(), dict(tau=2.0**-8, clamp=3.0)),
-            (5, GPB_SMALL, dict(tau=2.0**-8, step_size=50.0)),
+            (5, GPB_SMALL, dict(tau=2.0**-8)),
             (6, smc.CategoryLayout.of(("gaussian", 6)), dict(tau=2.0**-40)),
             (7, GPB_SMALL, dict(tau=2.0**-12))]:
         rng = np.random.default_rng(seed)

@@ -26,12 +26,14 @@ def masked_lowrank(rng, n=30, L=8, rank=1, miss=0.4):
     return np.where(R, M, np.nan), R, M
 
 
-def one_block_dataset(Y, R=None, kind="gaussian"):
-    """One-stratum, self-weighting dataset over Y: one block of `kind`, one covariate."""
+def one_block_dataset(Y, R=None, kind="gaussian", strata=None):
+    """Self-weighting dataset over Y: one block of `kind`, one covariate, and
+    one stratum unless strata labels are given."""
     R = ~np.isnan(Y) if R is None else R
     n, L = Y.shape
+    strata = np.ones(n, dtype=np.int64) if strata is None else strata
     return smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=np.ones((n, 1)),
-                            strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
+                            strata=strata, pi=np.ones(n),
                             layout=smc.CategoryLayout.of((kind, L)))
 
 
@@ -137,9 +139,7 @@ def test_hot_deck_draws_from_same_column_and_stratum():
     Y = np.where(strata[:, None] == 1, rng.uniform(0, 1, (n, 3)),
                  rng.uniform(10, 11, (n, 3)))
     R = rng.random((n, 3)) >= 0.3
-    Yo = np.where(R, Y, np.nan)
-    lay = smc.CategoryLayout.of(("gaussian", 3))
-    out = hot_deck(Yo, R, strata, np.random.default_rng(0), layout=lay)
+    out = hot_deck(one_block_dataset(Y, R, strata=strata), np.random.default_rng(0))
     assert not np.isnan(out.Y_imputed).any()
     npt.assert_array_equal(out.Y_imputed[R], Y[R])
     assert out.notes["fallback_cells"] == 0
@@ -157,28 +157,23 @@ def test_hot_deck_draws_from_same_column_and_stratum():
 def test_hot_deck_falls_back_to_column_pool():
     strata = np.array([1, 1, 2, 2])
     Y = np.array([[1.0], [2.0], [np.nan], [np.nan]])
-    R = ~np.isnan(Y)
-    lay = smc.CategoryLayout.of(("gaussian", 1))
-    out = hot_deck(Y, R, strata, np.random.default_rng(1), layout=lay)
+    out = hot_deck(one_block_dataset(Y, strata=strata), np.random.default_rng(1))
     assert out.notes["fallback_cells"] == 1
     assert set(out.Y_imputed[2:, 0]) <= {1.0, 2.0}
 
 
 def test_hot_deck_empty_column():
     Y = np.array([[np.nan], [np.nan]])
-    lay = smc.CategoryLayout.of(("gaussian", 1))
     with pytest.raises(ColumnEmpty):
-        hot_deck(Y, ~np.isnan(Y), np.array([1, 1]), np.random.default_rng(0),
-                 layout=lay)
+        hot_deck(one_block_dataset(Y), np.random.default_rng(0))
 
 
 def test_hot_deck_deterministic_in_rng():
     rng = np.random.default_rng(6)
     Y, R, _ = masked_lowrank(rng)
-    lay = smc.CategoryLayout.of(("gaussian", 8))
-    strata = np.ones(Y.shape[0], dtype=np.int64)
-    a = hot_deck(Y, R, strata, np.random.default_rng(3), layout=lay)
-    b = hot_deck(Y, R, strata, np.random.default_rng(3), layout=lay)
+    ds = one_block_dataset(Y, R)
+    a = hot_deck(ds, np.random.default_rng(3))
+    b = hot_deck(ds, np.random.default_rng(3))
     npt.assert_array_equal(a.Y_imputed, b.Y_imputed)
 
 

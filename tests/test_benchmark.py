@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 import surveymc as smc
 from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
@@ -105,12 +108,40 @@ def test_benchmark_validation():
         run_benchmark(tiny_spec(), methods=("ipw", "nope"), n_replicates=2)
     with pytest.raises(InvalidInput):
         run_benchmark(tiny_spec(), n_replicates=1)
+    # numpy would reject the replicate seeds base_seed ^ r only mid-run
+    for entry in (run_benchmark, tune_benchmark_taus):
+        with pytest.raises(InvalidInput):
+            entry(tiny_spec(), base_seed=-1)
 
 
 @pytest.mark.parametrize("threads", [0, -4])
 def test_benchmark_rejects_nonpositive_threads(threads):
     with pytest.raises(InvalidInput):
         run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=2, threads=threads)
+
+
+# each entry point with one count or seed set to a value, and that count's minimum
+_DS, _PROBS, _ = helpers.random_problem(np.random.default_rng(0), n=10)
+COUNT_ARGS = {
+    "SolverConfig.iterations": (1, lambda v: smc.SolverConfig(tau=0.1, iterations=v)),
+    "tune_tau.folds": (2, lambda v: smc.tune_tau(_DS, _PROBS, folds=v)),
+    "tune_tau.seed": (0, lambda v: smc.tune_tau(_DS, _PROBS, seed=v)),
+    "run_benchmark.n_replicates": (2, lambda v: run_benchmark(tiny_spec(), n_replicates=v)),
+    "run_benchmark.threads": (1, lambda v: run_benchmark(tiny_spec(), threads=v)),
+    "run_benchmark.base_seed": (0, lambda v: run_benchmark(tiny_spec(), base_seed=v)),
+    "tune_benchmark_taus.base_seed": (0, lambda v: tune_benchmark_taus(tiny_spec(),
+                                                                        base_seed=v)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bad_counts_and_seeds_are_invalid_input(data):
+    minimum, call = COUNT_ARGS[data.draw(st.sampled_from(sorted(COUNT_ARGS)))]
+    bad = data.draw(st.one_of(st.integers(max_value=minimum - 1), st.floats(),
+                              st.text(max_size=3), st.none()))
+    with pytest.raises(InvalidInput):
+        call(bad)
 
 
 def test_tune_benchmark_taus_smoke():

@@ -285,6 +285,29 @@ def test_unknown_flag_exits_via_argparse():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--step-size", "0.5"),
+                                         ("--step-mode", "as_printed")])
+def test_removed_step_flags_exit_via_argparse(sim_dir, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(fit_args(sim_dir, tmp_path / "f", [flag, value]))
+    assert exc.value.code == 2
+
+
+def test_config_with_removed_step_key_exits_via_argparse(sim_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"step_size": 0.5}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), *fit_args(sim_dir, tmp_path / "f")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "tune"])
+def test_negative_seed_is_usage_error(sim_dir, tmp_path, command):
+    data = ["--data", str(sim_dir / "data.csv"), "--schema", str(sim_dir / "schema.json")]
+    head = {"simulate": ["simulate", *TINY_DESIGN], "tune": ["tune", *data]}[command]
+    assert run([*head, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+
+
 def test_benchmark_fixed_tau_and_determinism(tmp_path):
     outs = [tmp_path / "b1", tmp_path / "b2"]
     for out in outs:
@@ -305,11 +328,12 @@ def test_module_entry_point_help():
     assert "simulate" in proc.stdout and "benchmark" in proc.stdout
 
 
-# an unknown method, one replicate or zero threads fail before tuning and
-# before the replicates
+# an unknown method, one replicate, zero threads or a negative seed fail
+# before tuning and before the replicates
 @pytest.mark.parametrize("extra", [["--methods", "ipw,nope"], ["--replicates", "1"],
                                    ["--threads", "0"],
-                                   ["--threads", "0", "--tau", "0.1"]])
+                                   ["--threads", "0", "--tau", "0.1"],
+                                   ["--seed", "-1"]])
 def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extra):
     def boom(*a, **k):
         raise AssertionError("fit_completion called")
@@ -320,8 +344,7 @@ def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extr
     assert run(argv) == 2
 
 
-_SOLVER = {"--iterations": 200, "--step-mode": "standard_prox", "--step-size": None,
-           "--clamp": 30.0}
+_SOLVER = {"--iterations": 200, "--clamp": 30.0}
 _DATA = {"--data": None, "--schema": None, "--standardize": False, "--p-floor": 0.01,
          "--design-weighted": False}
 _DESIGN = {"--strata": 9, "--m1": 5, "--m2": 20, "--covariates": 3,
@@ -352,6 +375,4 @@ def test_subcommand_flags_and_defaults(command):
                if a.option_strings and a.dest != "help"]
     assert {a.option_strings[0]: a.default for a in actions} == FLAG_DEFAULTS[command]
     assert {a.option_strings[0] for a in actions if a.required} == REQUIRED[command]
-    choices = {a.option_strings[0]: a.choices for a in actions if a.choices}
-    solver = "--step-mode" in FLAG_DEFAULTS[command]
-    assert choices == ({"--step-mode": ["standard_prox", "as_printed"]} if solver else {})
+    assert not any(a.choices for a in actions)

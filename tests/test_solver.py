@@ -119,10 +119,9 @@ def test_config_validation():
         smc.SolverConfig(tau=0.0)
     with pytest.raises(InvalidInput):
         smc.SolverConfig(tau=0.1, iterations=0)
-    with pytest.raises(InvalidInput):
-        smc.SolverConfig(tau=0.1, step_mode="fast")
-    with pytest.raises(InvalidInput):
-        smc.SolverConfig(tau=0.1, step_size=-1.0)
+    for count in (2.5, float("nan")):  # range() would reject these mid-fit
+        with pytest.raises(InvalidInput):
+            smc.SolverConfig(tau=0.1, iterations=count)
     with pytest.raises(InvalidInput):
         smc.SolverConfig(tau=0.1, clamp=0.0)
 
@@ -139,18 +138,6 @@ def test_trace_is_exactly_monotone():
         assert helpers.trace_is_monotone(res)
         assert res.objective_trace.shape[0] == res.iterations_run + 1
         assert res.accepted.shape[0] == res.iterations_run
-
-
-def test_as_printed_mode_still_descends():
-    res, _ = fit_small(np.random.default_rng(6), step_mode="as_printed",
-                       iterations=30)
-    assert helpers.trace_is_monotone(res)
-
-
-def test_explicit_step_size_still_descends():
-    res, _ = fit_small(np.random.default_rng(7), step_size=0.5, iterations=30)
-    assert helpers.trace_is_monotone(res)
-    assert res.diagnostics["backtracks"] == 0
 
 
 def test_iterate_stays_in_clamp_box():
@@ -199,20 +186,6 @@ def test_early_stop():
     assert res.diagnostics["stop"] == "fixed_point"
     assert res.iterations_run == 3 and not res.accepted[-1]
     assert helpers.trace_is_monotone(res)
-
-
-def test_steps_without_a_majorant_check_keep_their_momentum():
-    # as_printed and a fixed step need not be descent steps, so a rejected
-    # plain step proves nothing there: their momentum extrapolates through
-    # rejected candidates and they run to the cap.  Restarting as_printed at
-    # tau 2^-8 would stop it after one iteration at -0.1078.
-    ds, probs = early_stop_problem()
-    for kw, reach in [(dict(tau=2.0**-8, step_mode="as_printed"), -0.3031),
-                      (dict(tau=2.0**-30, step_size=50.0), -0.38596)]:
-        res = smc.fit_completion(ds, probs, smc.SolverConfig(iterations=500, **kw), X=None)
-        assert res.diagnostics["stop"] == "cap" and res.diagnostics["restarts"] == 0
-        assert res.iterations_run == 500 and res.objective_trace[-1] <= reach
-        assert helpers.trace_is_monotone(res)
 
 
 def test_diagnostics_keys():
@@ -317,8 +290,9 @@ def test_tune_tau_errors():
         smc.tune_tau(ds, probs, grid=())
     with pytest.raises(InvalidInput):
         smc.tune_tau(ds, probs, grid=(0.0, 1.0))
-    with pytest.raises(InvalidInput):
-        smc.tune_tau(ds, probs, folds=1)
+    for bad in (dict(folds=1), dict(folds=2.5), dict(seed=-1)):
+        with pytest.raises(InvalidInput):
+            smc.tune_tau(ds, probs, **bad)
     few = one_cell_dataset("gaussian", 1.0)
     few_probs = smc.ResponseProbModel.constant(1, 1, 1.0)
     with pytest.raises(FoldError):
@@ -329,9 +303,8 @@ def test_fit_rejects_dataset_without_observed_response():
     rng = np.random.default_rng(18)
     ds, probs, _ = helpers.random_problem(rng, n=10)
     empty = ds.with_mask(np.zeros_like(ds.R))
-    for mode in ("standard_prox", "as_printed"):
-        with pytest.raises(ColumnEmpty):
-            smc.fit_completion(empty, probs, smc.SolverConfig(tau=0.1, step_mode=mode))
+    with pytest.raises(ColumnEmpty):
+        smc.fit_completion(empty, probs, smc.SolverConfig(tau=0.1))
 
 
 GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
@@ -441,8 +414,7 @@ def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
     assert calls[-1] == ds.layout.n_cols + ds.X.shape[1]
 
 
-STOP_MODES = {"standard_prox": {}, "as_printed": dict(step_mode="as_printed"),
-              "fixed step": dict(step_size=0.5), "active clamp": dict(clamp=0.5)}
+STOP_MODES = {"automatic step": {}, "active clamp": dict(clamp=0.5)}
 
 
 def next_plain_step(prob, ds, cfg, Z, eta):
@@ -478,8 +450,6 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     if res.diagnostics["stop"] == "cap":
         assert res.iterations_run == cfg.iterations
         return
-    # only the automatic step is checked against a majorant, so only it stops
-    assert cfg.step_mode == "standard_prox" and cfg.step_size is None
     assert res.iterations_run <= cfg.iterations and not res.accepted[-1]
     # one more plain step from Z_hat, priced as the loop prices it, does not
     # lower the objective, and it ends at step_size_final: the next iteration
