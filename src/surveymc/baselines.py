@@ -3,9 +3,10 @@ variant of the main solver.
 
 Soft-impute (Mazumder, Hastie & Tibshirani 2010) and the unweighted variant
 are both the main solver with every weight switched off: inclusion and
-response probabilities one, population size n, no covariates.  The unweighted
-variant keeps the dataset's families.  Soft-impute treats every column as
-gaussian with sigma 1, so the solver's objective times n*L is
+response probabilities one, population size n, fit to a copy of the dataset
+with no covariates (X is n x 0), so the penalty is the nuclear norm of Z.  The
+unweighted variant keeps the dataset's families.  Soft-impute treats every
+column as gaussian with sigma 1, so the solver's objective times n*L is
 0.5 ||P_obs(Y - M)||_F^2 + n*L*tau ||M||_*, fit on the mean scale inside the
 clamp box; it stops like the solver and obeys config.iterations.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import ColumnEmpty
+from .errors import ColumnEmpty, check_rng
 from .families import CategoryLayout, mean_from_natural, natural_from_mean
 from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
@@ -41,11 +42,12 @@ class BaselineResult:
 
 def _unweighted_fit(dataset: MixedDataset, config: SolverConfig,
                     layout: CategoryLayout) -> tuple[np.ndarray, dict]:
-    """fit_completion with pi = 1, N = n, p_hat = 1 and X=None, the columns
-    read under `layout`; returns Z_hat and the notes of the fit."""
+    """fit_completion on a copy with no covariates, pi = 1, N = n and p_hat = 1,
+    the columns read under `layout`; returns Z_hat and the notes of the fit."""
     n, L = dataset.Y.shape
-    flat = replace(dataset, pi=np.ones(n), population_size=float(n), layout=layout)
-    res = fit_completion(flat, ResponseProbModel.constant(n, L, 1.0), config, X=None)
+    flat = replace(dataset, X=np.empty((n, 0)), pi=np.ones(n), population_size=float(n),
+                   layout=layout)
+    res = fit_completion(flat, ResponseProbModel.constant(n, L), config)
     return res.Z_hat, {"diagnostics": res.diagnostics,
                        "objective_trace": res.objective_trace,
                        "iterations": res.iterations_run}
@@ -72,6 +74,7 @@ def hot_deck(dataset: MixedDataset, rng: np.random.Generator,
 
     Raises ColumnEmpty when a column has no observed entry in any stratum.
     """
+    check_rng(rng, np.random.Generator)
     Y, R, strata = dataset.Y, dataset.R, dataset.strata
     Y_imputed = Y.copy()  # missing entries are NaN until drawn
     fallback_cells = 0

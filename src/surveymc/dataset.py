@@ -1,9 +1,10 @@
 """Container for a mixed-type survey sample.
 
-Rows are sampled elements; columns split into D fully observed covariates and
-L response columns grouped by family.  Missing responses are NaN in Y with a
-matching 0 in the response indicator R.  pi holds first-order inclusion
-probabilities; strata labels are the contiguous integers 1..H.
+Rows are sampled elements; columns split into D >= 0 fully observed covariates
+(X, n x D: the only covariates either stage uses) and L response columns
+grouped by family.  Missing responses are NaN in Y with a matching 0 in the
+response indicator R.  pi holds first-order inclusion probabilities; strata
+labels are the contiguous integers 1..H.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, WeightError
+from .errors import InvalidInput, ShapeError, WeightError, check_real
 from .families import CategoryLayout
 
 __all__ = ["MixedDataset", "Standardization"]
@@ -54,7 +55,7 @@ class MixedDataset:
             raise ShapeError(f"Y must be nonempty, got {Y.shape}")
         if R.shape != (n, L):
             raise ShapeError(f"R shape {R.shape} differs from Y shape {Y.shape}")
-        if X.shape[0] != n or X.shape[1] < 1:
+        if X.shape[0] != n:
             raise ShapeError(f"X shape {X.shape} incompatible with n={n}")
         if strata.shape[0] != n or pi.shape[0] != n:
             raise ShapeError("strata and pi must have one entry per row")
@@ -71,10 +72,8 @@ class MixedDataset:
         labels = np.unique(strata)
         if labels[0] != 1 or labels[-1] != labels.size:
             raise InvalidInput("strata labels must be the contiguous integers 1..H")
-        if self.population_size is not None and not (np.isfinite(self.population_size)
-                                                     and self.population_size > 0):
-            raise InvalidInput(f"population_size must be positive and finite, "
-                               f"got {self.population_size}")
+        if self.population_size is not None:
+            check_real("population_size", self.population_size, 0.0)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "X", X)

@@ -5,7 +5,10 @@ numpy/ValueError surprises escape.  The CLI maps them onto exit codes:
 usage problems -> 2, data problems -> 3, numerical problems -> 4.
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class SurveyMCError(Exception):
@@ -62,3 +65,25 @@ def check_int(name: str, value, minimum: int) -> None:
     range() or numpy's seeding."""
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidInput(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+               *, inf_ok: bool = False) -> None:
+    """Raise InvalidInput unless value is a real number (Python or numpy) with
+    low < value < high, so finite under the default bounds; inf_ok also lets
+    +inf through.  Settings pass through here before numpy compares them."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond float64
+        x = math.nan
+    if not (low < x < high or (inf_ok and x == math.inf)):
+        raise InvalidInput(f"{name} must be a real number in ({low:g}, {high:g}"
+                           f"{']' if inf_ok else ')'}, got {value!r}")
+
+
+def check_rng(rng, kinds=(np.random.Generator, np.random.RandomState)) -> None:
+    """Raise InvalidInput unless rng is an instance of kinds: by default a numpy
+    Generator or a legacy RandomState, which both have every draw the
+    simulator makes."""
+    if not isinstance(rng, kinds):
+        raise InvalidInput(f"rng must be a numpy random generator, got {rng!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import DomainError, InvalidInput
+from .errors import DomainError, InvalidInput, check_real, check_rng
 
 __all__ = ["Family", "Block", "CategoryLayout", "FAMILY_NAMES",
            "mean_from_natural", "natural_from_mean"]
@@ -48,8 +48,10 @@ class Family:
             raise InvalidInput(f"unknown family {self.kind!r}, expected one of {FAMILY_NAMES}")
         if self.kind != "gaussian":
             object.__setattr__(self, "sigma", 1.0)  # only gaussian has a scale
-        elif not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInput(f"gaussian sigma must be positive, got {self.sigma}")
+        else:
+            check_real("gaussian sigma", self.sigma, 0.0)
+            # g, g' and g'' use sigma^2, which must be a positive float64
+            check_real("gaussian sigma^2", float(self.sigma) * float(self.sigma), 0.0)
 
     # -- domain ---------------------------------------------------------
 
@@ -129,6 +131,7 @@ class Family:
 
     def sample(self, z, rng: np.random.Generator) -> np.ndarray:
         """Draw one response per natural parameter entry."""
+        check_rng(rng)
         z = np.asarray(z, dtype=np.float64)
         self._check_domain(z)
         if self.kind == "bernoulli":

@@ -2,7 +2,7 @@
 
 A dataset is a CSV with one header row plus a JSON schema assigning each
 column a role: exactly one stratum column, one weight column (first-order
-inclusion probabilities), at least one covariate, and at least one response
+inclusion probabilities), zero or more covariates, and at least one response
 column tagged with its family.  Consecutive response columns sharing a family
 form the column blocks of the layout.
 
@@ -75,8 +75,8 @@ class SchemaFile:
                 raise SchemaViolation(f"column {c.name!r} with role {c.role!r} must not set a family")
         if roles.count("stratum") != 1 or roles.count("weight") != 1:
             raise SchemaViolation("schema needs exactly one stratum and one weight column")
-        if roles.count("covariate") < 1 or roles.count("response") < 1:
-            raise SchemaViolation("schema needs at least one covariate and one response column")
+        if roles.count("response") < 1:
+            raise SchemaViolation("schema needs at least one response column")
         if self.population_size is not None and not (math.isfinite(self.population_size)
                                                      and self.population_size > 0):
             raise SchemaViolation("population_size must be positive and finite when present")
@@ -180,7 +180,8 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
 
     Every token parses as a finite float except the schema's NA marker, which
     marks a missing response and is allowed only in response columns.
-    Strata labels are relabeled to 1..H by sorted original value.  With
+    Strata labels are relabeled to 1..H by sorted original value.  A schema
+    without covariate columns gives an n x 0 X.  With
     standardize=True, covariates and gaussian responses are centered and
     scaled to unit variance (responses on observed entries only) and the
     transforms are retained on the dataset for inverse mapping.
@@ -196,7 +197,9 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
         by_role[c.role].append(_parse_column(tokens, c.name, schema.na_marker,
                                              na_ok=c.role == "response"))
     (strata_raw,), (pi,) = by_role["stratum"], by_role["weight"]
-    X, Y = np.column_stack(by_role["covariate"]), np.column_stack(by_role["response"])
+    cov_cols = by_role["covariate"]
+    X = np.column_stack(cov_cols) if cov_cols else np.empty((len(rows), 0))
+    Y = np.column_stack(by_role["response"])
 
     if np.any(strata_raw != np.round(strata_raw)):
         raise SchemaViolation("stratum labels must be integers")

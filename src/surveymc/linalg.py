@@ -1,5 +1,5 @@
 """Dense matrix kernels: thin SVD, rank-1 approximation, singular value
-thresholding, singular values and the nuclear norm, and column concatenation.
+thresholding, singular values and the nuclear norm.
 
 All operations take and return plain float64 ndarrays.  Inputs are validated
 once at the boundary; numerically suspect results raise
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, ShapeError
+from .errors import InvalidInput, NumericalFailure
 
 __all__ = [
     "SvdFactors",
@@ -23,7 +23,6 @@ __all__ = [
     "svt_factors",
     "singular_values",
     "nuclear_norm",
-    "concat_cols",
 ]
 
 
@@ -130,11 +129,3 @@ def nuclear_norm(M) -> float:
     """Sum of singular values, without forming the factors."""
     return float(np.sum(singular_values(M)))
 
-
-def concat_cols(A, B) -> np.ndarray:
-    """Column concatenation [A, B]; rows must agree."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[0] != B.shape[0]:
-        raise ShapeError(f"row mismatch in concat: {A.shape[0]} vs {B.shape[0]}")
-    return np.hstack([A, B])

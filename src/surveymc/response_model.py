@@ -7,8 +7,8 @@ For every (response column, stratum) cell a logistic model
 is fit by iteratively reweighted least squares on the 0/1 response
 indicators.  Ridge escalation (0 -> 1e-4 -> 1e-2) rescues separated or
 singular cells; all-0 / all-1 cells get an intercept-only fit at a clamped
-logit.  Fitted probabilities are floored away from zero so inverse weights
-stay bounded.
+logit, and a dataset without covariates fits intercepts only.  Fitted
+probabilities are floored away from zero so inverse weights stay bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .dataset import MixedDataset
-from .errors import InvalidInput, NumericalFailure, ShapeError, StratumTooSmall
+from .errors import (InvalidInput, NumericalFailure, ShapeError, StratumTooSmall,
+                     check_int, check_real)
 
 __all__ = ["LogisticFit", "ResponseProbModel", "fit_logistic", "predict_p", "estimate_response_probs"]
 
@@ -72,21 +73,20 @@ class ResponseProbModel:
         return tuple(key for key, fit in self.fits.items() if fit.separation_fallback)
 
     @classmethod
-    def constant(cls, n: int, n_cols: int, value: float = 1.0) -> "ResponseProbModel":
-        """Degenerate model with every probability equal to `value`.
-
-        Used by the unweighted variant of the solver where p_hat is 1.
-        """
-        if not 0 < value <= 1:
-            raise InvalidInput(f"constant probability must be in (0, 1], got {value}")
-        return cls(fits={}, p_hat=np.full((n, n_cols), value), p_floor=value)
+    def constant(cls, n: int, n_cols: int) -> "ResponseProbModel":
+        """Degenerate model with every probability 1 (and p_floor 1): the
+        unweighted variant of the solver."""
+        check_int("n", n, 1)
+        check_int("n_cols", n_cols, 1)
+        return cls(fits={}, p_hat=np.ones((n, n_cols)), p_floor=1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite beta
 def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray, ridge: float):
     """One IRLS run at a fixed ridge.
 
-    Returns (beta, converged, iterations) or None when the run separated or
-    hit a singular system and the caller should escalate the ridge.
+    Returns (beta, converged, iterations) or None when the run separated,
+    overflowed or hit a singular system and the caller should escalate the ridge.
     """
     p_dim = features.shape[1]
     beta = np.zeros(p_dim)
@@ -164,8 +164,7 @@ def predict_p(fit: LogisticFit, x) -> np.ndarray:
 def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
                             use_design_weights: bool = False) -> ResponseProbModel:
     """Fit every (column, stratum) cell and assemble the clamped p_hat matrix."""
-    if not 0 < p_floor < 1:
-        raise InvalidInput(f"p_floor must be in (0, 1), got {p_floor}")
+    check_real("p_floor", p_floor, 0.0, 1.0)
     n, L = dataset.Y.shape
     D = dataset.n_covariates
     p_hat = np.empty((n, L))

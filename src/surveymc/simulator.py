@@ -6,7 +6,8 @@ clusters; cluster i draws b_hi ~ Ex(1) and holds M_hi = 5 Po(a_h + b_hi) + 30
 elements.  Within a cluster the covariate block is Ex(1) normalized by its
 largest entry, and each response block's natural parameters are X W^(s) with
 W^(s) ~ U(0, 2), again normalized by the block's largest entry, so every
-natural parameter lies in [0, 1] and each cluster block attains 1.
+natural parameter lies in [0, 1] and each cluster block attains 1; the
+exponential family (domain z < 0) is therefore not simulated.
 
 Sampling: stage one draws m1 clusters per stratum with replacement,
 proportional to cluster size; stage two draws m2 elements per drawn cluster
@@ -27,7 +28,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import MixedDataset
-from .errors import DegenerateTruth, DesignError, InvalidInput, check_int
+from .errors import (DegenerateTruth, DesignError, InvalidInput, check_int, check_real,
+                     check_rng)
 from .families import CategoryLayout
 
 __all__ = ["PopulationSpec", "SyntheticTruth", "SampledData",
@@ -49,8 +51,12 @@ class PopulationSpec:
     def __post_init__(self):
         for name in ("n_strata", "m1", "m2", "n_covariates"):
             check_int(name, getattr(self, name), 1)
-        if not np.isfinite(self.xi):
-            raise InvalidInput(f"xi must be finite, got {self.xi}")
+        check_real("xi", self.xi)
+        if not isinstance(self.layout, CategoryLayout):
+            raise InvalidInput(f"layout must be a CategoryLayout, got {self.layout!r}")
+        if any(b.family.kind == "exponential" for b in self.layout.blocks):
+            raise InvalidInput("simulated natural parameters lie in [0, 1], outside the "
+                               "exponential family's domain z < 0")
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,7 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Synth
     the cluster rates and sizes, then per cluster the covariate block and one
     weight matrix per response block, then the missingness coefficients.
     """
+    check_rng(rng)
     H, D, L = spec.n_strata, spec.n_covariates, spec.layout.n_cols
     a = rng.exponential(size=H)
     M_h = 5 * rng.poisson(a) + 20
@@ -139,6 +146,7 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Synth
 def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
                 rng: np.random.Generator) -> SampledData:
     """Two-stage draw: PPS with replacement over clusters, then SRSWOR."""
+    check_rng(rng)
     H = spec.n_strata
     if truth.stratum_sizes.shape[0] != H:
         raise DesignError(f"population has {truth.stratum_sizes.shape[0]} strata, spec says {H}")

@@ -6,7 +6,9 @@ The estimate minimizes
         + tau * || [X, Z] ||_*
 
 over Z, where g_j is the cumulant of column j's family, pi are inclusion
-probabilities, and p_ij are fitted response probabilities.  The loop is an
+probabilities, p_ij are fitted response probabilities, and X is the dataset's
+n x D covariate matrix, its only source.  D may be 0: the penalty is then the
+nuclear norm of Z, which is what the unweighted baselines fit.  The loop is an
 accelerated proximal gradient method: momentum blend, gradient step, singular
 value thresholding of the covariate-augmented matrix, and a descent guard
 that only accepts a candidate when it lowers the objective, which makes the
@@ -30,10 +32,9 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
-                     check_int)
+                     check_int, check_real)
 from .families import CategoryLayout, mean_from_natural
-from .linalg import (SvdFactors, concat_cols, nuclear_norm, rank1_approx,
-                     singular_values, svt_factors)
+from .linalg import SvdFactors, nuclear_norm, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
 
@@ -53,9 +54,6 @@ __all__ = [
 # default tau grid for tuning: 2^-15 .. 2^-1, then 1 and 2
 DEFAULT_TAU_GRID = tuple(2.0**k for k in range(-15, 0)) + (1.0, 2.0)
 
-# sentinel: "use dataset.X" (None means no covariate augmentation)
-_DATASET_X = object()
-
 # step halvings allowed per iteration before the step size counts as collapsed
 _MAX_BACKTRACKS = 60
 
@@ -73,11 +71,9 @@ class SolverConfig:
     clamp: float = 30.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidInput(f"tau must be positive, got {self.tau}")
+        check_real("tau", self.tau, 0.0)
         check_int("iterations", self.iterations, 1)
-        if not self.clamp > 0:
-            raise InvalidInput(f"clamp must be positive, got {self.clamp}")
+        check_real("clamp", self.clamp, 0.0, inf_ok=True)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class _Problem:
     """Precomputed pieces shared by loss/gradient/objective evaluations."""
 
     def __init__(self, dataset: MixedDataset, probs: ResponseProbModel,
-                 tau: float, clamp: float, X):
+                 tau: float, clamp: float):
         p_hat = np.asarray(probs.p_hat, dtype=np.float64)
         if p_hat.shape != dataset.Y.shape:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
@@ -121,10 +117,8 @@ class _Problem:
                                    f"weight 1/(N L pi p_hat) overflow")
         self.tau = tau
         self.clamp = clamp
-        if X is _DATASET_X:
-            X = dataset.X
-        self.X = None if X is None else np.asarray(X, dtype=np.float64)
-        self.D = 0 if X is None else self.X.shape[1]
+        self.X = dataset.X
+        self.D = self.X.shape[1]
         self.slices = self.layout.slices()
         self.boxes = [fam.domain_box(clamp) for fam, _ in self.slices]
         widths = [sl.stop - sl.start for _, sl in self.slices]
@@ -150,11 +144,10 @@ class _Problem:
 
     def penalty(self, Z: np.ndarray, factors: SvdFactors | None = None) -> float:
         """tau * ||[X, Z]||_*; given Z's factors from prox_step, the norm of
-        R blockdiag(I_D, diag(s) V_k[D:]^T) with [X, U_k] = QR (or sum(s))."""
+        R blockdiag(I_D, diag(s) V_k[D:]^T) with [X, U_k] = QR (sum(s) if D = 0)."""
         if factors is None:
-            M = Z if self.X is None else concat_cols(self.X, Z)
-            return self.tau * nuclear_norm(M)
-        if self.X is None:
+            return self.tau * nuclear_norm(np.hstack([self.X, Z]))
+        if self.D == 0:
             return self.tau * float(np.sum(factors.s))
         _, R = np.linalg.qr(np.hstack([self.X, factors.U]))
         tail = R[:, self.D:] @ (factors.s[:, None] * factors.V[self.D:].T)
@@ -167,7 +160,7 @@ class _Problem:
         """Threshold [X, T], keep the response columns, project them into the
         clamp box at threshold thresh (the step size times tau).
         Returns the candidate, the entries moved and, if none, its factors."""
-        f = svt_factors(T if self.X is None else concat_cols(self.X, T), thresh)
+        f = svt_factors(np.hstack([self.X, T]), thresh)
         cand, moved = self.project((f.U * f.s) @ f.V[self.D:].T)
         return cand, moved, (f if moved == 0 else None)
 
@@ -194,20 +187,20 @@ def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel) -> float:
     """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L
     with N the dataset's population size."""
     Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, tau=1.0, clamp=np.inf, X=None).loss(Z)
+    return _Problem(dataset, probs, tau=1.0, clamp=np.inf).loss(Z)
 
 
 def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel) -> np.ndarray:
     """Entrywise gradient of weighted_loss; exactly zero at missing entries."""
     Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, tau=1.0, clamp=np.inf, X=None).grad(Z)
+    return _Problem(dataset, probs, tau=1.0, clamp=np.inf).grad(Z)
 
 
 def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
-              config: SolverConfig, X=_DATASET_X) -> float:
-    """weighted_loss plus tau times the nuclear norm of [X, Z]."""
+              config: SolverConfig) -> float:
+    """weighted_loss plus tau times the nuclear norm of [dataset.X, Z]."""
     Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, config.tau, config.clamp, X).objective(Z)
+    return _Problem(dataset, probs, config.tau, config.clamp).objective(Z)
 
 
 def _check_Z(Z, dataset: MixedDataset) -> np.ndarray:
@@ -219,21 +212,22 @@ def _check_Z(Z, dataset: MixedDataset) -> np.ndarray:
     return Z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is handled, see the docstring
 def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
-                   config: SolverConfig, X=_DATASET_X) -> CompletionResult:
+                   config: SolverConfig) -> CompletionResult:
     """Run the descent-guarded accelerated proximal loop with momentum
     restart, until a fixed point or config.iterations (see the module notes).
 
-    X defaults to the dataset covariates; pass X=None to drop the covariate
-    augmentation (the penalty becomes the plain nuclear norm of Z).
-    Raises ColumnEmpty when the dataset has no observed response, and
-    NumericalFailure when the curvature bound gives the automatic step no
-    finite positive size (an N so large that every weight is 0) or when a
-    weight overflows (an N so small that N*L*pi*p_hat underflows).
+    The penalty augments Z with dataset.X (n x D, D >= 0).  A trial step that
+    overflows float64 is halved.  Raises ColumnEmpty when the dataset has no
+    observed response, and NumericalFailure when the objective is not finite,
+    when the curvature bound gives the automatic step no finite positive size
+    (an N so large that every weight is 0) or when a weight overflows (an N
+    so small that N*L*pi*p_hat underflows).
     """
     if not dataset.R.any():
         raise ColumnEmpty("dataset has no observed response to fit")
-    prob = _Problem(dataset, probs, config.tau, config.clamp, X)
+    prob = _Problem(dataset, probs, config.tau, config.clamp)
 
     Z1, n_proj = prob.project(rank1_approx(prob.Yf))
     obj1 = prob.objective(Z1)
@@ -260,13 +254,16 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         eta = eta_start = min(ceiling, 2.0 * eta)
         loss_Q = prob.loss(Q)
         for tries in range(_MAX_BACKTRACKS + 1):
-            cand, moved, factors = prob.prox_step(Q - eta * G, eta * config.tau)
-            diff = cand - Q
-            cand_loss = prob.loss(cand)
-            majorant = (loss_Q + float(np.vdot(G, diff))
-                        + float(np.vdot(diff, diff)) / (2.0 * eta))
-            if cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
-                break
+            T = Q - eta * G
+            if np.isfinite(T).all():  # else the step is too long for float64
+                cand, moved, factors = prob.prox_step(T, eta * config.tau)
+                diff = cand - Q
+                cand_loss = prob.loss(cand)
+                majorant = (loss_Q + float(np.vdot(G, diff))
+                            + float(np.vdot(diff, diff)) / (2.0 * eta))
+                # NaN fails this test, so a candidate that overflowed is halved
+                if cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
+                    break
             eta *= 0.5
         else:
             raise NumericalFailure("step size collapsed during backtracking")
@@ -294,8 +291,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             n_restarts += j > 1
             Z2, j = Z1, 0
 
-    final_concat = Z1 if prob.X is None else concat_cols(prob.X, Z1)
-    svals = singular_values(final_concat)
+    svals = singular_values(np.hstack([prob.X, Z1]))
     diagnostics = {
         "final_nuclear_norm": float(np.sum(svals)),
         "rank_estimate": int(np.count_nonzero(svals > 1e-8 * max(svals[0], 1e-300))),
@@ -320,9 +316,14 @@ def grid_search(grid, score) -> TuneResult:
     the larger tau.  Raises InvalidInput unless the grid holds positive
     finite values.
     """
-    taus = tuple(sorted(set(float(t) for t in grid)))
-    if not taus or any(not (np.isfinite(t) and t > 0) for t in taus):
+    try:
+        taus = tuple(sorted(set(float(t) for t in grid)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"grid must hold real tau values: {exc}") from exc
+    if not taus:
         raise InvalidInput("grid must contain positive finite tau values")
+    for t in taus:
+        check_real("grid tau", t, 0.0)
     scores = tuple(score(t) for t in taus)
     best_i = 0
     for i in range(1, len(taus)):
@@ -331,7 +332,7 @@ def grid_search(grid, score) -> TuneResult:
     return TuneResult(best_tau=taus[best_i], taus=taus, scores=scores)
 
 
-def tune_tau(dataset: MixedDataset, probs: ResponseProbModel, X=_DATASET_X,
+def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
              grid=DEFAULT_TAU_GRID, folds: int = 5, seed: int = 0,
              base_config: SolverConfig | None = None) -> TuneResult:
     """Pick tau from a grid by k-fold cross-validation.
@@ -359,7 +360,7 @@ def tune_tau(dataset: MixedDataset, probs: ResponseProbModel, X=_DATASET_X,
     def score(t: float) -> float:
         total = 0.0
         for ds_f, rows, cols, held_y in held_out:
-            res = fit_completion(ds_f, probs, replace(base, tau=t), X)
+            res = fit_completion(ds_f, probs, replace(base, tau=t))
             imput = mean_from_natural(res.Z_hat, dataset.layout)[rows, cols]
             total += float(np.sum((imput - held_y) ** 2))
         return total

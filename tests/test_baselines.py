@@ -183,9 +183,9 @@ def test_collective_unweighted_equals_flattened_solver():
     cfg = smc.SolverConfig(tau=2.0**-6, iterations=40)
     out = collective_unweighted(ds, cfg)
     n, L = ds.Y.shape
-    flat = replace(ds, pi=np.ones(n), population_size=float(n))
-    probs = smc.ResponseProbModel.constant(n, L, 1.0)
-    res = smc.fit_completion(flat, probs, cfg, X=None)
+    flat = replace(ds, X=np.empty((n, 0)), pi=np.ones(n), population_size=float(n))
+    probs = smc.ResponseProbModel.constant(n, L)
+    res = smc.fit_completion(flat, probs, cfg)
     npt.assert_array_equal(out.Z_hat_natural, res.Z_hat)
     npt.assert_array_equal(out.notes["objective_trace"], res.objective_trace)
 

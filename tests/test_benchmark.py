@@ -131,6 +131,8 @@ COUNT_ARGS = {
     "run_benchmark.base_seed": (0, lambda v: run_benchmark(tiny_spec(), base_seed=v)),
     "tune_benchmark_taus.base_seed": (0, lambda v: tune_benchmark_taus(tiny_spec(),
                                                                         base_seed=v)),
+    "ResponseProbModel.constant.n": (1, lambda v: smc.ResponseProbModel.constant(v, 2)),
+    "ResponseProbModel.constant.n_cols": (1, lambda v: smc.ResponseProbModel.constant(2, v)),
 }
 
 
@@ -142,6 +144,66 @@ def test_bad_counts_and_seeds_are_invalid_input(data):
                               st.text(max_size=3), st.none()))
     with pytest.raises(InvalidInput):
         call(bad)
+
+
+# each entry point with one real setting set to a value, the open interval
+# (low, high) that setting must lie in, and whether +inf is valid too
+_REAL_SETTINGS = {
+    "SolverConfig.tau": (0.0, np.inf, False, lambda v: smc.SolverConfig(tau=v)),
+    "SolverConfig.clamp": (0.0, np.inf, True, lambda v: smc.SolverConfig(tau=0.1, clamp=v)),
+    "PopulationSpec.xi": (-np.inf, np.inf, False, lambda v: replace(tiny_spec(), xi=v)),
+    "Family.sigma": (0.0, np.inf, False, lambda v: smc.Family("gaussian", sigma=v)),
+    "estimate_response_probs.p_floor": (0.0, 1.0, False,
+                                        lambda v: smc.estimate_response_probs(_DS, p_floor=v)),
+    "grid_search.grid": (0.0, np.inf, False, lambda v: smc.grid_search((v,), float)),
+}
+_TRUTH = smc.generate_population(tiny_spec(), np.random.default_rng(0))
+_SAMPLE = smc.draw_sample(_TRUTH, tiny_spec(), np.random.default_rng(1))
+# entry points taking a generator or a layout, given some other value
+_OBJECT_ARGS = {
+    "PopulationSpec.layout": lambda v: replace(tiny_spec(), layout=v),
+    "simulate_survey": lambda v: smc.simulate_survey(tiny_spec(), v),
+    "generate_population": lambda v: smc.generate_population(tiny_spec(), v),
+    "draw_sample": lambda v: smc.draw_sample(_TRUTH, tiny_spec(), v),
+    "impose_responses_and_missingness": lambda v: smc.impose_responses_and_missingness(
+        _SAMPLE, _TRUTH, v),
+    "Family.sample": lambda v: smc.Family("poisson").sample(np.zeros(3), v),
+    "hot_deck": lambda v: smc.hot_deck(_DS, v),
+}
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+JUNK = st.one_of(st.none(), st.text(max_size=3).filter(lambda t: not _parses_as_float(t)),
+                 st.lists(st.floats(), max_size=2), st.complex_numbers(), st.just(10**400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bad_reals_generators_and_layouts_are_invalid_input(data):
+    if data.draw(st.booleans()):
+        low, high, inf_ok, call = _REAL_SETTINGS[data.draw(st.sampled_from(
+            sorted(_REAL_SETTINGS)))]
+        outside = st.floats().filter(lambda x: not (low < x < high or inf_ok and x == np.inf))
+        bad = data.draw(st.one_of(outside, JUNK))
+    else:
+        call = _OBJECT_ARGS[data.draw(st.sampled_from(sorted(_OBJECT_ARGS)))]
+        bad = data.draw(st.one_of(st.integers(), st.floats(), JUNK))
+    with pytest.raises(InvalidInput):
+        call(bad)
+
+
+def test_legacy_random_state_still_drives_the_simulator():
+    _, sample = smc.simulate_survey(tiny_spec(), np.random.RandomState(0))
+    assert sample.dataset.R.any()
+    with pytest.raises(InvalidInput):  # the hot deck draws with Generator.integers
+        smc.hot_deck(sample.dataset, np.random.RandomState(0))
 
 
 def test_tune_benchmark_taus_smoke():

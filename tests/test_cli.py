@@ -12,6 +12,7 @@ import pytest
 import surveymc.baselines
 import surveymc.benchmark
 import surveymc.cli as cli
+import surveymc.simulator
 import surveymc.solver
 from surveymc.errors import NumericalFailure
 from surveymc.io import load_matrix_csv, parse_tau_grid
@@ -157,6 +158,35 @@ def test_config_supplies_defaults_and_flags_override(sim_dir, tmp_path):
 def test_bad_block_token_is_usage_error(tmp_path):
     code = run(["simulate", "--blocks", "gauss;3", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_exponential_blocks_are_usage_error_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                            command):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a population")
+    monkeypatch.setattr(surveymc.simulator, "generate_population", no_draw)
+    code = run([command, "--blocks", "gaussian:2,exponential:2", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "exponential family's domain" in capsys.readouterr().err
+
+
+def test_fit_runs_on_a_dataset_without_covariates(sim_dir, tmp_path):
+    # drop the covariate columns x1, x2 from the simulated CSV and its schema
+    schema = json.loads((sim_dir / "schema.json").read_text())
+    keep = [i for i, c in enumerate(schema["columns"]) if c["role"] != "covariate"]
+    schema["columns"] = [schema["columns"][i] for i in keep]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    lines = (sim_dir / "data.csv").read_text().splitlines()
+    (tmp_path / "data.csv").write_text("\n".join(
+        ",".join(line.split(",")[i] for i in keep) for line in lines) + "\n")
+    data = ["--data", str(tmp_path / "data.csv"), "--schema", str(tmp_path / "schema.json")]
+    assert run(["fit", *data, "--tau", "0.00390625", "--iterations", "40",
+                "--out", str(tmp_path / "f")]) == 0
+    assert run(["impute", *data, "--tau", "0.00390625", "--iterations", "40",
+                "--standardize", "--original-scale", "--out", str(tmp_path / "i")]) == 0
+    meta = json.loads((tmp_path / "f" / "meta.json").read_text())
+    assert meta["diagnostics"]["rank_estimate"] >= 1
 
 
 def test_missing_config_is_usage_error(tmp_path):

@@ -40,7 +40,8 @@ def test_resolve_population_size_precedence():
     assert stored.resolve_population_size() == 50.0
 
 
-@pytest.mark.parametrize("size", [0.0, -1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("size", [0.0, -1.0, np.inf, -np.inf, np.nan, "x",
+                                  pytest.param(10**400, id="int_beyond_float64")])
 def test_population_size_must_be_positive_and_finite(size):
     with pytest.raises(InvalidInput):
         small_dataset(population_size=size)

@@ -107,10 +107,11 @@ def test_schema_rejects_unknown_role_and_family():
 
 def test_schema_rejects_missing_required_roles():
     cols = make_cols()
-    with pytest.raises(SchemaViolation):
-        SchemaFile(columns=tuple(c for c in cols if c.role != "covariate"))
-    with pytest.raises(SchemaViolation):
-        SchemaFile(columns=tuple(c for c in cols if c.role != "response"))
+    for role in ("weight", "response"):
+        with pytest.raises(SchemaViolation):
+            SchemaFile(columns=tuple(c for c in cols if c.role != role))
+    # covariates are optional
+    assert SchemaFile(columns=tuple(c for c in cols if c.role != "covariate"))
 
 
 def test_schema_rejects_bad_delimiter_and_population_size():
@@ -476,7 +477,7 @@ def datasets(draw):
     kinds = draw(st.lists(st.sampled_from(FAMILY_NAMES), min_size=1, max_size=3))
     layout = smc.CategoryLayout.of(*[(k, draw(st.integers(1, 2))) for k in kinds],
                                    sigma=draw(st.floats(0.1, 10.0)))
-    L, D = layout.n_cols, draw(st.integers(1, 3))
+    L, D = layout.n_cols, draw(st.integers(0, 3))
     Y = draw(arrays(np.float64, (n, L), elements=FINITE))
     Y[draw(arrays(bool, (n, L)))] = np.nan
     labels = draw(arrays(np.int64, n, elements=st.integers(0, 3)))

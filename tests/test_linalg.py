@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surveymc.linalg as linalg
-from surveymc.errors import InvalidInput, NumericalFailure, ShapeError
-from surveymc.linalg import (as_matrix, concat_cols, nuclear_norm, rank1_approx,
-                             singular_values, svd_thin, svt, svt_factors)
+from surveymc.errors import InvalidInput, NumericalFailure
+from surveymc.linalg import (as_matrix, nuclear_norm, rank1_approx, singular_values,
+                             svd_thin, svt, svt_factors)
 
 
 def prox_objective(A, M, tau):
@@ -126,15 +126,6 @@ def test_nuclear_norm_triangle_inequality():
     A = rng.normal(size=(5, 6))
     B = rng.normal(size=(5, 6))
     assert nuclear_norm(A + B) <= nuclear_norm(A) + nuclear_norm(B) + 1e-10
-
-
-def test_concat_cols():
-    A = np.arange(6.0).reshape(3, 2)
-    B = np.arange(3.0).reshape(3, 1)
-    out = concat_cols(A, B)
-    npt.assert_array_equal(out, np.hstack([A, B]))
-    with pytest.raises(ShapeError):
-        concat_cols(A, np.ones((2, 2)))
 
 
 def test_as_matrix_validation():

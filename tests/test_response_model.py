@@ -185,11 +185,9 @@ def test_design_weights_with_constant_pi_match_unweighted():
 
 
 def test_constant_model():
-    m = smc.ResponseProbModel.constant(4, 3, 1.0)
+    m = smc.ResponseProbModel.constant(4, 3)
     assert m.p_hat.shape == (4, 3)
-    assert np.all(m.p_hat == 1.0)
-    with pytest.raises(InvalidInput):
-        smc.ResponseProbModel.constant(4, 3, 0.0)
+    assert np.all(m.p_hat == 1.0) and m.p_floor == 1.0
 
 
 def test_p_floor_validated():

@@ -26,6 +26,13 @@ def test_spec_validation():
         small_spec(xi=np.nan)
 
 
+def test_spec_rejects_exponential_blocks():
+    # simulated natural parameters lie in [0, 1], outside z < 0
+    layout = smc.CategoryLayout.of(("gaussian", 2), ("exponential", 2))
+    with pytest.raises(InvalidInput, match="exponential family's domain"):
+        small_spec(layout=layout)
+
+
 def test_population_shapes_and_sizes():
     spec = small_spec()
     truth = smc.generate_population(spec, np.random.default_rng(0))

@@ -10,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import helpers
 import surveymc as smc
 from surveymc.errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure,
-                             ShapeError)
+                             ShapeError, SurveyMCError)
 from surveymc.solver import _Problem
 
 
@@ -30,7 +30,7 @@ def one_cell_dataset(kind, y, pi=1.0, sigma=1.0):
 def test_loss_single_entry_closed_form():
     # gaussian, y = z = 1, all weights 1, N = 1:  -y z + z^2/2 = -0.5
     ds = one_cell_dataset("gaussian", 1.0)
-    probs = smc.ResponseProbModel.constant(1, 1, 1.0)
+    probs = smc.ResponseProbModel.constant(1, 1)
     ds1 = replace(ds, population_size=1.0)
     assert smc.weighted_loss([[1.0]], ds1, probs) == pytest.approx(-0.5, abs=1e-15)
 
@@ -70,7 +70,7 @@ def test_gradient_zero_at_missing_entries():
 
 def test_gradient_single_entry_closed_form():
     ds = one_cell_dataset("gaussian", 1.0)
-    probs = smc.ResponseProbModel.constant(1, 1, 1.0)
+    probs = smc.ResponseProbModel.constant(1, 1)
     # W = 1, grad = g'(z) - y = z - 1
     ds1 = replace(ds, population_size=1.0)
     assert smc.gradient([[2.0]], ds1, probs)[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -95,9 +95,15 @@ def test_objective_composes_loss_and_penalty():
     want = (smc.weighted_loss(Z, ds, probs)
             + 0.3 * smc.nuclear_norm(np.hstack([ds.X, Z])))
     assert smc.objective(Z, ds, probs, cfg) == pytest.approx(want, rel=1e-12)
-    # X=None drops the augmentation
+    # a dataset without covariates has no augmentation
     want_plain = smc.weighted_loss(Z, ds, probs) + 0.3 * smc.nuclear_norm(Z)
-    assert smc.objective(Z, ds, probs, cfg, X=None) == pytest.approx(want_plain, rel=1e-12)
+    assert smc.objective(Z, no_covariates(ds), probs, cfg) == pytest.approx(want_plain,
+                                                                            rel=1e-12)
+
+
+def no_covariates(ds):
+    """The dataset with an n x 0 covariate matrix."""
+    return replace(ds, X=np.empty((ds.n, 0)))
 
 
 def test_shape_and_domain_checks():
@@ -124,6 +130,7 @@ def test_config_validation():
             smc.SolverConfig(tau=0.1, iterations=count)
     with pytest.raises(InvalidInput):
         smc.SolverConfig(tau=0.1, clamp=0.0)
+    assert smc.SolverConfig(tau=0.1, clamp=np.inf).clamp == np.inf  # no clamp box
 
 
 def fit_small(rng, tau=2.0**-8, iterations=60, **kw):
@@ -157,12 +164,12 @@ def test_gaussian_identity_fixed_point():
     n, L = 25, 8
     lay = smc.CategoryLayout.of(("gaussian", L))
     Y = rng.normal(size=(n, L))
-    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.ones((n, 1)),
+    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
-    probs = smc.ResponseProbModel.constant(n, L, 1.0)
+    probs = smc.ResponseProbModel.constant(n, L)
     cfg = smc.SolverConfig(tau=2.0**-40, iterations=300)
-    res = smc.fit_completion(ds, probs, cfg, X=None)
+    res = smc.fit_completion(ds, probs, cfg)
     assert np.max(np.abs(res.Z_hat - Y)) < 1e-3
 
 
@@ -171,18 +178,17 @@ def early_stop_problem():
     n, L = 20, 6
     lay = smc.CategoryLayout.of(("gaussian", L))
     Y = rng.normal(size=(n, L))
-    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.ones((n, 1)),
+    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
-    return ds, smc.ResponseProbModel.constant(n, L, 1.0)
+    return ds, smc.ResponseProbModel.constant(n, L)
 
 
 def test_early_stop():
     # a fully observed gaussian problem converges fast, so the loop must stop
     # at its fixed point well short of the iteration cap
     ds, probs = early_stop_problem()
-    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-30, iterations=500),
-                             X=None)
+    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-30, iterations=500))
     assert res.diagnostics["stop"] == "fixed_point"
     assert res.iterations_run == 3 and not res.accepted[-1]
     assert helpers.trace_is_monotone(res)
@@ -201,8 +207,9 @@ def test_diagnostics_keys():
 def test_large_tau_collapses_rank():
     rng = np.random.default_rng(12)
     ds, probs, _ = helpers.random_problem(rng, n=40)
-    small = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-12, iterations=60), X=None)
-    large = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**2, iterations=60), X=None)
+    ds = no_covariates(ds)
+    small = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-12, iterations=60))
+    large = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**2, iterations=60))
     nn_small = smc.nuclear_norm(small.Z_hat)
     nn_large = smc.nuclear_norm(large.Z_hat)
     assert nn_large <= nn_small
@@ -233,7 +240,7 @@ def test_loss_is_design_unbiased():
         ds = smc.MixedDataset(Y=Y_pop[rows], R=np.ones((len(rows), 4), dtype=bool),
                               X=np.ones((len(rows), 1)),
                               strata=strata_pop[rows], pi=pi, layout=lay)
-        probs = smc.ResponseProbModel.constant(len(rows), 4, 1.0)
+        probs = smc.ResponseProbModel.constant(len(rows), 4)
         draws.append(smc.weighted_loss(Z_pop[rows], replace(ds, population_size=float(N)),
                                        probs))
     draws = np.asarray(draws)
@@ -247,9 +254,10 @@ def test_grid_search_tie_breaks_toward_larger():
     rng = np.random.default_rng(15)
     lay = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
     ds, probs, Z = helpers.random_problem(rng, n=20, layout=lay)
+    ds = no_covariates(ds)
 
     def score(t):
-        res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=t, iterations=5), X=None)
+        res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=t, iterations=5))
         return float(np.linalg.norm(res.Z_hat - Z) / np.linalg.norm(Z))
 
     out = smc.grid_search((2e6, 1e6), score)
@@ -294,7 +302,7 @@ def test_tune_tau_errors():
         with pytest.raises(InvalidInput):
             smc.tune_tau(ds, probs, **bad)
     few = one_cell_dataset("gaussian", 1.0)
-    few_probs = smc.ResponseProbModel.constant(1, 1, 1.0)
+    few_probs = smc.ResponseProbModel.constant(1, 1)
     with pytest.raises(FoldError):
         smc.tune_tau(few, few_probs, grid=(0.1,), folds=5)
 
@@ -316,13 +324,13 @@ GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
 def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, seed):
     rng = np.random.default_rng(seed)
     ds, probs, _ = helpers.random_problem(rng, n=n, layout=GPB)
-    prob = _Problem(ds, probs, tau=0.3, clamp=30.0, X=ds.X if with_x else None)
+    prob = _Problem(ds if with_x else no_covariates(ds), probs, tau=0.3, clamp=30.0)
     T = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, GPB.n_cols))
     T += 0.1 * rng.normal(size=T.shape)
-    M = T if prob.X is None else np.hstack([prob.X, T])
+    M = np.hstack([prob.X, T])
     cand, moved, factors = prob.prox_step(T, thresh_frac * np.linalg.norm(M, 2))
     assert moved == 0 and factors is not None
-    full = 0.3 * smc.nuclear_norm(cand if prob.X is None else np.hstack([prob.X, cand]))
+    full = 0.3 * smc.nuclear_norm(np.hstack([prob.X, cand]))
     assert prob.penalty(cand) == full
     assert abs(prob.penalty(cand, factors) - full) <= 1e-12 * full
 
@@ -330,7 +338,7 @@ def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, 
 def test_clipped_candidate_takes_the_full_penalty():
     rng = np.random.default_rng(19)
     ds, probs, _ = helpers.random_problem(rng, n=20, layout=GPB)
-    prob = _Problem(ds, probs, tau=0.3, clamp=0.5, X=ds.X)
+    prob = _Problem(ds, probs, tau=0.3, clamp=0.5)
     cand, moved, factors = prob.prox_step(5.0 * rng.normal(size=ds.Y.shape), 0.1)
     assert moved > 0 and factors is None
     assert np.all(np.abs(cand) <= 0.5)
@@ -343,11 +351,11 @@ def test_recorded_objective_is_the_objective_of_z_hat(clamp):
     rng = np.random.default_rng(20)
     ds, probs, _ = helpers.random_problem(rng, n=40, layout=GPB)
     cfg = smc.SolverConfig(tau=2.0**-6, iterations=60, clamp=clamp)
-    for X in (ds.X, None):
-        res = smc.fit_completion(ds, probs, cfg, X=X)
+    for ds in (ds, no_covariates(ds)):
+        res = smc.fit_completion(ds, probs, cfg)
         assert res.diagnostics["accepted_steps"] > 0
         assert (res.diagnostics["domain_projections"] > 0) == (clamp < 1.0)
-        want = smc.objective(res.Z_hat, ds, probs, cfg, X=X)
+        want = smc.objective(res.Z_hat, ds, probs, cfg)
         assert abs(res.objective_trace[-1] - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -443,8 +451,8 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     rng = np.random.default_rng(seed)
     ds, probs, _ = helpers.random_problem(rng, n=n, layout=helpers.mixed_layout())
     cfg = smc.SolverConfig(tau=2.0**log2_tau, iterations=300, **STOP_MODES[mode])
-    X = ds.X if with_x else None
-    res = smc.fit_completion(ds, probs, cfg, X=X)
+    ds = ds if with_x else no_covariates(ds)
+    res = smc.fit_completion(ds, probs, cfg)
     t = res.objective_trace
     assert np.all(np.diff(t) <= 0)
     if res.diagnostics["stop"] == "cap":
@@ -454,11 +462,69 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     # one more plain step from Z_hat, priced as the loop prices it, does not
     # lower the objective, and it ends at step_size_final: the next iteration
     # would repeat the last one
-    prob = _Problem(ds, probs, cfg.tau, cfg.clamp, X)
+    prob = _Problem(ds, probs, cfg.tau, cfg.clamp)
     eta = res.diagnostics["step_size_final"]
     (cand, _, factors), eta_next = next_plain_step(prob, ds, cfg, res.Z_hat, eta)
     assert eta_next == eta
     assert prob.loss(cand) + prob.penalty(cand, factors) >= t[-1]
     # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
-    want = smc.objective(res.Z_hat, ds, probs, cfg, X=X)
+    want = smc.objective(res.Z_hat, ds, probs, cfg)
     assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# magnitudes spanning the float64 exponent range a survey file may hold
+SCALES = st.sampled_from([1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+KINDS = ("gaussian", "poisson", "bernoulli", "exponential")
+
+
+@st.composite
+def tiny_surveys(draw):
+    """(blocks, sigma, MixedDataset fields) of a tiny mixed dataset: D in
+    {0, 1, 2}, strata of one row upward, each response column drawn in its
+    family's support at a generated scale, or all 0 or all 1, and observed
+    at random, everywhere or nowhere; X, pi and sigma at generated scales."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    n = sum(sizes)
+    blocks = [(kind, draw(st.integers(1, 2)))
+              for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))]
+    kinds = [kind for kind, count in blocks for _ in range(count)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = np.empty((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        fill, scale = draw(st.sampled_from(("random", 0.0, 1.0))), draw(SCALES)
+        if fill != "random":
+            Y[:, j] = fill + (scale if kind == "exponential" else 0.0)
+        elif kind == "gaussian":
+            Y[:, j] = scale * rng.normal(size=n)
+        elif kind == "poisson":
+            Y[:, j] = np.round(scale * rng.exponential(size=n))
+        elif kind == "bernoulli":
+            Y[:, j] = rng.integers(0, 2, size=n)
+        else:
+            Y[:, j] = scale * (rng.exponential(size=n) + 1e-3)
+    R = np.column_stack([
+        {"random": rng.random(n) < 0.6, "all": np.ones(n, bool), "none": np.zeros(n, bool)}[
+            draw(st.sampled_from(("random", "all", "none")))] for _ in kinds])
+    D = draw(st.sampled_from((0, 1, 2)))
+    return blocks, draw(SCALES), dict(
+        Y=np.where(R, Y, np.nan), R=R, X=draw(SCALES) * rng.normal(size=(n, D)),
+        strata=np.repeat(np.arange(1, len(sizes) + 1), sizes),
+        pi=np.minimum(1.0, draw(SCALES) * rng.uniform(0.05, 1.0, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey=tiny_surveys(), design_weighted=st.booleans(), log2_tau=st.integers(-15, 1),
+       clamp=st.sampled_from((0.5, 30.0)))
+def test_two_stages_on_generated_surveys_raise_only_package_errors(survey, design_weighted,
+                                                                   log2_tau, clamp):
+    blocks, sigma, fields = survey
+    try:
+        ds = smc.MixedDataset(layout=smc.CategoryLayout.of(*blocks, sigma=sigma), **fields)
+        probs = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
+        res = smc.fit_completion(ds, probs, smc.SolverConfig(
+            tau=2.0**log2_tau, iterations=30, clamp=clamp))
+    except SurveyMCError as exc:
+        event(type(exc).__name__)
+        return
+    event("fit")
+    assert helpers.trace_is_monotone(res)
