@@ -70,6 +70,14 @@ def _meta(args, extra: dict | None = None) -> dict:
     return doc
 
 
+def _stage_one(probs) -> dict:
+    """meta.json counts of the stage-one cells that degenerated (all 0 or
+    all 1), fell back to a ridge or stopped at the IRLS cap."""
+    return {"degenerate_cells": len(probs.degenerate_cells),
+            "fallback_cells": len(probs.fallback_cells),
+            "nonconverged_cells": len(probs.nonconverged_cells)}
+
+
 def _load(args) -> MixedDataset:
     """The dataset, with --population-size (if given) as its population size."""
     dataset = mio.load_dataset(args.data, args.schema, standardize=args.standardize)
@@ -109,7 +117,8 @@ def cmd_fit(args) -> int:
     mio.save_matrix_csv(probs.p_hat, os.path.join(out, "p_hat.csv"), prefix="p")
     mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
-                                     "iterations_run": result.iterations_run}),
+                                     "iterations_run": result.iterations_run,
+                                     "stage_one": _stage_one(probs)}),
                         os.path.join(out, "meta.json"))
     stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
     print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
@@ -130,7 +139,8 @@ def cmd_impute(args) -> int:
     mio.save_matrix_csv(imputed, os.path.join(out, "imputed.csv"), prefix="y")
     mio.save_matrix_csv(result.Z_hat, os.path.join(out, "z_hat.csv"), prefix="z")
     mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
-    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics}),
+    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
+                                     "stage_one": _stage_one(probs)}),
                         os.path.join(out, "meta.json"))
     print(f"imputed {int((~dataset.R).sum())} missing entries")
     return 0
@@ -145,7 +155,8 @@ def cmd_tune(args) -> int:
     result = tune_tau(dataset, probs, grid=grid, folds=args.folds, seed=args.seed,
                       base_config=_solver_config(args, grid[0]))
     mio.write_tau_scores(result, os.path.join(out, "tau_scores.csv"))
-    mio.write_meta_json(_meta(args, {"best_tau": result.best_tau}),
+    mio.write_meta_json(_meta(args, {"best_tau": result.best_tau,
+                                     "stage_one": _stage_one(probs)}),
                         os.path.join(out, "meta.json"))
     print(f"best tau {mio.fmt(result.best_tau)}")
     return 0

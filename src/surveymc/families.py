@@ -10,7 +10,8 @@ variance g''(z):
     exponential  g(z) = -log(-z)              domain: z < 0
 
 Evaluations are elementwise over arrays and overflow-safe for |z| up to at
-least 700 where the family is defined.
+least 700 where the family is defined: bernoulli's g is evaluated as
+max(z, 0) + log1p(e^-|z|), whose exponential never exceeds 1.
 """
 
 from __future__ import annotations
@@ -81,12 +82,28 @@ class Family:
         z = np.asarray(z, dtype=np.float64)
         self._check_domain(z)
         if self.kind == "bernoulli":
-            return np.logaddexp(0.0, z)
+            return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         if self.kind == "poisson":
             return np.exp(z)
         if self.kind == "gaussian":
             return 0.5 * self.sigma**2 * z**2
         return -np.log(-z)
+
+    def g_and_g_prime(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(g, g') from one exponential per entry: e^-|z| for bernoulli,
+        e^z for poisson.  g is bitwise g(z); g' equals g_prime(z) up to
+        round-off."""
+        z = np.asarray(z, dtype=np.float64)
+        self._check_domain(z)
+        if self.kind == "bernoulli":
+            e = np.exp(-np.abs(z))
+            return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+        if self.kind == "poisson":
+            e = np.exp(z)
+            return e, e
+        if self.kind == "gaussian":
+            return 0.5 * self.sigma**2 * z**2, self.sigma**2 * z
+        return -np.log(-z), -1.0 / z
 
     def g_prime(self, z) -> np.ndarray:
         """Mean function g'."""

@@ -270,9 +270,19 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
 
 
 def save_matrix_csv(M, path, prefix: str = "c", na_marker: str = "NA") -> None:
+    """Write M under the header prefix1, prefix2, ...; the bytes are those of
+    _write_csv with one _token per value, at one % call per row."""
     M = np.asarray(M, dtype=np.float64)
-    _write_csv(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])],
-               ([_token(v, na_marker) for v in row] for row in M))
+    line = ",".join(["%.17g"] * M.shape[1])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"{prefix}{j + 1}" for j in range(M.shape[1])])
+        for row in M.tolist():
+            text = line % tuple(row)
+            if "nan" in text:  # only a NaN formats with "nan"; csv.writer quotes its marker
+                writer.writerow([na_marker if t == "nan" else t for t in text.split(",")])
+            else:  # numbers need no quoting
+                fh.write(text + writer.dialect.lineterminator)
 
 
 def load_matrix_csv(path, na_marker: str = "NA") -> np.ndarray:

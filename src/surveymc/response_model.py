@@ -5,7 +5,10 @@ For every (response column, stratum) cell a logistic model
     P(observed | x) = exp(eta) / (1 + exp(eta)),   eta = (1, x^T) zeta
 
 is fit by iteratively reweighted least squares on the 0/1 response
-indicators.  Ridge escalation (0 -> 1e-4 -> 1e-2) rescues separated or
+indicators.  The cells of one stratum share their features, so their IRLS
+runs are batched: one einsum gives every cell's Hessian and one stacked
+solve every cell's step, while each cell keeps its own stopping rule and
+ridge ladder.  Ridge escalation (0 -> 1e-4 -> 1e-2) rescues separated or
 singular cells; all-0 / all-1 cells get an intercept-only fit at a clamped
 logit, and a dataset without covariates fits intercepts only.  Fitted
 probabilities are floored away from zero so inverse weights stay bounded.
@@ -72,6 +75,11 @@ class ResponseProbModel:
         """Keys of the cells that needed a ridge, in the order of fits."""
         return tuple(key for key, fit in self.fits.items() if fit.separation_fallback)
 
+    @property
+    def nonconverged_cells(self) -> tuple[tuple[int, int, int], ...]:
+        """Keys of the cells whose IRLS hit the iteration cap, in the order of fits."""
+        return tuple(key for key, fit in self.fits.items() if not fit.converged)
+
     @classmethod
     def constant(cls, n: int, n_cols: int) -> "ResponseProbModel":
         """Degenerate model with every probability 1 (and p_floor 1): the
@@ -82,31 +90,85 @@ class ResponseProbModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite beta
-def _irls(features: np.ndarray, y: np.ndarray, row_weights: np.ndarray, ridge: float):
-    """One IRLS run at a fixed ridge.
+def _irls(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray, ridge: float):
+    """IRLS at a fixed ridge for every column of Y at once (the cells share
+    features and row weights), each column run by the per-cell rule.
 
-    Returns (beta, converged, iterations) or None when the run separated,
-    overflowed or hit a singular system and the caller should escalate the ridge.
+    Returns (betas, iterations, failed) per column.  A column stops at the
+    first iterate whose score is within _TOL, so it converged iff its
+    iterations are below _MAX_ITER; a failed column separated, overflowed
+    or hit a singular system, and the caller should escalate its ridge.
+    The sums are einsum's, not BLAS's, so the result does not depend on
+    the BLAS thread count.
     """
     p_dim = features.shape[1]
-    beta = np.zeros(p_dim)
+    L = Y.shape[1]
+    betas = np.zeros((L, p_dim))
+    failed = np.zeros(L, dtype=bool)
+    iterations = np.full(L, _MAX_ITER)
+    active = np.arange(L)
+    diag = np.arange(p_dim)
     for it in range(1, _MAX_ITER + 1):
-        eta = features @ beta
-        p = expit(eta)
-        grad = features.T @ (row_weights * (y - p)) - ridge * beta
-        if np.max(np.abs(grad)) <= _TOL:
-            return beta, True, it - 1
-        w = row_weights * np.clip(p * (1.0 - p), 1e-10, None)
-        H = (features * w[:, None]).T @ features
-        H[np.diag_indices(p_dim)] += ridge
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            return None
-        beta = beta + step
-        if not np.isfinite(beta).all() or np.max(np.abs(beta)) > _SEPARATION_BOUND:
-            return None
-    return beta, False, _MAX_ITER
+        beta = betas[active]
+        p = expit(np.einsum("mp,lp->ml", features, beta))
+        grad = (np.einsum("mp,ml->lp", features, row_weights[:, None] * (Y[:, active] - p))
+                - ridge * beta)
+        done = np.max(np.abs(grad), axis=1) <= _TOL
+        iterations[active[done]] = it - 1
+        active, beta, p, grad = active[~done], beta[~done], p[:, ~done], grad[~done]
+        if not active.size:
+            break
+        w = row_weights[:, None] * np.clip(p * (1.0 - p), 1e-10, None)
+        H = np.einsum("mp,ml,mq->lpq", features, w, features)
+        H[:, diag, diag] += ridge
+        beta = beta + _solve_each(H, grad)
+        bad = ~np.isfinite(beta).all(axis=1) | (np.max(np.abs(beta), axis=1) > _SEPARATION_BOUND)
+        failed[active[bad]] = True
+        active = active[~bad]
+        betas[active] = beta[~bad]
+    return betas, iterations, failed
+
+
+def _solve_each(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each system H[l] x = rhs[l]; a singular one gives NaN."""
+    try:
+        return np.linalg.solve(H, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # find which systems are singular
+        out = np.full_like(rhs, np.nan)
+        for k in range(len(H)):
+            try:
+                out[k] = np.linalg.solve(H[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray) -> list[LogisticFit]:
+    """Fit the logistic cells of the columns of Y, which share features and
+    row weights.  All-0 or all-1 columns get an intercept-only fit at the
+    clamped logit of the empirical mean; the others run IRLS up the ridge
+    ladder, a cell moving to the next ridge only when it failed at this one.
+    """
+    fits: list[LogisticFit | None] = [None] * Y.shape[1]
+    means = Y.mean(axis=0)
+    for j in np.flatnonzero((means == 0.0) | (means == 1.0)):
+        coef = np.zeros(features.shape[1])
+        coef[0] = logit(np.clip(means[j], _DEGENERATE_EPS, 1.0 - _DEGENERATE_EPS))
+        fits[j] = LogisticFit(coef, converged=True, iterations=0,
+                              separation_fallback=False, degenerate=True)
+    todo = np.flatnonzero((means > 0.0) & (means < 1.0))
+    for attempt, ridge in enumerate(_RIDGE_LADDER):
+        if not todo.size:
+            break
+        betas, iterations, failed = _irls(features, Y[:, todo], row_weights, ridge)
+        for k in np.flatnonzero(~failed):
+            fits[todo[k]] = LogisticFit(betas[k], converged=bool(iterations[k] < _MAX_ITER),
+                                        iterations=int(iterations[k]),
+                                        separation_fallback=attempt > 0)
+        todo = todo[failed]
+    if todo.size:
+        raise NumericalFailure("IRLS failed even at the largest ridge")
+    return fits
 
 
 def fit_logistic(features, indicators, *, row_weights=None) -> LogisticFit:
@@ -135,21 +197,7 @@ def fit_logistic(features, indicators, *, row_weights=None) -> LogisticFit:
         rw = np.asarray(row_weights, dtype=np.float64)
         if rw.shape != y.shape or np.any(rw <= 0) or not np.isfinite(rw).all():
             raise InvalidInput("row_weights must be positive and finite per row")
-
-    mean = float(y.mean())
-    if mean == 0.0 or mean == 1.0:
-        coef = np.zeros(F.shape[1])
-        coef[0] = logit(np.clip(mean, _DEGENERATE_EPS, 1.0 - _DEGENERATE_EPS))
-        return LogisticFit(coef, converged=True, iterations=0,
-                           separation_fallback=False, degenerate=True)
-
-    for attempt, ridge in enumerate(_RIDGE_LADDER):
-        out = _irls(F, y, rw, ridge)
-        if out is not None:
-            beta, converged, iterations = out
-            return LogisticFit(beta, converged=converged, iterations=iterations,
-                               separation_fallback=attempt > 0)
-    raise NumericalFailure("IRLS failed even at the largest ridge")
+    return _fit_cells(F, y[:, None], rw)[0]
 
 
 def predict_p(fit: LogisticFit, x) -> np.ndarray:
@@ -176,11 +224,11 @@ def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
         if rows.size < D + 2:
             raise StratumTooSmall(f"stratum {h} has {rows.size} rows; need at least {D + 2}")
         features = np.column_stack([np.ones(rows.size), dataset.X[rows]])
-        rw = 1.0 / dataset.pi[rows] if use_design_weights else None
-        for j in range(L):
-            fit = fit_logistic(features, dataset.R[rows, j].astype(np.float64),
-                               row_weights=rw)
+        rw = 1.0 / dataset.pi[rows] if use_design_weights else np.ones(rows.size)
+        cells = _fit_cells(features, dataset.R[rows].astype(np.float64), rw)
+        for j, fit in enumerate(cells):
             fits[(*col_keys[j], h)] = fit
-            p_hat[rows, j] = np.clip(expit(features @ fit.coefficients), p_floor, 1.0)
+        coefs = np.array([fit.coefficients for fit in cells])
+        p_hat[rows] = np.clip(expit(np.einsum("mp,lp->ml", features, coefs)), p_floor, 1.0)
 
     return ResponseProbModel(fits=fits, p_hat=p_hat, p_floor=p_floor)

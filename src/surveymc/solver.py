@@ -96,7 +96,12 @@ class TuneResult:
 
 
 class _Problem:
-    """Precomputed pieces shared by loss/gradient/objective evaluations."""
+    """Precomputed pieces shared by loss/gradient/objective evaluations.
+
+    The loss only sees the observed entries (W is 0 elsewhere), so each
+    family block keeps the flat indices (row-major into an n x L matrix),
+    weights and responses of its observed entries.
+    """
 
     def __init__(self, dataset: MixedDataset, probs: ResponseProbModel,
                  tau: float, clamp: float):
@@ -106,13 +111,12 @@ class _Problem:
         if np.any(p_hat <= 0) or np.any(p_hat > 1):
             raise InvalidInput("p_hat entries must lie in (0, 1]")
         self.layout = dataset.layout
-        self.R = dataset.R
         self.Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
         self.N = dataset.resolve_population_size()
         with np.errstate(divide="ignore", over="ignore"):
-            self.W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses
-                                                * dataset.pi[:, None] * p_hat), 0.0)
-        if not np.isfinite(self.W).all():
+            W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses
+                                           * dataset.pi[:, None] * p_hat), 0.0)
+        if not np.isfinite(W).all():
             raise NumericalFailure(f"population size N={self.N} makes a response "
                                    f"weight 1/(N L pi p_hat) overflow")
         self.tau = tau
@@ -120,6 +124,12 @@ class _Problem:
         self.X = dataset.X
         self.D = self.X.shape[1]
         self.slices = self.layout.slices()
+        flat = np.flatnonzero(dataset.R)
+        cols = flat % dataset.n_responses
+        self.observed = []  # (family, flat indices, weights, responses) per block
+        for fam, sl in self.slices:
+            idx = flat[(cols >= sl.start) & (cols < sl.stop)]
+            self.observed.append((fam, idx, W.take(idx), self.Yf.take(idx)))
         self.boxes = [fam.domain_box(clamp) for fam, _ in self.slices]
         widths = [sl.stop - sl.start for _, sl in self.slices]
         self.lo, self.hi = (np.repeat(bound, widths) for bound in np.array(self.boxes).T)
@@ -130,17 +140,24 @@ class _Problem:
         return out, int(np.count_nonzero(out != Z))
 
     def loss(self, Z: np.ndarray) -> float:
+        """The weighted loss: sum of w (g(z) - y z) over the observed entries."""
         total = 0.0
-        for (fam, sl) in self.slices:
-            zb = Z[:, sl]
-            total += float(np.sum(self.W[:, sl] * (-self.Yf[:, sl] * zb + fam.g(zb))))
+        for fam, idx, w, y in self.observed:
+            z = Z.take(idx)
+            total += float(np.sum(w * (fam.g(z) - y * z)))
         return total
 
-    def grad(self, Z: np.ndarray) -> np.ndarray:
-        G = np.empty_like(Z)
-        for (fam, sl) in self.slices:
-            G[:, sl] = self.W[:, sl] * (fam.g_prime(Z[:, sl]) - self.Yf[:, sl])
-        return G
+    def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
+        """loss(Z), bitwise, and its gradient w (g'(z) - y), which is 0 off
+        the observed entries; g and g' come from one exponential per entry."""
+        total = 0.0
+        G = np.zeros(Z.size)
+        for fam, idx, w, y in self.observed:
+            z = Z.take(idx)
+            g, g_prime = fam.g_and_g_prime(z)
+            total += float(np.sum(w * (g - y * z)))
+            G[idx] = w * (g_prime - y)
+        return total, G.reshape(Z.shape)
 
     def penalty(self, Z: np.ndarray, factors: SvdFactors | None = None) -> float:
         """tau * ||[X, Z]||_*; given Z's factors from prox_step, the norm of
@@ -174,42 +191,55 @@ class _Problem:
         edge visits are left to the backtracking line search.
         """
         bound = 0.0
-        for (lo, hi), (fam, sl) in zip(self.boxes, self.slices):
+        for (lo, hi), (fam, _, w, _) in zip(self.boxes, self.observed):
             lo, hi = max(lo, -beta), min(hi, beta)
             if fam.kind == "exponential":
                 hi = min(hi, -1.0 / max(beta, 1.0))
-            w_max = float(self.W[:, sl].max())
+            w_max = float(w.max(initial=0.0))
             bound = max(bound, w_max * fam.curvature_sup(lo, hi))
         return bound
 
 
 def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel) -> float:
     """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L
-    with N the dataset's population size."""
-    Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, tau=1.0, clamp=np.inf).loss(Z)
+    with N the dataset's population size.  Raises NumericalFailure when a
+    term overflows float64."""
+    prob, Z = _problem_at(Z, dataset, probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("loss", prob.loss(Z))
 
 
 def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel) -> np.ndarray:
-    """Entrywise gradient of weighted_loss; exactly zero at missing entries."""
-    Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, tau=1.0, clamp=np.inf).grad(Z)
+    """Entrywise gradient of weighted_loss; exactly zero at missing entries.
+    Raises NumericalFailure when an entry overflows float64."""
+    prob, Z = _problem_at(Z, dataset, probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("gradient", prob.value_and_grad(Z)[1])
 
 
 def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
               config: SolverConfig) -> float:
-    """weighted_loss plus tau times the nuclear norm of [dataset.X, Z]."""
-    Z = _check_Z(Z, dataset)
-    return _Problem(dataset, probs, config.tau, config.clamp).objective(Z)
+    """weighted_loss plus tau times the nuclear norm of [dataset.X, Z].
+    Raises NumericalFailure when a term overflows float64."""
+    prob, Z = _problem_at(Z, dataset, probs, config.tau, config.clamp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("objective", prob.objective(Z))
 
 
-def _check_Z(Z, dataset: MixedDataset) -> np.ndarray:
+def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel,
+                tau: float = 1.0, clamp: float = np.inf) -> tuple[_Problem, np.ndarray]:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.shape != dataset.Y.shape:
         raise ShapeError(f"Z shape {Z.shape} differs from Y shape {dataset.Y.shape}")
     if not np.isfinite(Z).all():
         raise InvalidInput("Z contains non-finite entries")
-    return Z
+    return _Problem(dataset, probs, tau, clamp), Z
+
+
+def _finite(what: str, value):
+    if not np.isfinite(value).all():
+        raise NumericalFailure(f"{what} is not finite: a term overflows float64")
+    return value
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is handled, see the docstring
@@ -249,18 +279,18 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         theta = 2.0 / (j + 1.0)
         Q, moved = prob.project((1.0 - theta) * Z1 + theta * Z2)
         n_proj += moved
-        G = prob.grad(Q)
+        loss_Q, G = prob.value_and_grad(Q)
         # recover from transient curvature spikes, never past the ceiling
         eta = eta_start = min(ceiling, 2.0 * eta)
-        loss_Q = prob.loss(Q)
         for tries in range(_MAX_BACKTRACKS + 1):
             T = Q - eta * G
             if np.isfinite(T).all():  # else the step is too long for float64
                 cand, moved, factors = prob.prox_step(T, eta * config.tau)
                 diff = cand - Q
                 cand_loss = prob.loss(cand)
-                majorant = (loss_Q + float(np.vdot(G, diff))
-                            + float(np.vdot(diff, diff)) / (2.0 * eta))
+                # einsum, not a BLAS dot: its sum does not depend on the thread count
+                majorant = (loss_Q + float(np.einsum("ij,ij->", G, diff))
+                            + float(np.einsum("ij,ij->", diff, diff)) / (2.0 * eta))
                 # NaN fails this test, so a candidate that overflowed is halved
                 if cand_loss <= majorant + 1e-12 * max(1.0, abs(loss_Q)):
                     break

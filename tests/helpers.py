@@ -2,12 +2,16 @@
 
 The loss oracle here is an independent reimplementation of the weighted
 quasi-likelihood in 80-bit extended precision, used to validate the package's
-float64 loss and gradient by central finite differences.
+float64 loss and gradient by central finite differences.  The slow dense
+per-block loss and gradient and the per-cell IRLS loop are the references
+for the package's observed-entry kernel and batched stage one.
 """
 
 import numpy as np
+from scipy.special import expit, logit
 
 import surveymc as smc
+from surveymc.errors import NumericalFailure
 
 LD = np.longdouble
 
@@ -149,3 +153,89 @@ def soft_impute_objective(M, Y, R, lam):
     """0.5 ||P_obs(Y - M)||_F^2 + lam ||M||_*."""
     return (0.5 * float(np.sum((Y - M)[R] ** 2))
             + lam * float(np.linalg.svd(M, compute_uv=False).sum()))
+
+
+def dense_loss_and_grad(Z, dataset, probs):
+    """Weighted loss and gradient over every entry of each family block,
+    with W = 0 where unobserved: the slow reference for the solver's
+    observed-entry kernel.  Also returns the scales of their round-off:
+    the sum of the loss terms' magnitudes and W (|g'| + |y|) per entry."""
+    Z = np.asarray(Z, dtype=np.float64)
+    N = dataset.resolve_population_size()
+    W = np.where(dataset.R, 1.0 / (N * dataset.n_responses * dataset.pi[:, None]
+                                   * probs.p_hat), 0.0)
+    Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
+    total, loss_scale = 0.0, 0.0
+    G, grad_scale = np.empty_like(Z), np.empty_like(Z)
+    for fam, sl in dataset.layout.slices():
+        zb, wb, yb = Z[:, sl], W[:, sl], Yf[:, sl]
+        g, g_prime = fam.g(zb), fam.g_prime(zb)
+        total += float(np.sum(wb * (-yb * zb + g)))
+        loss_scale += float(np.sum(wb * (np.abs(yb * zb) + np.abs(g))))
+        G[:, sl] = wb * (g_prime - yb)
+        grad_scale[:, sl] = wb * (np.abs(g_prime) + np.abs(yb))
+    return total, G, loss_scale, grad_scale
+
+
+# the per-cell IRLS rules: ridge ladder, iteration cap, score tolerance,
+# separation bound and degenerate clamp
+RIDGE_LADDER = (0.0, 1e-4, 1e-2)
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-8
+SEPARATION_BOUND = 30.0
+DEGENERATE_EPS = 1e-6
+
+
+def irls_one_cell(F, y, rw, ridge):
+    """One cell's IRLS at a fixed ridge: (beta, converged, iterations), or
+    None when it separated, overflowed or hit a singular system."""
+    beta = np.zeros(F.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, IRLS_MAX_ITER + 1):
+            p = expit(F @ beta)
+            grad = F.T @ (rw * (y - p)) - ridge * beta
+            if np.max(np.abs(grad)) <= IRLS_TOL:
+                return beta, True, it - 1
+            w = rw * np.clip(p * (1.0 - p), 1e-10, None)
+            H = (F * w[:, None]).T @ F
+            H[np.diag_indices(F.shape[1])] += ridge
+            try:
+                step = np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                return None
+            beta = beta + step
+            if not np.isfinite(beta).all() or np.max(np.abs(beta)) > SEPARATION_BOUND:
+                return None
+    return beta, False, IRLS_MAX_ITER
+
+
+def fit_one_cell(F, y, rw):
+    """The per-cell stage-one fit, one cell at a time."""
+    mean = float(y.mean())
+    if mean == 0.0 or mean == 1.0:
+        coef = np.zeros(F.shape[1])
+        coef[0] = logit(np.clip(mean, DEGENERATE_EPS, 1.0 - DEGENERATE_EPS))
+        return smc.LogisticFit(coef, converged=True, iterations=0,
+                               separation_fallback=False, degenerate=True)
+    for attempt, ridge in enumerate(RIDGE_LADDER):
+        out = irls_one_cell(F, y, rw, ridge)
+        if out is not None:
+            beta, converged, iterations = out
+            return smc.LogisticFit(beta, converged=converged, iterations=iterations,
+                                   separation_fallback=attempt > 0)
+    raise NumericalFailure("IRLS failed even at the largest ridge")
+
+
+def estimate_per_cell(dataset, p_floor=0.01, use_design_weights=False):
+    """(fits, p_hat) of estimate_response_probs, fit one cell at a time."""
+    n, L = dataset.Y.shape
+    fits, p_hat = {}, np.empty((n, L))
+    for h in range(1, dataset.n_strata + 1):
+        rows = np.flatnonzero(dataset.strata == h)
+        F = np.column_stack([np.ones(rows.size), dataset.X[rows]])
+        rw = 1.0 / dataset.pi[rows] if use_design_weights else np.ones(rows.size)
+        for j in range(L):
+            fit = fit_one_cell(F, dataset.R[rows, j].astype(np.float64), rw)
+            fits[(*dataset.layout.block_of_col(j), h)] = fit
+            p_hat[rows, j] = np.clip(expit(F @ fit.coefficients), p_floor, 1.0)
+    return fits, p_hat

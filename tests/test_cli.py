@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import surveymc.cli as cli
 import surveymc.simulator
 import surveymc.solver
 from surveymc.errors import NumericalFailure
-from surveymc.io import load_matrix_csv, parse_tau_grid
+from surveymc.io import load_dataset, load_matrix_csv, parse_tau_grid, save_dataset
+from surveymc.response_model import estimate_response_probs
 from surveymc.solver import DEFAULT_TAU_GRID
 
 TINY_DESIGN = ["--strata", "3", "--m1", "3", "--m2", "8",
@@ -108,8 +110,36 @@ def test_fit_is_byte_identical_across_blas_thread_counts(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
-    for name in ("z_hat.csv", "trace.csv"):
+    for name in ("z_hat.csv", "p_hat.csv", "trace.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    metas = [json.loads((o / "meta.json").read_text()) for o in outs]
+    for m in metas:
+        m.pop("out")
+    assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("command", ["fit", "impute", "tune"])
+def test_meta_counts_the_stage_one_cells(sim_dir, tmp_path, command):
+    # a covariate split makes stratum 1's first column separated, and its
+    # second column all observed
+    ds = load_dataset(sim_dir / "data.csv", sim_dir / "schema.json")
+    R, in1 = ds.R.copy(), ds.strata == 1
+    R[in1, 0] = ds.X[in1, 0] > np.median(ds.X[in1, 0])
+    R[in1, 1] = True
+    data = tmp_path / "data.csv"
+    save_dataset(replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan), R=R),
+                 data, tmp_path / "schema.json")
+    probs = estimate_response_probs(load_dataset(data, tmp_path / "schema.json"))
+    argv = fit_args(tmp_path, tmp_path / "out")
+    argv[0] = command
+    if command == "tune":
+        argv[argv.index("--tau"):argv.index("--tau") + 2] = ["--grid", "2^-8,2^-6"]
+    assert run(argv) == 0
+    stage_one = json.loads((tmp_path / "out" / "meta.json").read_text())["stage_one"]
+    assert stage_one == {"degenerate_cells": len(probs.degenerate_cells),
+                         "fallback_cells": len(probs.fallback_cells),
+                         "nonconverged_cells": len(probs.nonconverged_cells)}
+    assert stage_one["degenerate_cells"] >= 1 and stage_one["fallback_cells"] >= 1
 
 
 def test_impute_preserves_observed_and_fills_missing(sim_dir, tmp_path):

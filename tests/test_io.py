@@ -15,7 +15,7 @@ import surveymc as smc
 from surveymc.benchmark import BenchmarkSummary, ReplicationReport
 from surveymc.errors import InvalidInput, SchemaViolation, SurveyMCError
 from surveymc.families import FAMILY_NAMES, Block
-from surveymc.io import (ColumnSpec, SchemaFile, default_schema, fmt,
+from surveymc.io import (ColumnSpec, SchemaFile, _token, _write_csv, default_schema, fmt,
                          load_dataset, load_matrix_csv, load_schema,
                          parse_tau_grid, save_dataset, save_matrix_csv,
                          write_benchmark_csvs, write_meta_json, write_trace_csv)
@@ -520,3 +520,21 @@ def test_save_load_matrix_round_trips_generated(scratch, M):
     path = scratch / "m.csv"
     save_matrix_csv(M, path)
     assert_same_bits(M, load_matrix_csv(path))
+
+
+# values whose formatting has edge cases: NaN, signed zero, subnormals, the
+# float64 extremes and infinities
+EDGE_FLOATS = st.sampled_from([np.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                               1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(st.floats(), EDGE_FLOATS))),
+    na_marker=st.sampled_from(["NA", "", "nan", "n,a", '"q"', " x\n"]))
+def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, na_marker):
+    fast, slow = scratch / "fast.csv", scratch / "slow.csv"
+    save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
+    _write_csv(slow, [f"m{j + 1}" for j in range(M.shape[1])],
+               ([_token(v, na_marker) for v in row] for row in M))
+    assert fast.read_bytes() == slow.read_bytes()

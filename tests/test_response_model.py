@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 import surveymc as smc
-from surveymc.errors import InvalidInput, ShapeError, StratumTooSmall
+from surveymc.errors import InvalidInput, NumericalFailure, ShapeError, StratumTooSmall
 from surveymc.response_model import fit_logistic, predict_p
 
-from helpers import build_missingness_dataset
+from helpers import build_missingness_dataset, estimate_per_cell
 
 
 def logistic_draw(beta, n, rng, scale=1.5):
@@ -200,3 +202,56 @@ def test_p_floor_validated():
         smc.estimate_response_probs(ds, p_floor=0.0)
     with pytest.raises(InvalidInput):
         smc.estimate_response_probs(ds, p_floor=1.0)
+
+
+@st.composite
+def stage_one_datasets(draw):
+    """Strata from one row over the minimum (D + 2) upward; response columns
+    observed at random, by a logistic law, everywhere, nowhere, or split by a
+    covariate (separated); optionally a duplicated covariate (singular)."""
+    D = draw(st.integers(0, 3))
+    sizes = draw(st.lists(st.integers(D + 2, D + 30), min_size=1, max_size=3))
+    n, L = sum(sizes), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = draw(st.sampled_from((0.1, 1.0, 5.0))) * rng.normal(size=(n, D))
+    if D >= 2 and draw(st.booleans()):
+        X[:, 1] = X[:, 0]
+    columns = []
+    for _ in range(L):
+        kind = draw(st.sampled_from(("random", "logistic", "all", "none", "separated")))
+        if kind == "separated" and D >= 1:
+            columns.append(X[:, 0] > np.median(X[:, 0]))
+        elif kind == "logistic":
+            eta = rng.normal() + X @ rng.normal(size=D)
+            columns.append(rng.random(n) < expit(eta))
+        else:
+            columns.append({"all": np.ones(n, bool), "none": np.zeros(n, bool)}.get(
+                kind, rng.random(n) < 0.5))
+    R = np.column_stack(columns)
+    return smc.MixedDataset(
+        Y=np.where(R, 0.0, np.nan), R=R, X=X,
+        strata=np.repeat(np.arange(1, len(sizes) + 1), sizes),
+        pi=rng.uniform(0.05, 1.0, n), layout=smc.CategoryLayout.of(("gaussian", L)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=stage_one_datasets(), design_weighted=st.booleans())
+def test_batched_stage_one_matches_the_per_cell_oracle(ds, design_weighted):
+    try:
+        want_fits, want_p = estimate_per_cell(ds, use_design_weights=design_weighted)
+    except NumericalFailure:
+        event("NumericalFailure")
+        with pytest.raises(NumericalFailure):
+            smc.estimate_response_probs(ds, use_design_weights=design_weighted)
+        return
+    model = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
+    assert list(model.fits) == list(want_fits)
+    for key, want in want_fits.items():
+        got = model.fits[key]
+        assert (got.converged, got.separation_fallback, got.degenerate, got.iterations) == (
+            want.converged, want.separation_fallback, want.degenerate, want.iterations)
+        scale = max(1.0, float(np.max(np.abs(want.coefficients))))
+        assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-10 * scale
+        event("fallback" if want.separation_fallback else
+              "degenerate" if want.degenerate else "plain")
+    npt.assert_allclose(model.p_hat, want_p, rtol=0, atol=1e-12)

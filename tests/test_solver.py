@@ -60,6 +60,51 @@ def test_gradient_matches_finite_differences():
     assert np.linalg.norm(G - FD) / np.linalg.norm(FD) < 1e-6
 
 
+# magnitudes spanning the float64 exponent range a survey file may hold
+SCALES = st.sampled_from([1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+KINDS = ("gaussian", "poisson", "bernoulli", "exponential")
+
+
+@st.composite
+def observed_entry_problems(draw):
+    """A dataset over all four families with columns observed at random,
+    everywhere or nowhere, its response model, and Z in each family's
+    domain with entries drawn at the edges of the clamp box."""
+    blocks = draw(st.permutations([(kind, draw(st.integers(1, 3))) for kind in KINDS]))
+    layout = smc.CategoryLayout.of(*blocks, sigma=draw(st.sampled_from((0.5, 1.0, 3.0))))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = helpers.sample_responses(layout, helpers.draw_natural(layout, rng, n), rng)
+    R = np.column_stack([
+        {"random": rng.random(n) < 0.6, "all": np.ones(n, bool), "none": np.zeros(n, bool)}[
+            draw(st.sampled_from(("random", "all", "none")))] for _ in range(layout.n_cols)])
+    ds = smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=rng.normal(size=(n, 2)),
+                          strata=np.ones(n, dtype=np.int64), pi=rng.uniform(0.05, 1.0, n),
+                          layout=layout, population_size=float(n))
+    probs = smc.ResponseProbModel(fits={}, p_hat=rng.uniform(0.05, 1.0, R.shape), p_floor=0.05)
+    clamp = draw(st.sampled_from((0.5, 30.0)))
+    Z = helpers.draw_natural(layout, rng, n)
+    for fam, sl in layout.slices():
+        lo, hi = fam.domain_box(clamp)
+        edge = rng.random((n, sl.stop - sl.start)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+        Z[:, sl] = np.where(edge, np.where(rng.random(edge.shape) < 0.5, lo, hi),
+                            np.clip(Z[:, sl], lo, hi))
+    return ds, probs, Z, clamp
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=observed_entry_problems())
+def test_value_and_grad_match_the_dense_per_block_reference(problem):
+    ds, probs, Z, clamp = problem
+    prob = _Problem(ds, probs, tau=1.0, clamp=clamp)
+    value, G = prob.value_and_grad(Z)
+    assert value == prob.loss(Z)  # the loop prices Q and its candidates alike
+    want, want_G, loss_scale, grad_scale = helpers.dense_loss_and_grad(Z, ds, probs)
+    assert abs(value - want) <= 1e-12 * loss_scale
+    assert np.all(np.abs(G - want_G) <= 1e-12 * grad_scale)
+    assert np.all(G[~ds.R] == 0.0)
+
+
 def test_gradient_zero_at_missing_entries():
     rng = np.random.default_rng(2)
     ds, probs, Z = helpers.random_problem(rng, miss=0.5)
@@ -429,15 +474,15 @@ def next_plain_step(prob, ds, cfg, Z, eta):
     """The candidate and step size of a plain automatic step from Z that
     starts where the loop's next iteration would, written out from the
     method's rules."""
-    G = prob.grad(Z)
+    loss_Z, G = prob.value_and_grad(Z)
     Z0 = prob.project(smc.rank1_approx(np.where(ds.R, np.nan_to_num(ds.Y), 0.0)))[0]
     eta = min(1.0 / prob.curvature_bound(min(cfg.clamp, max(1.0, np.max(np.abs(Z0))))),
               2.0 * eta)
-    loss_Z = prob.loss(Z)
     while True:  # halve while the quadratic majorant is violated
         step = prob.prox_step(Z - eta * G, eta * cfg.tau)
         diff = step[0] - Z
-        majorant = loss_Z + float(np.vdot(G, diff)) + float(np.vdot(diff, diff)) / (2.0 * eta)
+        majorant = (loss_Z + float(np.einsum("ij,ij->", G, diff))
+                    + float(np.einsum("ij,ij->", diff, diff)) / (2.0 * eta))
         if prob.loss(step[0]) <= majorant + 1e-12 * max(1.0, abs(loss_Z)):
             return step, eta
         eta *= 0.5
@@ -470,11 +515,6 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
     want = smc.objective(res.Z_hat, ds, probs, cfg)
     assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
-
-
-# magnitudes spanning the float64 exponent range a survey file may hold
-SCALES = st.sampled_from([1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
-KINDS = ("gaussian", "poisson", "bernoulli", "exponential")
 
 
 @st.composite
@@ -528,3 +568,29 @@ def test_two_stages_on_generated_surveys_raise_only_package_errors(survey, desig
         return
     event("fit")
     assert helpers.trace_is_monotone(res)
+
+
+@settings(max_examples=200, deadline=None)
+@given(survey=tiny_surveys(), z_scale=SCALES, log2_tau=st.integers(-15, 1))
+def test_loss_gradient_and_objective_fail_only_with_numerical_failure(survey, z_scale,
+                                                                      log2_tau):
+    blocks, sigma, fields = survey
+    try:
+        ds = smc.MixedDataset(layout=smc.CategoryLayout.of(*blocks, sigma=sigma), **fields)
+    except SurveyMCError:
+        return
+    rng = np.random.default_rng(0)
+    Z = z_scale * helpers.draw_natural(ds.layout, rng, ds.n)
+    for fam, sl in ds.layout.slices():  # in the domain: exponential z <= -1e-8
+        Z[:, sl] = np.minimum(Z[:, sl], fam.domain_box(1.0)[1])
+    probs = smc.ResponseProbModel(fits={}, p_hat=rng.uniform(0.05, 1.0, ds.Y.shape),
+                                  p_floor=0.05)
+    cfg = smc.SolverConfig(tau=2.0**log2_tau)
+    for call in (lambda: smc.weighted_loss(Z, ds, probs), lambda: smc.gradient(Z, ds, probs),
+                 lambda: smc.objective(Z, ds, probs, cfg)):
+        try:
+            value = call()
+        except NumericalFailure:
+            event("NumericalFailure")
+            continue
+        assert np.isfinite(value).all()
