@@ -19,8 +19,7 @@ from .families import (Block, CategoryLayout, Family, mean_from_natural,
                        natural_from_mean)
 from .io import SchemaFile, load_dataset, parse_tau_grid, save_dataset
 from .linalg import SvdFactors, nuclear_norm, rank1_approx, svd_thin, svt
-from .response_model import (LogisticFit, ResponseProbModel, estimate_response_probs,
-                             fit_logistic, predict_p)
+from .response_model import ResponseProbModel, estimate_response_probs
 from .simulator import (PopulationSpec, SampledData, SyntheticTruth, draw_sample,
                         generate_population, impose_responses_and_missingness,
                         simulate_survey)

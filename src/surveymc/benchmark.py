@@ -130,12 +130,14 @@ METHODS = tuple(_REGISTRY)
 
 def check_run_args(methods, n_replicates: int = 2, threads: int = 1,
                    base_seed: int = 0) -> tuple[str, ...]:
-    """Reject unknown methods, replicates < 2 (a standard error needs two),
-    threads < 1 or a negative seed before any fit."""
+    """Reject unknown or repeated methods, replicates < 2 (a standard error
+    needs two), threads < 1 or a negative seed before any fit."""
     methods = tuple(methods)
     for name in methods:
         if name not in _REGISTRY:
             raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise InvalidInput(f"methods {methods} name a method more than once")
     check_int("replicates", n_replicates, 2)
     check_int("threads", threads, 1)
     check_int("base_seed", base_seed, 0)

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Fold config-file values in as defaults by injecting them before argv.
 
     Explicit flags win because argparse takes the last occurrence.
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -216,23 +216,6 @@ class CategoryLayout:
             start += b.count
         return out
 
-    def family_of_col(self, j: int) -> Family:
-        if not 0 <= j < self.n_cols:
-            raise InvalidInput(f"column {j} outside 0..{self.n_cols - 1}")
-        for fam, sl in self.slices():
-            if sl.start <= j < sl.stop:
-                return fam
-        raise AssertionError("unreachable")
-
-    def block_of_col(self, j: int) -> tuple[int, int]:
-        """(block index, offset within block) for global column j."""
-        if not 0 <= j < self.n_cols:
-            raise InvalidInput(f"column {j} outside 0..{self.n_cols - 1}")
-        for s, (_, sl) in enumerate(self.slices()):
-            if sl.start <= j < sl.stop:
-                return s, j - sl.start
-        raise AssertionError("unreachable")
-
 
 def mean_from_natural(Z, layout: CategoryLayout) -> np.ndarray:
     """Blockwise mean function g' applied to a natural-parameter matrix."""

@@ -38,11 +38,6 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _token(x: float, na_marker: str) -> str:
-    """A value as written to CSV: the NA marker for NaN, else fmt."""
-    return na_marker if math.isnan(x) else fmt(x)
-
-
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -206,18 +201,17 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
     uniq = np.unique(strata_raw)
     strata = np.searchsorted(uniq, strata_raw) + 1
 
-    layout = schema.layout()
     standardization = None
     if standardize:
-        covariates, responses = schema.names("covariate"), schema.names("response")
+        covariates = schema.names("covariate")
+        responses = [c for c in schema.columns if c.role == "response"]
         standardization = Standardization(
             covariate={d: _standardize(X[:, d], covariates[d]) for d in range(X.shape[1])},
-            response={j: _standardize(Y[:, j], responses[j]) for j in range(Y.shape[1])
-                      if layout.family_of_col(j).kind == "gaussian"
-                      and not np.isnan(Y[:, j]).all()})
+            response={j: _standardize(Y[:, j], c.name) for j, c in enumerate(responses)
+                      if c.family == "gaussian" and not np.isnan(Y[:, j]).all()})
 
     return MixedDataset(Y=Y, R=~np.isnan(Y), X=X, strata=strata, pi=pi,
-                        layout=layout,
+                        layout=schema.layout(),
                         population_size=schema.population_size,
                         standardization=standardization)
 
@@ -261,22 +255,25 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    _write_csv(data_path, [c.name for c in schema.columns],
-               ([str(int(dataset.strata[i])), fmt(dataset.pi[i])]
-                + [fmt(v) for v in dataset.X[i]]
-                + [_token(v, schema.na_marker) for v in dataset.Y[i]]
-                for i in range(dataset.n)),
-               schema.delimiter)
+    # integer strata labels format as str(int(label)) under %.17g
+    _write_matrix(data_path, [c.name for c in schema.columns],
+                  np.column_stack([dataset.strata, dataset.pi, dataset.X, dataset.Y]),
+                  schema.na_marker)
 
 
 def save_matrix_csv(M, path, prefix: str = "c", na_marker: str = "NA") -> None:
-    """Write M under the header prefix1, prefix2, ...; the bytes are those of
-    _write_csv with one _token per value, at one % call per row."""
+    """Write M under the header prefix1, prefix2, ..."""
     M = np.asarray(M, dtype=np.float64)
+    _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M, na_marker)
+
+
+def _write_matrix(path, header, M: np.ndarray, na_marker: str) -> None:
+    """Write a float matrix under header with fmt per value and the NA marker
+    for NaN: the bytes of _write_csv, at one % call per row."""
     line = ",".join(["%.17g"] * M.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{j + 1}" for j in range(M.shape[1])])
+        writer.writerow(header)
         for row in M.tolist():
             text = line % tuple(row)
             if "nan" in text:  # only a NaN formats with "nan"; csv.writer quotes its marker

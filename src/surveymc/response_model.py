@@ -12,6 +12,10 @@ ridge ladder.  Ridge escalation (0 -> 1e-4 -> 1e-2) rescues separated or
 singular cells; all-0 / all-1 cells get an intercept-only fit at a clamped
 logit, and a dataset without covariates fits intercepts only.  Fitted
 probabilities are floored away from zero so inverse weights stay bounded.
+
+The fits are kept as stratum x column arrays on ResponseProbModel: the
+coefficients, the IRLS iteration counts, and the degenerate and
+ridge-fallback flags of every cell.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .dataset import MixedDataset
-from .errors import (InvalidInput, NumericalFailure, ShapeError, StratumTooSmall,
-                     check_int, check_real)
+from .errors import NumericalFailure, StratumTooSmall, check_int, check_real
 
-__all__ = ["LogisticFit", "ResponseProbModel", "fit_logistic", "predict_p", "estimate_response_probs"]
+__all__ = ["ResponseProbModel", "estimate_response_probs"]
 
 # ridges tried in turn: the plain fit, then escalation when a cell is
 # separated or singular
@@ -43,50 +46,56 @@ _DEGENERATE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
-class LogisticFit:
-    """Coefficients (intercept first) plus convergence diagnostics."""
-
-    coefficients: np.ndarray
-    converged: bool
-    iterations: int
-    separation_fallback: bool
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class ResponseProbModel:
     """Per-cell logistic fits and the assembled n x L probability matrix.
 
-    fits is keyed by (block index, column offset within block, stratum label)
-    in stratum-major order.  p_hat entries always lie in [p_floor, 1].
+    The cell arrays are stratum x column: row h-1 holds stratum h, so
+    coefficients[h-1, j] (intercept first) is the fit of cell (h, j).
+    iterations counts IRLS steps (0 for a degenerate cell, _MAX_ITER for
+    one stopped at the cap); degenerate marks all-0 / all-1 cells and
+    fallback the cells that needed a ridge.  p_hat entries always lie in
+    [p_floor, 1].
     """
 
-    fits: dict[tuple[int, int, int], LogisticFit]
+    coefficients: np.ndarray
+    iterations: np.ndarray
+    degenerate: np.ndarray
+    fallback: np.ndarray
     p_hat: np.ndarray
     p_floor: float
 
     @property
-    def degenerate_cells(self) -> tuple[tuple[int, int, int], ...]:
-        """Keys of the all-0 / all-1 cells, in the order of fits."""
-        return tuple(key for key, fit in self.fits.items() if fit.degenerate)
+    def degenerate_cells(self) -> np.ndarray:
+        """(stratum, column) pairs of the all-0 / all-1 cells, stratum-major."""
+        return _cells(self.degenerate)
 
     @property
-    def fallback_cells(self) -> tuple[tuple[int, int, int], ...]:
-        """Keys of the cells that needed a ridge, in the order of fits."""
-        return tuple(key for key, fit in self.fits.items() if fit.separation_fallback)
+    def fallback_cells(self) -> np.ndarray:
+        """(stratum, column) pairs of the cells that needed a ridge, stratum-major."""
+        return _cells(self.fallback)
 
     @property
-    def nonconverged_cells(self) -> tuple[tuple[int, int, int], ...]:
-        """Keys of the cells whose IRLS hit the iteration cap, in the order of fits."""
-        return tuple(key for key, fit in self.fits.items() if not fit.converged)
+    def nonconverged_cells(self) -> np.ndarray:
+        """(stratum, column) pairs of the cells whose IRLS hit the iteration
+        cap, stratum-major."""
+        return _cells(self.iterations >= _MAX_ITER)
 
     @classmethod
     def constant(cls, n: int, n_cols: int) -> "ResponseProbModel":
-        """Degenerate model with every probability 1 (and p_floor 1): the
-        unweighted variant of the solver."""
+        """Degenerate model with every probability 1 (and p_floor 1) and no
+        fitted cell: the unweighted variant of the solver."""
         check_int("n", n, 1)
         check_int("n_cols", n_cols, 1)
-        return cls(fits={}, p_hat=np.ones((n, n_cols)), p_floor=1.0)
+        no_cells = np.zeros((0, n_cols), dtype=bool)
+        return cls(coefficients=np.zeros((0, n_cols, 1)),
+                   iterations=np.zeros((0, n_cols), dtype=np.int64),
+                   degenerate=no_cells, fallback=no_cells,
+                   p_hat=np.ones((n, n_cols)), p_floor=1.0)
+
+
+def _cells(mask: np.ndarray) -> np.ndarray:
+    """(stratum label, column) of each set entry of a stratum x column mask."""
+    return np.argwhere(mask) + (1, 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite beta
@@ -143,70 +152,36 @@ def _solve_each(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray) -> list[LogisticFit]:
+def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
     """Fit the logistic cells of the columns of Y, which share features and
-    row weights.  All-0 or all-1 columns get an intercept-only fit at the
-    clamped logit of the empirical mean; the others run IRLS up the ridge
-    ladder, a cell moving to the next ridge only when it failed at this one.
+    row weights; return per column (coefficients, iterations, degenerate,
+    fallback).
+
+    All-0 or all-1 columns get an intercept-only fit at the clamped logit of
+    the empirical mean; the others run IRLS up the ridge ladder, a cell
+    moving to the next ridge only when it failed at this one.
     """
-    fits: list[LogisticFit | None] = [None] * Y.shape[1]
+    L = Y.shape[1]
+    coefficients = np.zeros((L, features.shape[1]))
+    iterations = np.zeros(L, dtype=np.int64)
+    fallback = np.zeros(L, dtype=bool)
     means = Y.mean(axis=0)
-    for j in np.flatnonzero((means == 0.0) | (means == 1.0)):
-        coef = np.zeros(features.shape[1])
-        coef[0] = logit(np.clip(means[j], _DEGENERATE_EPS, 1.0 - _DEGENERATE_EPS))
-        fits[j] = LogisticFit(coef, converged=True, iterations=0,
-                              separation_fallback=False, degenerate=True)
-    todo = np.flatnonzero((means > 0.0) & (means < 1.0))
+    degenerate = (means == 0.0) | (means == 1.0)
+    coefficients[degenerate, 0] = logit(np.clip(means[degenerate], _DEGENERATE_EPS,
+                                                1.0 - _DEGENERATE_EPS))
+    todo = np.flatnonzero(~degenerate)
     for attempt, ridge in enumerate(_RIDGE_LADDER):
         if not todo.size:
             break
-        betas, iterations, failed = _irls(features, Y[:, todo], row_weights, ridge)
-        for k in np.flatnonzero(~failed):
-            fits[todo[k]] = LogisticFit(betas[k], converged=bool(iterations[k] < _MAX_ITER),
-                                        iterations=int(iterations[k]),
-                                        separation_fallback=attempt > 0)
+        betas, steps, failed = _irls(features, Y[:, todo], row_weights, ridge)
+        done = todo[~failed]
+        coefficients[done] = betas[~failed]
+        iterations[done] = steps[~failed]
+        fallback[done] = attempt > 0
         todo = todo[failed]
     if todo.size:
         raise NumericalFailure("IRLS failed even at the largest ridge")
-    return fits
-
-
-def fit_logistic(features, indicators, *, row_weights=None) -> LogisticFit:
-    """Fit one logistic cell by IRLS.
-
-    features must carry a leading ones column; indicators are 0/1.  Optional
-    row_weights turn the score into a weighted quasi-likelihood (used for the
-    design-weighted variant).  All-0 or all-1 indicators yield an
-    intercept-only fit at the clamped logit of the empirical mean.
-    """
-    F = np.asarray(features, dtype=np.float64)
-    y = np.asarray(indicators, dtype=np.float64)
-    if F.ndim != 2 or y.ndim != 1 or F.shape[0] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes {F.shape} vs {y.shape}")
-    if F.shape[0] < F.shape[1] + 1:
-        raise StratumTooSmall(f"{F.shape[0]} rows cannot identify {F.shape[1]} coefficients")
-    if not np.isfinite(F).all():
-        raise InvalidInput("features contain non-finite entries")
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise InvalidInput("indicators must be 0 or 1")
-    if not np.allclose(F[:, 0], 1.0):
-        raise InvalidInput("features must have a leading ones column")
-    if row_weights is None:
-        rw = np.ones_like(y)
-    else:
-        rw = np.asarray(row_weights, dtype=np.float64)
-        if rw.shape != y.shape or np.any(rw <= 0) or not np.isfinite(rw).all():
-            raise InvalidInput("row_weights must be positive and finite per row")
-    return _fit_cells(F, y[:, None], rw)[0]
-
-
-def predict_p(fit: LogisticFit, x) -> np.ndarray:
-    """Response probability for covariate row(s) x (without the ones column)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != fit.coefficients.shape[0] - 1:
-        raise ShapeError(f"expected {fit.coefficients.shape[0] - 1} covariates, got {x.shape[1]}")
-    eta = fit.coefficients[0] + x @ fit.coefficients[1:]
-    return expit(eta)
+    return coefficients, iterations, degenerate, fallback
 
 
 def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
@@ -214,21 +189,24 @@ def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
     """Fit every (column, stratum) cell and assemble the clamped p_hat matrix."""
     check_real("p_floor", p_floor, 0.0, 1.0)
     n, L = dataset.Y.shape
-    D = dataset.n_covariates
+    H, D = dataset.n_strata, dataset.n_covariates
+    coefficients = np.empty((H, L, D + 1))
+    iterations = np.empty((H, L), dtype=np.int64)
+    degenerate = np.empty((H, L), dtype=bool)
+    fallback = np.empty((H, L), dtype=bool)
     p_hat = np.empty((n, L))
-    fits: dict[tuple[int, int, int], LogisticFit] = {}
 
-    col_keys = [dataset.layout.block_of_col(j) for j in range(L)]
-    for h in range(1, dataset.n_strata + 1):
+    for h in range(1, H + 1):
         rows = np.flatnonzero(dataset.strata == h)
         if rows.size < D + 2:
             raise StratumTooSmall(f"stratum {h} has {rows.size} rows; need at least {D + 2}")
         features = np.column_stack([np.ones(rows.size), dataset.X[rows]])
         rw = 1.0 / dataset.pi[rows] if use_design_weights else np.ones(rows.size)
-        cells = _fit_cells(features, dataset.R[rows].astype(np.float64), rw)
-        for j, fit in enumerate(cells):
-            fits[(*col_keys[j], h)] = fit
-        coefs = np.array([fit.coefficients for fit in cells])
-        p_hat[rows] = np.clip(expit(np.einsum("mp,lp->ml", features, coefs)), p_floor, 1.0)
+        (coefficients[h - 1], iterations[h - 1], degenerate[h - 1],
+         fallback[h - 1]) = _fit_cells(features, dataset.R[rows].astype(np.float64), rw)
+        p_hat[rows] = np.clip(expit(np.einsum("mp,lp->ml", features, coefficients[h - 1])),
+                              p_floor, 1.0)
 
-    return ResponseProbModel(fits=fits, p_hat=p_hat, p_floor=p_floor)
+    return ResponseProbModel(coefficients=coefficients, iterations=iterations,
+                             degenerate=degenerate, fallback=fallback,
+                             p_hat=p_hat, p_floor=p_floor)

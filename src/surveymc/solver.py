@@ -33,7 +33,7 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
                      check_int, check_real)
-from .families import CategoryLayout, mean_from_natural
+from .families import mean_from_natural
 from .linalg import SvdFactors, nuclear_norm, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
@@ -110,7 +110,6 @@ class _Problem:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
         if np.any(p_hat <= 0) or np.any(p_hat > 1):
             raise InvalidInput("p_hat entries must lie in (0, 1]")
-        self.layout = dataset.layout
         self.Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
         self.N = dataset.resolve_population_size()
         with np.errstate(divide="ignore", over="ignore"):
@@ -120,18 +119,17 @@ class _Problem:
             raise NumericalFailure(f"population size N={self.N} makes a response "
                                    f"weight 1/(N L pi p_hat) overflow")
         self.tau = tau
-        self.clamp = clamp
         self.X = dataset.X
         self.D = self.X.shape[1]
-        self.slices = self.layout.slices()
+        slices = dataset.layout.slices()
         flat = np.flatnonzero(dataset.R)
         cols = flat % dataset.n_responses
         self.observed = []  # (family, flat indices, weights, responses) per block
-        for fam, sl in self.slices:
+        for fam, sl in slices:
             idx = flat[(cols >= sl.start) & (cols < sl.stop)]
             self.observed.append((fam, idx, W.take(idx), self.Yf.take(idx)))
-        self.boxes = [fam.domain_box(clamp) for fam, _ in self.slices]
-        widths = [sl.stop - sl.start for _, sl in self.slices]
+        self.boxes = [fam.domain_box(clamp) for fam, _ in slices]
+        widths = [sl.stop - sl.start for _, sl in slices]
         self.lo, self.hi = (np.repeat(bound, widths) for bound in np.array(self.boxes).T)
 
     def project(self, Z: np.ndarray) -> tuple[np.ndarray, int]:

@@ -7,6 +7,8 @@ per-block loss and gradient and the per-cell IRLS loop are the references
 for the package's observed-entry kernel and batched stage one.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import expit, logit
 
@@ -51,9 +53,13 @@ def random_problem(rng, n=20, layout=None, miss=0.3, pi_lo=0.05, p_lo=0.2):
         Y=np.where(R, Y, np.nan), R=R, X=rng.uniform(size=(n, 2)),
         strata=np.ones(n, dtype=np.int64), pi=rng.uniform(pi_lo, 1.0, n),
         layout=layout)
-    probs = smc.ResponseProbModel(
-        fits={}, p_hat=rng.uniform(p_lo, 1.0, (n, L)), p_floor=p_lo)
-    return ds, probs, Z
+    return ds, probs_of(rng.uniform(p_lo, 1.0, (n, L)), p_lo), Z
+
+
+def probs_of(p_hat, p_floor):
+    """A stage-one model with no fitted cell that carries p_hat and p_floor."""
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    return replace(smc.ResponseProbModel.constant(*p_hat.shape), p_hat=p_hat, p_floor=p_floor)
 
 
 def g_ld(kind, z, sigma=1.0):
@@ -187,15 +193,16 @@ DEGENERATE_EPS = 1e-6
 
 
 def irls_one_cell(F, y, rw, ridge):
-    """One cell's IRLS at a fixed ridge: (beta, converged, iterations), or
-    None when it separated, overflowed or hit a singular system."""
+    """One cell's IRLS at a fixed ridge: (beta, iterations), iterations being
+    IRLS_MAX_ITER when the cap stopped it, or None when it separated,
+    overflowed or hit a singular system."""
     beta = np.zeros(F.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, IRLS_MAX_ITER + 1):
             p = expit(F @ beta)
             grad = F.T @ (rw * (y - p)) - ridge * beta
             if np.max(np.abs(grad)) <= IRLS_TOL:
-                return beta, True, it - 1
+                return beta, it - 1
             w = rw * np.clip(p * (1.0 - p), 1e-10, None)
             H = (F * w[:, None]).T @ F
             H[np.diag_indices(F.shape[1])] += ridge
@@ -206,36 +213,41 @@ def irls_one_cell(F, y, rw, ridge):
             beta = beta + step
             if not np.isfinite(beta).all() or np.max(np.abs(beta)) > SEPARATION_BOUND:
                 return None
-    return beta, False, IRLS_MAX_ITER
+    return beta, IRLS_MAX_ITER
 
 
 def fit_one_cell(F, y, rw):
-    """The per-cell stage-one fit, one cell at a time."""
+    """The per-cell stage-one fit, one cell at a time: (coefficients,
+    iterations, degenerate, fallback)."""
     mean = float(y.mean())
     if mean == 0.0 or mean == 1.0:
         coef = np.zeros(F.shape[1])
         coef[0] = logit(np.clip(mean, DEGENERATE_EPS, 1.0 - DEGENERATE_EPS))
-        return smc.LogisticFit(coef, converged=True, iterations=0,
-                               separation_fallback=False, degenerate=True)
+        return coef, 0, True, False
     for attempt, ridge in enumerate(RIDGE_LADDER):
         out = irls_one_cell(F, y, rw, ridge)
         if out is not None:
-            beta, converged, iterations = out
-            return smc.LogisticFit(beta, converged=converged, iterations=iterations,
-                                   separation_fallback=attempt > 0)
+            beta, iterations = out
+            return beta, iterations, False, attempt > 0
     raise NumericalFailure("IRLS failed even at the largest ridge")
 
 
 def estimate_per_cell(dataset, p_floor=0.01, use_design_weights=False):
-    """(fits, p_hat) of estimate_response_probs, fit one cell at a time."""
-    n, L = dataset.Y.shape
-    fits, p_hat = {}, np.empty((n, L))
-    for h in range(1, dataset.n_strata + 1):
+    """The ResponseProbModel of estimate_response_probs, fit one cell at a time."""
+    (n, L), H = dataset.Y.shape, dataset.n_strata
+    coefficients = np.empty((H, L, dataset.n_covariates + 1))
+    iterations = np.empty((H, L), dtype=np.int64)
+    degenerate, fallback = np.empty((H, L), dtype=bool), np.empty((H, L), dtype=bool)
+    p_hat = np.empty((n, L))
+    for h in range(1, H + 1):
         rows = np.flatnonzero(dataset.strata == h)
         F = np.column_stack([np.ones(rows.size), dataset.X[rows]])
         rw = 1.0 / dataset.pi[rows] if use_design_weights else np.ones(rows.size)
         for j in range(L):
-            fit = fit_one_cell(F, dataset.R[rows, j].astype(np.float64), rw)
-            fits[(*dataset.layout.block_of_col(j), h)] = fit
-            p_hat[rows, j] = np.clip(expit(F @ fit.coefficients), p_floor, 1.0)
-    return fits, p_hat
+            cell = fit_one_cell(F, dataset.R[rows, j].astype(np.float64), rw)
+            (coefficients[h - 1, j], iterations[h - 1, j],
+             degenerate[h - 1, j], fallback[h - 1, j]) = cell
+            p_hat[rows, j] = np.clip(expit(F @ cell[0]), p_floor, 1.0)
+    return smc.ResponseProbModel(coefficients=coefficients, iterations=iterations,
+                                 degenerate=degenerate, fallback=fallback,
+                                 p_hat=p_hat, p_floor=p_floor)

@@ -3,7 +3,6 @@
 from dataclasses import replace
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

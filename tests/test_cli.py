@@ -388,12 +388,13 @@ def test_module_entry_point_help():
     assert "simulate" in proc.stdout and "benchmark" in proc.stdout
 
 
-# an unknown method, one replicate, zero threads or a negative seed fail
-# before tuning and before the replicates
+# an unknown or repeated method, one replicate, zero threads or a negative
+# seed fail before tuning and before the replicates
 @pytest.mark.parametrize("extra", [["--methods", "ipw,nope"], ["--replicates", "1"],
                                    ["--threads", "0"],
                                    ["--threads", "0", "--tau", "0.1"],
-                                   ["--seed", "-1"]])
+                                   ["--seed", "-1"],
+                                   ["--methods", "hot_deck,hot_deck"]])
 def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extra):
     def boom(*a, **k):
         raise AssertionError("fit_completion called")

@@ -164,15 +164,6 @@ def test_layout_bookkeeping():
     assert lay.n_cols == 6
     slices = lay.slices()
     assert [sl for _, sl in slices] == [slice(0, 2), slice(2, 5), slice(5, 6)]
-    assert lay.family_of_col(0).kind == "gaussian"
-    assert lay.family_of_col(4).kind == "poisson"
-    assert lay.block_of_col(0) == (0, 0)
-    assert lay.block_of_col(3) == (1, 1)
-    assert lay.block_of_col(5) == (2, 0)
-    with pytest.raises(InvalidInput):
-        lay.family_of_col(6)
-    with pytest.raises(InvalidInput):
-        lay.block_of_col(-1)
     with pytest.raises(InvalidInput):
         CategoryLayout(())
     with pytest.raises(InvalidInput):

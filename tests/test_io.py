@@ -1,6 +1,7 @@
 """Schema and CSV round trips, result writers, and tau grid parsing."""
 
 import json
+import math
 import types
 from itertools import groupby
 
@@ -15,7 +16,7 @@ import surveymc as smc
 from surveymc.benchmark import BenchmarkSummary, ReplicationReport
 from surveymc.errors import InvalidInput, SchemaViolation, SurveyMCError
 from surveymc.families import FAMILY_NAMES, Block
-from surveymc.io import (ColumnSpec, SchemaFile, _token, _write_csv, default_schema, fmt,
+from surveymc.io import (ColumnSpec, SchemaFile, _write_csv, default_schema, fmt,
                          load_dataset, load_matrix_csv, load_schema,
                          parse_tau_grid, save_dataset, save_matrix_csv,
                          write_benchmark_csvs, write_meta_json, write_trace_csv)
@@ -528,13 +529,25 @@ EDGE_FLOATS = st.sampled_from([np.nan, -0.0, 0.0, 5e-324, -5e-324, 2.22507385850
                                1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf])
 
 
+def _token(x: float, na_marker: str) -> str:
+    """A value as the reference writer puts it in CSV: the NA marker for NaN,
+    else fmt."""
+    return na_marker if math.isnan(x) else fmt(x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(M=st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.one_of(st.floats(), EDGE_FLOATS))),
-    na_marker=st.sampled_from(["NA", "", "nan", "n,a", '"q"', " x\n"]))
-def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, na_marker):
+    na_marker=st.sampled_from(["NA", "", "nan", "n,a", '"q"', " x\n"]), ds=datasets())
+def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, na_marker, ds):
     fast, slow = scratch / "fast.csv", scratch / "slow.csv"
     save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
     _write_csv(slow, [f"m{j + 1}" for j in range(M.shape[1])],
                ([_token(v, na_marker) for v in row] for row in M))
+    assert fast.read_bytes() == slow.read_bytes()
+    # save_dataset writes its integer strata labels as str(int(label))
+    save_dataset(ds, fast, scratch / "schema.json")
+    _write_csv(slow, [c.name for c in default_schema(ds).columns],
+               ([str(int(s)), fmt(p)] + [fmt(v) for v in x] + [_token(v, "NA") for v in y]
+                for s, p, x, y in zip(ds.strata, ds.pi, ds.X, ds.Y)))
     assert fast.read_bytes() == slow.read_bytes()

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 import surveymc as smc
-from surveymc.errors import InvalidInput, NumericalFailure, ShapeError, StratumTooSmall
-from surveymc.response_model import fit_logistic, predict_p
+from surveymc.errors import InvalidInput, NumericalFailure, StratumTooSmall
 
 from helpers import build_missingness_dataset, estimate_per_cell
 
@@ -24,72 +23,53 @@ def logistic_draw(beta, n, rng, scale=1.5):
     return F, X, y
 
 
+def one_stratum(X, *observed):
+    """A one-stratum dataset with one response column per 0/1 vector in
+    observed, each observed where its vector is 1."""
+    R = np.column_stack(observed).astype(bool)
+    n = R.shape[0]
+    return smc.MixedDataset(Y=np.where(R, 0.0, np.nan), R=R, X=X,
+                            strata=np.ones(n, dtype=np.int64), pi=np.full(n, 0.5),
+                            layout=smc.CategoryLayout.of(("gaussian", R.shape[1])))
+
+
 def test_fit_recovers_known_coefficients():
     rng = np.random.default_rng(0)
     beta = np.array([0.3, 0.8, -0.5])
-    F, _, y = logistic_draw(beta, 50000, rng)
-    fit = fit_logistic(F, y)
-    assert fit.converged
-    assert not fit.separation_fallback
-    npt.assert_allclose(fit.coefficients, beta, atol=0.05)
+    _, X, y = logistic_draw(beta, 50000, rng)
+    model = smc.estimate_response_probs(one_stratum(X, y))
+    assert not model.nonconverged_cells.size
+    assert not model.fallback[0, 0] and not model.degenerate[0, 0]
+    npt.assert_allclose(model.coefficients[0, 0], beta, atol=0.05)
 
 
 def test_fit_matches_score_equation():
     # at the optimum the weighted score X^T (y - p) vanishes
     rng = np.random.default_rng(1)
-    F, _, y = logistic_draw(np.array([-0.2, 0.6]), 500, rng)
-    fit = fit_logistic(F, y)
-    score = F.T @ (y - expit(F @ fit.coefficients))
+    F, X, y = logistic_draw(np.array([-0.2, 0.6]), 500, rng)
+    model = smc.estimate_response_probs(one_stratum(X, y))
+    score = F.T @ (y - expit(F @ model.coefficients[0, 0]))
     assert np.max(np.abs(score)) < 1e-6
 
 
 def test_degenerate_cells_get_clamped_intercept():
-    F = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
-    up = fit_logistic(F, np.ones(20))
-    assert up.degenerate
-    assert up.coefficients[0] == pytest.approx(float(logit(1 - 1e-6)))
-    assert up.coefficients[1] == 0.0
-    down = fit_logistic(F, np.zeros(20))
-    assert down.degenerate
-    assert down.coefficients[0] == pytest.approx(float(logit(1e-6)))
+    X = np.linspace(-1, 1, 20)[:, None]
+    model = smc.estimate_response_probs(one_stratum(X, np.ones(20), np.zeros(20)))
+    assert model.degenerate_cells.tolist() == [[1, 0], [1, 1]]
+    assert model.iterations[0].tolist() == [0, 0]
+    up, down = model.coefficients[0]
+    assert up[0] == pytest.approx(float(logit(1 - 1e-6)))
+    assert up[1] == 0.0
+    assert down[0] == pytest.approx(float(logit(1e-6)))
+    assert down[1] == 0.0
 
 
 def test_separated_data_falls_back_to_ridge():
     x = np.linspace(-2, 2, 40)
-    F = np.column_stack([np.ones(40), x])
-    y = (x > 0).astype(float)
-    fit = fit_logistic(F, y)
-    assert fit.separation_fallback
-    assert np.max(np.abs(fit.coefficients)) <= 30.0
-    assert np.isfinite(fit.coefficients).all()
-
-
-def test_fit_validation():
-    F = np.column_stack([np.ones(10), np.arange(10.0)])
-    y = np.r_[np.zeros(5), np.ones(5)]
-    with pytest.raises(InvalidInput):
-        fit_logistic(F[:, ::-1], y)  # no leading ones column
-    with pytest.raises(InvalidInput):
-        fit_logistic(F, y + 0.5)
-    with pytest.raises(ShapeError):
-        fit_logistic(F, y[:5])
-    with pytest.raises(StratumTooSmall):
-        fit_logistic(F[:2], y[:2])
-    with pytest.raises(InvalidInput):
-        fit_logistic(F, y, row_weights=np.zeros(10))
-
-
-def test_predict_p_oracle():
-    rng = np.random.default_rng(2)
-    beta = rng.normal(size=4)
-    fit = smc.LogisticFit(coefficients=beta, converged=True, iterations=3,
-                          separation_fallback=False)
-    x = rng.normal(size=(6, 3))
-    npt.assert_allclose(predict_p(fit, x), expit(beta[0] + x @ beta[1:]), rtol=1e-14)
-    with pytest.raises(ShapeError):
-        predict_p(fit, np.ones((2, 5)))
-
-
+    model = smc.estimate_response_probs(one_stratum(x[:, None], x > 0))
+    assert model.fallback_cells.tolist() == [[1, 0]]
+    assert np.max(np.abs(model.coefficients[0, 0])) <= 30.0
+    assert np.isfinite(model.coefficients[0, 0]).all()
 
 
 def test_estimate_response_probs_structure():
@@ -102,9 +82,10 @@ def test_estimate_response_probs_structure():
     model = smc.estimate_response_probs(ds, p_floor=0.05)
     assert model.p_hat.shape == ds.Y.shape
     assert np.all(model.p_hat >= 0.05) and np.all(model.p_hat <= 1.0)
-    assert len(model.fits) == H * L
-    # keys are (block, offset within block, stratum)
-    assert (0, 0, 1) in model.fits and (0, L - 1, H) in model.fits
+    # one cell per (stratum, column), intercept first
+    assert model.coefficients.shape == (H, L, D + 1)
+    for cells in (model.iterations, model.degenerate, model.fallback):
+        assert cells.shape == (H, L)
 
 
 def test_cell_flags_list_cells_in_stratum_major_order():
@@ -118,12 +99,13 @@ def test_cell_flags_list_cells_in_stratum_major_order():
     R[in1, 1] = X[in1, 0] > 0       # separated: ridge fallback
     flagged = replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan), R=R)
     model = smc.estimate_response_probs(flagged)
-    key = lambda j, h: (*ds.layout.block_of_col(j), h)
-    assert model.degenerate_cells == (key(3, 1), key(0, 2))
-    assert model.fallback_cells == (key(1, 1),)
+    # (stratum, column) pairs
+    assert model.degenerate_cells.tolist() == [[1, 3], [2, 0]]
+    assert model.fallback_cells.tolist() == [[1, 1]]
 
 
 def test_estimate_matches_per_cell_fit():
+    # each stratum's cells are the fits of that stratum's rows alone
     rng = np.random.default_rng(4)
     strata = np.repeat([1, 2], 50)
     X = rng.normal(size=(100, 2))
@@ -132,12 +114,9 @@ def test_estimate_matches_per_cell_fit():
     model = smc.estimate_response_probs(ds, p_floor=0.01)
     for h in (1, 2):
         rows = ds.strata == h
-        F = np.column_stack([np.ones(rows.sum()), ds.X[rows]])
-        for j in range(3):
-            direct = fit_logistic(F, ds.R[rows, j].astype(float))
-            s, jj = ds.layout.block_of_col(j)
-            npt.assert_allclose(model.fits[(s, jj, h)].coefficients,
-                                direct.coefficients, rtol=1e-12, atol=1e-12)
+        alone = smc.estimate_response_probs(one_stratum(ds.X[rows], *ds.R[rows].T))
+        npt.assert_allclose(model.coefficients[h - 1], alone.coefficients[0],
+                            rtol=1e-12, atol=1e-12)
 
 
 def test_estimate_recovers_probabilities():
@@ -190,6 +169,9 @@ def test_constant_model():
     m = smc.ResponseProbModel.constant(4, 3)
     assert m.p_hat.shape == (4, 3)
     assert np.all(m.p_hat == 1.0) and m.p_floor == 1.0
+    assert m.coefficients.shape == (0, 3, 1)
+    for cells in (m.degenerate_cells, m.fallback_cells, m.nonconverged_cells):
+        assert cells.shape == (0, 2)
 
 
 def test_p_floor_validated():
@@ -238,20 +220,17 @@ def stage_one_datasets(draw):
 @given(ds=stage_one_datasets(), design_weighted=st.booleans())
 def test_batched_stage_one_matches_the_per_cell_oracle(ds, design_weighted):
     try:
-        want_fits, want_p = estimate_per_cell(ds, use_design_weights=design_weighted)
+        want = estimate_per_cell(ds, use_design_weights=design_weighted)
     except NumericalFailure:
         event("NumericalFailure")
         with pytest.raises(NumericalFailure):
             smc.estimate_response_probs(ds, use_design_weights=design_weighted)
         return
     model = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
-    assert list(model.fits) == list(want_fits)
-    for key, want in want_fits.items():
-        got = model.fits[key]
-        assert (got.converged, got.separation_fallback, got.degenerate, got.iterations) == (
-            want.converged, want.separation_fallback, want.degenerate, want.iterations)
-        scale = max(1.0, float(np.max(np.abs(want.coefficients))))
-        assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-10 * scale
-        event("fallback" if want.separation_fallback else
-              "degenerate" if want.degenerate else "plain")
-    npt.assert_allclose(model.p_hat, want_p, rtol=0, atol=1e-12)
+    for name in ("iterations", "degenerate", "fallback"):
+        npt.assert_array_equal(getattr(model, name), getattr(want, name))
+    scale = np.maximum(1.0, np.max(np.abs(want.coefficients), axis=2, keepdims=True))
+    assert np.all(np.abs(model.coefficients - want.coefficients) <= 1e-10 * scale)
+    for fallback, degenerate in zip(want.fallback.flat, want.degenerate.flat):
+        event("fallback" if fallback else "degenerate" if degenerate else "plain")
+    npt.assert_allclose(model.p_hat, want.p_hat, rtol=0, atol=1e-12)

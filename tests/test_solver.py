@@ -37,7 +37,7 @@ def test_loss_single_entry_closed_form():
     # poisson, y = 2, z = 0, pi = p_hat = 0.5, N from HT is 2:
     # W = 1/(2 * 1 * 0.5 * 0.5) = 2 and -y z + e^z = 1
     ds = one_cell_dataset("poisson", 2.0, pi=0.5)
-    probs = smc.ResponseProbModel(fits={}, p_hat=np.array([[0.5]]), p_floor=0.5)
+    probs = helpers.probs_of([[0.5]], 0.5)
     assert smc.weighted_loss([[0.0]], ds, probs) == pytest.approx(2.0, abs=1e-15)
 
 
@@ -81,7 +81,7 @@ def observed_entry_problems(draw):
     ds = smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=rng.normal(size=(n, 2)),
                           strata=np.ones(n, dtype=np.int64), pi=rng.uniform(0.05, 1.0, n),
                           layout=layout, population_size=float(n))
-    probs = smc.ResponseProbModel(fits={}, p_hat=rng.uniform(0.05, 1.0, R.shape), p_floor=0.05)
+    probs = helpers.probs_of(rng.uniform(0.05, 1.0, R.shape), 0.05)
     clamp = draw(st.sampled_from((0.5, 30.0)))
     Z = helpers.draw_natural(layout, rng, n)
     for fam, sl in layout.slices():
@@ -160,7 +160,7 @@ def test_shape_and_domain_checks():
     bad[0, 0] = np.inf
     with pytest.raises(InvalidInput):
         smc.gradient(bad, ds, probs)
-    wrong_p = smc.ResponseProbModel(fits={}, p_hat=np.full_like(Z, 1.5), p_floor=0.1)
+    wrong_p = helpers.probs_of(np.full_like(Z, 1.5), 0.1)
     with pytest.raises(InvalidInput):
         smc.weighted_loss(Z, ds, wrong_p)
 
@@ -583,8 +583,7 @@ def test_loss_gradient_and_objective_fail_only_with_numerical_failure(survey, z_
     Z = z_scale * helpers.draw_natural(ds.layout, rng, ds.n)
     for fam, sl in ds.layout.slices():  # in the domain: exponential z <= -1e-8
         Z[:, sl] = np.minimum(Z[:, sl], fam.domain_box(1.0)[1])
-    probs = smc.ResponseProbModel(fits={}, p_hat=rng.uniform(0.05, 1.0, ds.Y.shape),
-                                  p_floor=0.05)
+    probs = helpers.probs_of(rng.uniform(0.05, 1.0, ds.Y.shape), 0.05)
     cfg = smc.SolverConfig(tau=2.0**log2_tau)
     for call in (lambda: smc.weighted_loss(Z, ds, probs), lambda: smc.gradient(Z, ds, probs),
                  lambda: smc.objective(Z, ds, probs, cfg)):
