@@ -19,10 +19,7 @@ import numpy as np
 from . import io as mio
 from .benchmark import METHODS, check_run_args, run_benchmark, tune_benchmark_taus
 from .dataset import MixedDataset
-from .errors import (ColumnEmpty, DegenerateTruth, DesignError, DomainError,
-                     FoldError, InvalidInput, NumericalFailure, SchemaViolation,
-                     ShapeError, StratumTooSmall, SurveyMCError, WeightError,
-                     check_int)
+from .errors import InvalidInput, SurveyMCError, check_int
 from .families import CategoryLayout, mean_from_natural
 from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
@@ -31,10 +28,7 @@ from .solver import SolverConfig, fit_completion, tune_tau
 # the tau grid flags' default; parse_tau_grid(DEFAULT_GRID) is solver.DEFAULT_TAU_GRID
 DEFAULT_GRID = "2^-15..2^-1,1,2"
 
-_USAGE_ERRORS = (InvalidInput,)
-_DATA_ERRORS = (SchemaViolation, WeightError, ColumnEmpty, StratumTooSmall,
-                DesignError, DegenerateTruth, ShapeError, FoldError, OSError)
-_NUMERICAL_ERRORS = (NumericalFailure, DomainError)
+_LABELS = {2: "usage error", 3: "data error", 4: "numerical failure"}
 
 
 def _parse_blocks(text: str, sigma: float) -> CategoryLayout:
@@ -329,18 +323,13 @@ def main(argv=None) -> int:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except SurveyMCError as exc:  # any remaining package error is a data problem
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except SurveyMCError as exc:
+        code, err = exc.exit_code, exc
+    except OSError as exc:  # an unreadable or unwritable file is a data problem
+        code, err = 3, exc
+    detail = str(err) if code == 2 else f"{type(err).__name__}: {err}"
+    print(f"{_LABELS[code]}: {detail}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Every public entry point raises one of these instead of letting bare
-numpy/ValueError surprises escape.  The CLI maps them onto exit codes:
-usage problems -> 2, data problems -> 3, numerical problems -> 4.
+numpy/ValueError surprises escape.  Each class carries the CLI's exit code
+for it: usage problems -> 2, data problems -> 3, numerical problems -> 4.
 """
 
 import math
@@ -12,11 +12,13 @@ import numpy as np
 
 
 class SurveyMCError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a data problem (exit code 3) by default."""
+    exit_code = 3
 
 
 class InvalidInput(SurveyMCError):
     """Argument outside its documented range (non-finite matrix, tau < 0, ...)."""
+    exit_code = 2
 
 
 class ShapeError(SurveyMCError):
@@ -25,10 +27,12 @@ class ShapeError(SurveyMCError):
 
 class DomainError(SurveyMCError):
     """Natural parameter outside the family's domain."""
+    exit_code = 4
 
 
 class NumericalFailure(SurveyMCError):
     """A numerical routine failed to converge or produced non-finite values."""
+    exit_code = 4
 
 
 class StratumTooSmall(SurveyMCError):

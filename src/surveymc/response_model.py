@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .dataset import MixedDataset
 from .errors import NumericalFailure, StratumTooSmall, check_int, check_real
+from .families import expit, logit
 
 __all__ = ["ResponseProbModel", "estimate_response_probs"]
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import MixedDataset
 from .errors import (DegenerateTruth, DesignError, InvalidInput, check_int, check_real,
                      check_rng)
-from .families import CategoryLayout
+from .families import CategoryLayout, expit
 
 __all__ = ["PopulationSpec", "SyntheticTruth", "SampledData",
            "generate_population", "draw_sample",

@@ -38,18 +38,9 @@ from .linalg import SvdFactors, nuclear_norm, rank1_approx, singular_values, svt
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
 
-__all__ = [
-    "SolverConfig",
-    "CompletionResult",
-    "TuneResult",
-    "weighted_loss",
-    "objective",
-    "gradient",
-    "fit_completion",
-    "tune_tau",
-    "grid_search",
-    "DEFAULT_TAU_GRID",
-]
+__all__ = ["SolverConfig", "CompletionResult", "TuneResult", "weighted_loss",
+           "objective", "gradient", "fit_completion", "tune_tau", "grid_search",
+           "DEFAULT_TAU_GRID"]
 
 # default tau grid for tuning: 2^-15 .. 2^-1, then 1 and 2
 DEFAULT_TAU_GRID = tuple(2.0**k for k in range(-15, 0)) + (1.0, 2.0)
@@ -84,7 +75,6 @@ class CompletionResult:
     objective_trace: np.ndarray
     accepted: np.ndarray
     iterations_run: int
-    config: SolverConfig
     diagnostics: dict
 
 
@@ -333,8 +323,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     }
     return CompletionResult(Z_hat=Z1, objective_trace=np.asarray(trace),
                             accepted=np.asarray(accepted, dtype=bool),
-                            iterations_run=len(accepted), config=config,
-                            diagnostics=diagnostics)
+                            iterations_run=len(accepted), diagnostics=diagnostics)
 
 
 def grid_search(grid, score) -> TuneResult:

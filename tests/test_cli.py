@@ -13,6 +13,7 @@ import pytest
 import surveymc.baselines
 import surveymc.benchmark
 import surveymc.cli as cli
+import surveymc.errors
 import surveymc.simulator
 import surveymc.solver
 from surveymc.errors import NumericalFailure
@@ -272,6 +273,21 @@ def test_numerical_failure_exit_code(sim_dir, tmp_path, monkeypatch):
     assert run(fit_args(sim_dir, tmp_path / "x")) == 4
 
 
+@pytest.mark.parametrize("error", [*surveymc.errors.SurveyMCError.__subclasses__(),
+                                   FileNotFoundError, PermissionError],
+                         ids=lambda e: e.__name__)
+def test_each_error_exits_with_its_code_and_label(tmp_path, monkeypatch, capsys, error):
+    def boom(*a, **k):
+        raise error("synthetic")
+    monkeypatch.setattr(cli, "simulate_survey", boom)
+    code = run(["simulate", *TINY_DESIGN, "--out", str(tmp_path / "x")])
+    want = {surveymc.errors.InvalidInput: (2, "usage error: synthetic\n"),
+            surveymc.errors.NumericalFailure: (4, "numerical failure: NumericalFailure: synthetic\n"),
+            surveymc.errors.DomainError: (4, "numerical failure: DomainError: synthetic\n")}
+    assert (code, capsys.readouterr().err) == want.get(
+        error, (3, f"data error: {error.__name__}: synthetic\n"))
+
+
 def with_population_size(sim_dir, tmp_path, size):
     """A copy of the simulated schema that stores `size` as its population size."""
     schema = tmp_path / f"schema_{size}.json"
@@ -386,6 +402,17 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "benchmark" in proc.stdout
+
+
+def test_import_loads_numpy_but_no_scipy():
+    src = os.path.dirname(os.path.dirname(surveymc.solver.__file__))
+    code = ("import sys, surveymc; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy']"
 
 
 # an unknown or repeated method, one replicate, zero threads or a negative

@@ -2,14 +2,19 @@
 sampling moments, and the layout bookkeeping."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from surveymc.errors import DomainError, InvalidInput
-from surveymc.families import (Block, CategoryLayout, Family, mean_from_natural,
-                               natural_from_mean)
+from surveymc.families import (Block, CategoryLayout, Family, expit, logit,
+                               mean_from_natural, natural_from_mean)
 
 ALL_KINDS = ("bernoulli", "poisson", "gaussian", "exponential")
 
@@ -71,6 +76,50 @@ def test_bernoulli_overflow_safe():
     p = b.g_prime(np.array([-800.0, 800.0]))
     assert np.all((p >= 0.0) & (p <= 1.0))
     assert b.g_double_prime(800.0) >= 0.0
+
+
+# natural parameters across the whole float64 line, weighted toward the
+# range where the logistic is neither 0 nor 1 in float64
+Z_VALUES = arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(-800.0, 800.0) | st.floats(allow_nan=False))
+Z_EDGES = np.array([-np.inf, -1e308, -745.0, -744.0, 0.0, 745.0, 1e308, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(Z_VALUES)
+def test_expit_matches_scipy_within_4_ulp(z):
+    z = np.concatenate([z, Z_EDGES])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid warning, at +-inf either
+        got = expit(z)
+    want = special.expit(z)
+    pos = want > 0
+    assert np.all(np.abs(got - want)[pos] <= 4 * np.spacing(want[pos]))
+    # scipy underflows to 0 below z = -709.8; ours is subnormal down to -745
+    assert np.all((got[~pos] >= 0.0) & (got[~pos] < np.finfo(np.float64).smallest_normal))
+    assert expit(-745.0) > 0.0 and expit(-746.0) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=st.floats(1e-6, 1.0 - 1e-6)))
+def test_logit_matches_scipy_within_2e_15(p):
+    # [1e-6, 1 - 1e-6] is the widest clip any caller applies
+    p = np.concatenate([p, [1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logit(p)
+    npt.assert_allclose(got, special.logit(p), rtol=0.0, atol=2e-15)
+    npt.assert_allclose(expit(got), p, rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(Z_VALUES)
+def test_bernoulli_fused_g_prime_is_bitwise_g_prime(z):
+    b = Family("bernoulli")
+    z = np.concatenate([z, Z_EDGES])
+    g, g_prime = b.g_and_g_prime(z)
+    assert np.array_equal(g_prime, b.g_prime(z))
+    assert np.array_equal(g, b.g(z))
 
 
 def test_exponential_domain_errors():
