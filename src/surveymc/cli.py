@@ -231,7 +231,7 @@ def _add_design_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="surveymc",
+        prog="surveymc", allow_abbrev=False,
         description="Low-rank completion of mixed survey responses under "
                     "informative sampling.")
     parser.add_argument("--config", default=None,
@@ -288,6 +288,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 
     Explicit flags win because argparse takes the last occurrence.
     """
+    # "--config=PATH" means "--config PATH"; the parser takes no abbreviation like "--conf"
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

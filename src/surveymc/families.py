@@ -9,9 +9,9 @@ variance g''(z):
     gaussian     g(z) = sigma^2 z^2 / 2       domain: all reals
     exponential  g(z) = -log(-z)              domain: z < 0
 
-Evaluations are elementwise over arrays and overflow-safe for |z| up to at
-least 700 where the family is defined: bernoulli's g is evaluated as
-max(z, 0) + log1p(e^-|z|), whose exponential never exceeds 1.
+The formulas live only in Family.g, g_prime and g_double_prime (g_and_g_prime,
+sample and curvature_sup call them), elementwise and overflow-safe for |z| up
+to at least 700 on the domain: bernoulli's g is max(z, 0) + log1p(e^-|z|).
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ _EXP_DOMAIN_MAX = -1e-8
 # inverse mean mapping clamp for means on a domain boundary (0 counts,
 # 0/1 proportions)
 _MEAN_EPS = 1e-3
+
+
+def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) from e = e^-|z| <= 1, so nothing overflows."""
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
 def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -74,13 +79,6 @@ class Family:
 
     # -- domain ---------------------------------------------------------
 
-    def in_domain(self, z) -> np.ndarray:
-        """Elementwise domain indicator."""
-        z = np.asarray(z, dtype=np.float64)
-        if self.kind == "exponential":
-            return z <= _EXP_DOMAIN_MAX
-        return np.isfinite(z)
-
     def domain_box(self, half_width: float) -> tuple[float, float]:
         """[lo, hi] interval: the clamp box intersected with the domain."""
         if half_width <= 0:
@@ -100,27 +98,12 @@ class Family:
         z = np.asarray(z, dtype=np.float64)
         self._check_domain(z)
         if self.kind == "bernoulli":
-            return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            return _softplus(z, np.exp(-np.abs(z)))
         if self.kind == "poisson":
             return np.exp(z)
         if self.kind == "gaussian":
             return 0.5 * self.sigma**2 * z**2
         return -np.log(-z)
-
-    def g_and_g_prime(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(g, g') from one exponential per entry: e^-|z| for bernoulli,
-        e^z for poisson.  g is bitwise g(z) and g' bitwise g_prime(z)."""
-        z = np.asarray(z, dtype=np.float64)
-        self._check_domain(z)
-        if self.kind == "bernoulli":
-            e = np.exp(-np.abs(z))
-            return np.maximum(z, 0.0) + np.log1p(e), _logistic(z, e)
-        if self.kind == "poisson":
-            e = np.exp(z)
-            return e, e
-        if self.kind == "gaussian":
-            return 0.5 * self.sigma**2 * z**2, self.sigma**2 * z
-        return -np.log(-z), -1.0 / z
 
     def g_prime(self, z) -> np.ndarray:
         """Mean function g'."""
@@ -146,35 +129,43 @@ class Family:
             return np.full_like(z, self.sigma**2)
         return 1.0 / z**2
 
-    def curvature_sup(self, lo: float, hi: float) -> float:
-        """sup of g'' over [lo, hi] intersected with the domain."""
+    def g_and_g_prime(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(g(z), g_prime(z)), bitwise, from one exponential per entry:
+        bernoulli shares e^-|z| between g and g', poisson's g' is its g."""
+        z = np.asarray(z, dtype=np.float64)
         if self.kind == "bernoulli":
-            # peak 1/4 at z = 0
-            if lo <= 0.0 <= hi:
-                return 0.25
-            edge = lo if lo > 0 else hi
-            return float(self.g_double_prime(edge))
-        if self.kind == "gaussian":
-            return float(self.sigma**2)
+            e = np.exp(-np.abs(z))
+            return _softplus(z, e), _logistic(z, e)
         if self.kind == "poisson":
-            return float(np.exp(hi))
-        hi = min(hi, _EXP_DOMAIN_MAX)
-        return float(1.0 / hi**2)
+            g = self.g(z)
+            return g, g
+        return self.g(z), self.g_prime(z)
+
+    def curvature_sup(self, beta: float) -> float:
+        """sup of g'' over [-beta, beta] within the domain, beta > 0; exact,
+        as the solver's beta is at most the clamp half-width, so the clamp box
+        never cuts [-beta, beta].  Exponential's g'' = 1/z^2 blows up at the
+        domain edge, which iterates touch only transiently (the gradient
+        repels them): it is scored on the interior [-beta, -1/max(beta, 1)],
+        and edge visits are left to the backtracking line search."""
+        if self.kind == "exponential":
+            hi = min(-1.0 / max(beta, 1.0), _EXP_DOMAIN_MAX)
+            return float(1.0 / hi**2)
+        return float(self.g_double_prime(beta if self.kind == "poisson" else 0.0))
 
     # -- sampling and link mappings ---------------------------------------
 
     def sample(self, z, rng: np.random.Generator) -> np.ndarray:
-        """Draw one response per natural parameter entry."""
+        """Draw one response per natural parameter entry, with mean g'(z)."""
         check_rng(rng)
-        z = np.asarray(z, dtype=np.float64)
-        self._check_domain(z)
+        mean = self.g_prime(z)
         if self.kind == "bernoulli":
-            return (rng.random(z.shape) < expit(z)).astype(np.float64)
+            return (rng.random(mean.shape) < mean).astype(np.float64)
         if self.kind == "poisson":
-            return rng.poisson(np.exp(z), size=z.shape).astype(np.float64)
+            return rng.poisson(mean, size=mean.shape).astype(np.float64)
         if self.kind == "gaussian":
-            return rng.normal(self.sigma**2 * z, self.sigma, size=z.shape)
-        return rng.exponential(-1.0 / z, size=z.shape)
+            return rng.normal(mean, self.sigma, size=mean.shape)
+        return rng.exponential(mean, size=mean.shape)
 
     def mean_to_natural(self, m) -> np.ndarray:
         """Inverse of g', clamping means on the boundary of the mean space.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import MixedDataset, Standardization
 from .errors import InvalidInput, SchemaViolation
-from .families import FAMILY_NAMES, Block, CategoryLayout, Family
+from .families import Block, CategoryLayout, Family
 
 __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
            "save_dataset", "save_matrix_csv", "load_matrix_csv",
@@ -62,10 +62,10 @@ class SchemaFile:
             if c.role not in _ROLES:
                 raise SchemaViolation(f"unknown role {c.role!r} for column {c.name!r}")
             if c.role == "response":
-                if c.family not in FAMILY_NAMES:
-                    raise SchemaViolation(f"column {c.name!r} has unknown family {c.family!r}")
-                if c.family == "gaussian" and not (math.isfinite(c.sigma) and c.sigma > 0):
-                    raise SchemaViolation(f"column {c.name!r} needs a positive finite sigma")
+                try:
+                    Family(c.family, c.sigma)
+                except InvalidInput as exc:
+                    raise SchemaViolation(f"column {c.name!r}: {exc}") from exc
             elif c.family is not None:
                 raise SchemaViolation(f"column {c.name!r} with role {c.role!r} must not set a family")
         if roles.count("stratum") != 1 or roles.count("weight") != 1:
@@ -305,7 +305,7 @@ def write_tau_scores(result, path) -> None:
 
 
 def _block_order(labels) -> list[str]:
-    rest = sorted(lab for lab in labels if lab not in ("overall", "overall_mean_scale"))
+    rest = [lab for lab in labels if lab not in ("overall", "overall_mean_scale")]
     out = ["overall"] + rest
     if "overall_mean_scale" in labels:
         out.append("overall_mean_scale")

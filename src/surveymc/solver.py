@@ -118,9 +118,9 @@ class _Problem:
         for fam, sl in slices:
             idx = flat[(cols >= sl.start) & (cols < sl.stop)]
             self.observed.append((fam, idx, W.take(idx), self.Yf.take(idx)))
-        self.boxes = [fam.domain_box(clamp) for fam, _ in slices]
+        boxes = [fam.domain_box(clamp) for fam, _ in slices]
         widths = [sl.stop - sl.start for _, sl in slices]
-        self.lo, self.hi = (np.repeat(bound, widths) for bound in np.array(self.boxes).T)
+        self.lo, self.hi = (np.repeat(bound, widths) for bound in np.array(boxes).T)
 
     def project(self, Z: np.ndarray) -> tuple[np.ndarray, int]:
         """Clip entries into the per-family clamp box; count entries moved."""
@@ -171,21 +171,10 @@ class _Problem:
 
     def curvature_bound(self, beta: float) -> float:
         """Curvature scale for the automatic step size: the largest
-        W_max * sup g'' over [-beta, beta] intersected with each domain.
-
-        The exponential family's g'' blows up like 1/z^2 at the domain edge;
-        iterates can only touch that edge transiently (the gradient repels
-        them), so its block is scored on the interior [-beta, -1/beta] and
-        edge visits are left to the backtracking line search.
-        """
-        bound = 0.0
-        for (lo, hi), (fam, _, w, _) in zip(self.boxes, self.observed):
-            lo, hi = max(lo, -beta), min(hi, beta)
-            if fam.kind == "exponential":
-                hi = min(hi, -1.0 / max(beta, 1.0))
-            w_max = float(w.max(initial=0.0))
-            bound = max(bound, w_max * fam.curvature_sup(lo, hi))
-        return bound
+        W_max * sup g'' over [-beta, beta] within each block's domain
+        (Family.curvature_sup); beta is at most the clamp half-width."""
+        return max(0.0, *(float(w.max(initial=0.0)) * fam.curvature_sup(beta)
+                          for fam, _, w, _ in self.observed))
 
 
 def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel) -> float:

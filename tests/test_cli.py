@@ -186,6 +186,24 @@ def test_config_supplies_defaults_and_flags_override(sim_dir, tmp_path):
     assert meta["out"] == str(out)
 
 
+def test_config_equals_path_applies_the_file(sim_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iterations": 3}))
+    out = tmp_path / "cfged"
+    argv = [f"--config={cfg}", "fit", "--data", str(sim_dir / "data.csv"),
+            "--schema", str(sim_dir / "schema.json"), "--tau", "0.125", "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads((out / "meta.json").read_text())["iterations"] == 3
+
+
+def test_abbreviated_config_flag_exits_via_argparse(sim_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iterations": 3}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--conf", str(cfg), *fit_args(sim_dir, tmp_path / "f")])
+    assert exc.value.code == 2
+
+
 def test_bad_block_token_is_usage_error(tmp_path):
     code = run(["simulate", "--blocks", "gauss;3", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -346,6 +364,20 @@ def test_default_grid_text_is_the_default_tau_grid():
     assert parse_tau_grid(cli.DEFAULT_GRID) == DEFAULT_TAU_GRID
 
 
+@pytest.mark.parametrize("change", [{"sigma": 1e200}, {"sigma": 1e-200},
+                                    {"family": "gamma"}])
+def test_bad_response_family_in_schema_is_data_error(sim_dir, tmp_path, capsys, change):
+    schema = json.loads((sim_dir / "schema.json").read_text())
+    col = next(c for c in schema["columns"] if c.get("family") == "gaussian")
+    col.update(change)
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    argv = ["fit", "--data", str(sim_dir / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"),
+            "--tau", "0.1", "--out", str(tmp_path / "x")]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def test_non_finite_schema_population_size_is_data_error(sim_dir, tmp_path):
     schema = tmp_path / "s.json"
     schema.write_text((sim_dir / "schema.json").read_text().replace(
@@ -395,6 +427,18 @@ def test_benchmark_fixed_tau_and_determinism(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     header = (outs[0] / "summary.csv").read_text().splitlines()[0]
     assert header == "method,scenario,block,mean_re,se_re,n_replicates,n_failures"
+
+
+def test_benchmark_csvs_list_eleven_blocks_in_layout_order(tmp_path):
+    blocks = ",".join(f"{('gaussian', 'poisson')[i % 2]}:1" for i in range(11))
+    argv = ["benchmark", "--strata", "3", "--m1", "3", "--m2", "4", "--covariates", "1",
+            "--blocks", blocks, "--methods", "hot_deck", "--replicates", "2",
+            "--tau", "0.1", "--out", str(tmp_path / "b")]
+    assert run(argv) == 0
+    labels = [ln.split(",")[2] for ln in
+              (tmp_path / "b" / "summary.csv").read_text().splitlines()[1:]]
+    assert labels == (["overall"] + [f"block{i + 1}_{('gaussian', 'poisson')[i % 2]}"
+                                     for i in range(11)] + ["overall_mean_scale"])
 
 
 def test_module_entry_point_help():

@@ -112,24 +112,34 @@ def test_logit_matches_scipy_within_2e_15(p):
     npt.assert_allclose(expit(got), p, rtol=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(Z_VALUES)
-def test_bernoulli_fused_g_prime_is_bitwise_g_prime(z):
-    b = Family("bernoulli")
-    z = np.concatenate([z, Z_EDGES])
-    g, g_prime = b.g_and_g_prime(z)
-    assert np.array_equal(g_prime, b.g_prime(z))
-    assert np.array_equal(g, b.g(z))
+# z across each family's domain, infinities included; exponential's is z < 0
+DOMAIN_Z = {kind: Z_VALUES for kind in ("bernoulli", "poisson", "gaussian")}
+DOMAIN_Z["exponential"] = arrays(np.float64, st.integers(1, 40),
+                                 elements=st.floats(max_value=-1e-8))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fused_g_and_g_prime_is_bitwise(kind, data):
+    fam = Family(kind, sigma=1.3 if kind == "gaussian" else 1.0)
+    z = data.draw(DOMAIN_Z[kind])
+    if kind != "exponential":
+        z = np.concatenate([z, Z_EDGES])
+    with np.errstate(over="ignore"):  # e^z and z^2 reach inf
+        g, g_prime = fam.g_and_g_prime(z)
+        assert np.array_equal(g, fam.g(z))
+        assert np.array_equal(g_prime, fam.g_prime(z))
 
 
 def test_exponential_domain_errors():
     e = Family("exponential")
-    assert e.in_domain(-1.0)
-    assert not e.in_domain(0.0)
-    assert not e.in_domain(0.5)
+    _, hi = e.domain_box(30.0)
+    assert np.isfinite(e.g(hi))  # the box's upper edge lies in the domain
     for f in (e.g, e.g_prime, e.g_double_prime):
-        with pytest.raises(DomainError):
-            f(0.1)
+        for z in (0.0, 0.1):
+            with pytest.raises(DomainError):
+                f(z)
     with pytest.raises(DomainError):
         e.sample(np.array([0.5]), np.random.default_rng(0))
 
@@ -143,13 +153,35 @@ def test_domain_box():
 
 
 def test_curvature_sup():
-    b = Family("bernoulli")
-    assert b.curvature_sup(-3.0, 2.0) == 0.25
-    assert b.curvature_sup(1.0, 4.0) == pytest.approx(float(b.g_double_prime(1.0)))
-    assert b.curvature_sup(-4.0, -1.0) == pytest.approx(float(b.g_double_prime(-1.0)))
-    assert Family("poisson").curvature_sup(-2.0, 3.0) == pytest.approx(math.exp(3.0))
-    assert Family("gaussian", sigma=2.0).curvature_sup(-1.0, 1.0) == 4.0
-    assert Family("exponential").curvature_sup(-4.0, -2.0) == pytest.approx(0.25)
+    assert Family("bernoulli").curvature_sup(3.0) == 0.25
+    assert Family("poisson").curvature_sup(3.0) == pytest.approx(math.exp(3.0))
+    assert Family("gaussian", sigma=2.0).curvature_sup(1.0) == 4.0
+    e = Family("exponential")
+    assert e.curvature_sup(2.0) == pytest.approx(4.0)    # interior edge -1/2
+    assert e.curvature_sup(0.5) == pytest.approx(1.0)    # -1/max(beta, 1) = -1
+    assert e.curvature_sup(1e12) == pytest.approx(1e16)  # the domain edge -1e-8
+
+
+def curvature_range(fam, beta):
+    """[lo, hi] that curvature_sup(beta) scores and the point where g'' peaks."""
+    if fam.kind == "exponential":
+        hi = min(-1.0 / max(beta, 1.0), fam.domain_box(beta)[1])
+        return min(-beta, hi), hi, hi
+    return -beta, beta, beta if fam.kind == "poisson" else 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(beta=st.floats(1e-3, 30.0))
+def test_curvature_sup_is_the_peak_of_g_double_prime(kind, beta):
+    fam = Family(kind, sigma=0.7 if kind == "gaussian" else 1.0)
+    sup = fam.curvature_sup(beta)
+    lo, hi, peak = curvature_range(fam, beta)
+    # the grid goes through numpy's vector kernels and curvature_sup through
+    # scalar ones (Python's ** for exponential): allow a last-bit difference
+    tol = 2 * np.spacing(sup)
+    assert np.all(fam.g_double_prime(np.linspace(lo, hi, 2001)) <= sup + tol)
+    assert abs(float(fam.g_double_prime(peak)) - sup) <= tol
 
 
 @pytest.mark.parametrize("kind,z", [("bernoulli", 0.4), ("poisson", 1.1),

@@ -124,10 +124,13 @@ def test_schema_rejects_bad_delimiter_and_population_size():
 
 
 def test_schema_rejects_bad_sigma_and_non_string_delimiter():
-    for sigma in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(SchemaViolation):
+    # 1e200 and 1e-200 are finite, but sigma^2 leaves float64
+    for sigma in (0.0, -1.0, float("nan"), float("inf"), 1e200, 1e-200):
+        with pytest.raises(SchemaViolation, match="'y1'"):
             SchemaFile(columns=make_cols(y1=ColumnSpec("y1", "response",
                                                        family="gaussian", sigma=sigma)))
+    with pytest.raises(SchemaViolation, match="'y1'"):  # a response without a family
+        SchemaFile(columns=make_cols(y1=ColumnSpec("y1", "response")))
     with pytest.raises(SchemaViolation):
         SchemaFile(columns=make_cols(), delimiter=[","])
 
