@@ -46,24 +46,23 @@ def relative_error(estimate, reference) -> float:
 
 
 def block_relative_errors(estimate, reference, layout) -> dict[str, float]:
-    """Overall and per-block relative errors, with the overall squared error
-    computed as the sum of block squared errors."""
+    """Overall and per-block relative errors, in that order, with the overall
+    squared error computed as the sum of block squared errors."""
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
     if est.shape != ref.shape:
         raise ShapeError(f"shape mismatch {est.shape} vs {ref.shape}")
     total_num = total_den = 0.0
-    out: dict[str, float] = {}
+    blocks: dict[str, float] = {}
     for i, (fam, sl) in enumerate(layout.slices()):
         num = float(np.sum((est[:, sl] - ref[:, sl]) ** 2))
         den = float(np.sum(ref[:, sl] ** 2))
         if den == 0.0:
             raise DegenerateTruth(f"reference block {i + 1} is identically zero")
-        out[f"block{i + 1}_{fam.kind}"] = float(np.sqrt(num / den))
+        blocks[f"block{i + 1}_{fam.kind}"] = float(np.sqrt(num / den))
         total_num += num
         total_den += den
-    out["overall"] = float(np.sqrt(total_num / total_den))
-    return out
+    return {"overall": float(np.sqrt(total_num / total_den)), **blocks}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: simulate, fit, impute, tune, benchmark.  A JSON config file can
-supply any long-flag value (keys use underscores); explicit flags override
-the config.  Exit codes: 0 success, 2 usage problems, 3 data problems,
-4 numerical failures.
+supply any long-flag value (keys use underscores; false fits only an on/off
+flag); explicit flags override the config.  Exit codes: 0 success, 2 usage
+problems, 3 data problems, 4 numerical failures.
 """
 
 from __future__ import annotations
@@ -283,15 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Fold config-file values in as defaults by injecting them before argv.
-
-    Explicit flags win because argparse takes the last occurrence.
-    """
+def _apply_config(argv: list[str]) -> tuple[list[str], list[str]]:
+    """Fold config-file values in as defaults by injecting them before argv;
+    explicit flags win because argparse takes the last occurrence.  Also
+    return the keys set to false, which inject nothing."""
     # "--config=PATH" means "--config PATH"; the parser takes no abbreviation like "--conf"
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
-        return argv
+        return argv, []
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise InvalidInput("--config needs a path")
@@ -304,26 +303,32 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not isinstance(doc, dict):
         raise InvalidInput("config file must hold a JSON object")
     injected: list[str] = []
+    off: list[str] = []
     for key, value in doc.items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
+        flag = "--" + key.replace("_", "-")
+        if value is False:
+            off.append(key)
+        elif value is True:
+            injected.append(flag)
         else:
             injected.extend([flag, str(value)])
     head = argv[:i] + argv[i + 2:]
     if not head:
         raise InvalidInput("config file cannot supply the subcommand")
     # injected defaults go right after the subcommand name
-    return head[:1] + injected + head[1:]
+    return head[:1] + injected + head[1:], off
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
+        argv, off = _apply_config(argv)
         args = parser.parse_args(argv)
+        for key in off:  # false leaves an on/off flag off, whose parsed value is a bool
+            if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+                raise InvalidInput(f"config key {key!r} is false, but {args.command} "
+                                   "has no on/off flag of that name")
         return args.func(args)
     except SurveyMCError as exc:
         code, err = exc.exit_code, exc

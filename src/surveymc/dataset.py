@@ -2,9 +2,9 @@
 
 Rows are sampled elements; columns split into D >= 0 fully observed covariates
 (X, n x D: the only covariates either stage uses) and L response columns
-grouped by family.  Missing responses are NaN in Y with a matching 0 in the
-response indicator R.  pi holds first-order inclusion probabilities; strata
-labels are the contiguous integers 1..H.
+grouped by family.  A missing response is NaN in Y; the response indicator
+R = ~isnan(Y) is derived from it, never passed in.  pi holds first-order
+inclusion probabilities; strata labels are the contiguous integers 1..H.
 """
 
 from __future__ import annotations
@@ -33,28 +33,25 @@ class Standardization:
 @dataclass(frozen=True)
 class MixedDataset:
     Y: np.ndarray
-    R: np.ndarray
     X: np.ndarray
     strata: np.ndarray
     pi: np.ndarray
     layout: CategoryLayout
     population_size: float | None = None
     standardization: Standardization | None = None
+    R: np.ndarray = field(init=False, repr=False)  # ~isnan(Y)
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=np.float64)
-        R = np.asarray(self.R, dtype=bool)
         X = np.asarray(self.X, dtype=np.float64)
         strata = np.asarray(self.strata, dtype=np.int64)
         pi = np.asarray(self.pi, dtype=np.float64)
-        for name, arr, ndim in (("Y", Y, 2), ("R", R, 2), ("X", X, 2), ("strata", strata, 1), ("pi", pi, 1)):
+        for name, arr, ndim in (("Y", Y, 2), ("X", X, 2), ("strata", strata, 1), ("pi", pi, 1)):
             if arr.ndim != ndim:
                 raise ShapeError(f"{name} must be {ndim}-dimensional, got {arr.ndim}")
         n, L = Y.shape
         if n < 1 or L < 1:
             raise ShapeError(f"Y must be nonempty, got {Y.shape}")
-        if R.shape != (n, L):
-            raise ShapeError(f"R shape {R.shape} differs from Y shape {Y.shape}")
         if X.shape[0] != n:
             raise ShapeError(f"X shape {X.shape} incompatible with n={n}")
         if strata.shape[0] != n or pi.shape[0] != n:
@@ -63,8 +60,7 @@ class MixedDataset:
             raise ShapeError(f"layout covers {self.layout.n_cols} columns, Y has {L}")
         if not np.isfinite(X).all():
             raise InvalidInput("X contains non-finite entries")
-        if np.any(R != ~np.isnan(Y)):
-            raise InvalidInput("R must equal the non-NaN indicator of Y exactly")
+        R = ~np.isnan(Y)
         if not np.isfinite(Y[R]).all():
             raise InvalidInput("observed Y entries must be finite")
         if not np.isfinite(pi).all() or np.any(pi <= 0) or np.any(pi > 1):
@@ -122,4 +118,4 @@ class MixedDataset:
             raise InvalidInput("mask keeps entries that were never observed")
         Y = self.Y.copy()
         Y[~keep] = np.nan
-        return replace(self, Y=Y, R=keep)
+        return replace(self, Y=Y)

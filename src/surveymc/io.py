@@ -95,6 +95,13 @@ class SchemaFile:
         return [c.name for c in self.columns if c.role == role]
 
 
+def _json_number(value, key: str) -> float:
+    """A JSON number (not a boolean or a string) as a float, else a SchemaViolation."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaViolation(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_schema(path) -> SchemaFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,13 +110,15 @@ def load_schema(path) -> SchemaFile:
     except (OSError, ValueError, RecursionError) as exc:
         raise SchemaViolation(f"cannot read schema {path}: {exc}") from exc
     try:
-        cols = tuple(ColumnSpec(name=c["name"], role=c["role"],
-                                family=c.get("family"), sigma=float(c.get("sigma", 1.0)))
+        cols = tuple(ColumnSpec(name=c["name"], role=c["role"], family=c.get("family"),
+                                sigma=_json_number(c.get("sigma", 1.0),
+                                                   f"column {c['name']!r}: sigma"))
                      for c in raw["columns"])
         pop = raw.get("population_size")
         return SchemaFile(columns=cols, delimiter=raw.get("delimiter", ","),
                           na_marker=raw.get("na_marker", "NA"),
-                          population_size=float(pop) if pop is not None else None)
+                          population_size=None if pop is None else
+                          _json_number(pop, "population_size"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(f"malformed schema {path}: {exc}") from exc
 
@@ -210,8 +219,7 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
             response={j: _standardize(Y[:, j], c.name) for j, c in enumerate(responses)
                       if c.family == "gaussian" and not np.isnan(Y[:, j]).all()})
 
-    return MixedDataset(Y=Y, R=~np.isnan(Y), X=X, strata=strata, pi=pi,
-                        layout=schema.layout(),
+    return MixedDataset(Y=Y, X=X, strata=strata, pi=pi, layout=schema.layout(),
                         population_size=schema.population_size,
                         standardization=standardization)
 
@@ -304,21 +312,12 @@ def write_tau_scores(result, path) -> None:
                ([fmt(t), fmt(s)] for t, s in zip(result.taus, result.scores)))
 
 
-def _block_order(labels) -> list[str]:
-    rest = [lab for lab in labels if lab not in ("overall", "overall_mean_scale")]
-    out = ["overall"] + rest
-    if "overall_mean_scale" in labels:
-        out.append("overall_mean_scale")
-    return out
-
-
 def write_benchmark_csvs(summary, scenario: str, summary_path, replicates_path) -> None:
-    """Aggregate table and per-replicate long table (no wall times)."""
+    """Aggregate table and per-replicate long table (no wall times), each
+    score's rows in the order the scores hold them."""
     rows = []
     for method in summary.methods:
-        agg = summary.aggregate.get(method, {})
-        for lab in _block_order(agg.keys()):
-            mean, se, count = agg[lab]
+        for lab, (mean, se, count) in summary.aggregate.get(method, {}).items():
             rows.append([method, scenario, lab, fmt(mean), fmt(se),
                          str(count), str(summary.n_failures[method])])
     _write_csv(summary_path, ["method", "scenario", "block", "mean_re", "se_re",
@@ -329,10 +328,9 @@ def write_benchmark_csvs(summary, scenario: str, summary_path, replicates_path) 
         for method in summary.methods:
             if method not in rep.re:
                 continue
-            scores = rep.re[method]
-            for lab in _block_order(scores.keys()):
+            for lab, score in rep.re[method].items():
                 rows.append([str(rep.replicate), str(rep.seed), fmt(rep.response_rate),
-                             method, scenario, lab, fmt(scores[lab])])
+                             method, scenario, lab, fmt(score)])
     _write_csv(replicates_path, ["replicate", "seed", "response_rate", "method",
                                  "scenario", "block", "re"], rows)
 

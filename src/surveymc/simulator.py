@@ -184,9 +184,8 @@ def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
     eta = zeta_rows[:, :, 0] + np.einsum("id,ijd->ij", X, zeta_rows[:, :, 1:])
     true_p = expit(eta)
 
-    dataset = MixedDataset(Y=np.full((n, L), np.nan), R=np.zeros((n, L), dtype=bool),
-                           X=X, strata=strata, pi=pi, layout=spec.layout,
-                           population_size=float(truth.n_population))
+    dataset = MixedDataset(Y=np.full((n, L), np.nan), X=X, strata=strata, pi=pi,
+                           layout=spec.layout, population_size=float(truth.n_population))
     return SampledData(dataset=dataset, truth_Z=truth_Z, true_p=true_p, pop_rows=pop_rows)
 
 
@@ -204,9 +203,7 @@ def impose_responses_and_missingness(sample: SampledData, truth: SyntheticTruth,
     for fam, sl in ds.layout.slices():
         Y[:, sl] = fam.sample(sample.truth_Z[:, sl], rng)
     R = rng.random(Y.shape) < sample.true_p
-    Y = np.where(R, Y, np.nan)
-    dataset = replace(ds, Y=Y, R=R)
-    return replace(sample, dataset=dataset)
+    return replace(sample, dataset=replace(ds, Y=np.where(R, Y, np.nan)))
 
 
 def simulate_survey(spec: PopulationSpec, rng: np.random.Generator):

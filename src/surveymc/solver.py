@@ -14,14 +14,16 @@ value thresholding of the covariate-augmented matrix, and a descent guard
 that only accepts a candidate when it lowers the objective, which makes the
 recorded objective trace nonincreasing by construction (monotone FISTA, Beck
 & Teboulle 2009).  The step size is automatic: it starts from the inverse
-curvature bound and is halved until the quadratic majorant holds, so every
-step is a descent step for the loss and a rejection restarts the momentum
-(O'Donoghue & Candes 2015); the next step is then a plain prox-gradient step
-from the iterate.  If that is rejected too and the next iteration would
-start from the same step size, every later iteration repeats it: the loop
-stops at this fixed point (diagnostics["stop"] is "fixed_point", else "cap")
-with the Z_hat and objective the ``iterations`` cap would give, and the
-trace ends there.
+curvature bound and is halved until the quadratic majorant holds, which
+makes a plain step a descent step only at D = 0: at D > 0, putting X back
+after thresholding [X, T] is not the exact prox, and such a step can raise
+the objective (by 1.4e-11 at D = 3); the guard then rejects it.  A
+rejection restarts the momentum (O'Donoghue & Candes 2015); the next step
+is then a plain prox-gradient step from the iterate.  If that is rejected too and the
+next iteration would start from the same step size, every later iteration
+repeats it: the loop stops at this fixed point (diagnostics["stop"] is
+"fixed_point", else "cap") with the Z_hat and objective the ``iterations``
+cap would give, and the trace ends there.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class _Problem:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
         if np.any(p_hat <= 0) or np.any(p_hat > 1):
             raise InvalidInput("p_hat entries must lie in (0, 1]")
-        self.Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
+        self.Yf = np.nan_to_num(dataset.Y)
         self.N = dataset.resolve_population_size()
         with np.errstate(divide="ignore", over="ignore"):
             W = np.where(dataset.R, 1.0 / (self.N * dataset.n_responses

@@ -10,6 +10,8 @@ for the package's observed-entry kernel and batched stage one.
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logit
 
 import surveymc as smc
@@ -23,6 +25,15 @@ def mixed_layout(sigma: float = 1.0) -> smc.CategoryLayout:
     return smc.CategoryLayout.of(
         ("gaussian", 3), ("poisson", 3), ("bernoulli", 3), ("exponential", 3),
         sigma=sigma)
+
+
+@st.composite
+def nan_masks(draw, shape):
+    """A boolean mask of `shape` (where Y gets NaN) whose columns are each
+    all True, all False or drawn entry by entry."""
+    n, L = shape
+    column = st.one_of(st.just(np.ones(n, bool)), st.just(np.zeros(n, bool)), arrays(bool, n))
+    return np.column_stack([draw(column) for _ in range(L)])
 
 
 def draw_natural(layout, rng, n):
@@ -50,7 +61,7 @@ def random_problem(rng, n=20, layout=None, miss=0.3, pi_lo=0.05, p_lo=0.2):
     R = rng.random((n, L)) >= miss
     R[0] = True  # keep every column nonempty
     ds = smc.MixedDataset(
-        Y=np.where(R, Y, np.nan), R=R, X=rng.uniform(size=(n, 2)),
+        Y=np.where(R, Y, np.nan), X=rng.uniform(size=(n, 2)),
         strata=np.ones(n, dtype=np.int64), pi=rng.uniform(pi_lo, 1.0, n),
         layout=layout)
     return ds, probs_of(rng.uniform(p_lo, 1.0, (n, L)), p_lo), Z
@@ -120,7 +131,7 @@ def build_missingness_dataset(zeta, strata, X, rng):
     R = rng.random((n, L)) < expit(eta)
     R[:, R.sum(axis=0) == 0] = True  # keep columns nonempty
     Y = np.where(R, 0.0, np.nan)
-    return smc.MixedDataset(Y=Y, R=R, X=X, strata=strata,
+    return smc.MixedDataset(Y=Y, X=X, strata=strata,
                             pi=np.full(n, 0.5),
                             layout=smc.CategoryLayout.of(("gaussian", L))), expit(eta)
 

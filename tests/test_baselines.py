@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import helpers
 import surveymc as smc
 from surveymc.baselines import collective_unweighted, hot_deck, soft_impute
-from surveymc.errors import ColumnEmpty, InvalidInput, ShapeError
+from surveymc.errors import ColumnEmpty, InvalidInput
 
 
 def masked_lowrank(rng, n=30, L=8, rank=1, miss=0.4):
@@ -32,7 +32,7 @@ def one_block_dataset(Y, R=None, kind="gaussian", strata=None):
     R = ~np.isnan(Y) if R is None else R
     n, L = Y.shape
     strata = np.ones(n, dtype=np.int64) if strata is None else strata
-    return smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=np.ones((n, 1)),
+    return smc.MixedDataset(Y=np.where(R, Y, np.nan), X=np.ones((n, 1)),
                             strata=strata, pi=np.ones(n),
                             layout=smc.CategoryLayout.of((kind, L)))
 
@@ -95,8 +95,6 @@ def test_soft_impute_validation():
     for tau in (-1.0, 0.0):
         with pytest.raises(InvalidInput):
             soft_impute(one_block_dataset(Y), smc.SolverConfig(tau=tau))
-    with pytest.raises(ShapeError):
-        replace(one_block_dataset(Y), R=np.ones((2, 2), dtype=bool))
     with pytest.raises(ColumnEmpty):
         soft_impute(one_block_dataset(np.full((3, 2), np.nan)), smc.SolverConfig(tau=0.1))
 

@@ -128,7 +128,7 @@ def test_meta_counts_the_stage_one_cells(sim_dir, tmp_path, command):
     R[in1, 0] = ds.X[in1, 0] > np.median(ds.X[in1, 0])
     R[in1, 1] = True
     data = tmp_path / "data.csv"
-    save_dataset(replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan), R=R),
+    save_dataset(replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan)),
                  data, tmp_path / "schema.json")
     probs = estimate_response_probs(load_dataset(data, tmp_path / "schema.json"))
     argv = fit_args(tmp_path, tmp_path / "out")
@@ -194,6 +194,20 @@ def test_config_equals_path_applies_the_file(sim_dir, tmp_path):
             "--schema", str(sim_dir / "schema.json"), "--tau", "0.125", "--out", str(out)]
     assert run(argv) == 0
     assert json.loads((out / "meta.json").read_text())["iterations"] == 3
+
+
+@pytest.mark.parametrize("doc, code", [({"iterations": False}, 2), ({"nonsense": False}, 2),
+                                       ({"original_scale": False}, 2),  # an impute flag
+                                       ({"standardize": False}, 0)])
+def test_config_false_only_leaves_an_on_off_flag_off(sim_dir, tmp_path, capsys, doc, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    assert run(["--config", str(cfg), *fit_args(sim_dir, out)]) == code
+    if code:
+        assert repr(next(iter(doc))) in capsys.readouterr().err
+    else:
+        assert json.loads((out / "meta.json").read_text())["standardize"] is False
 
 
 def test_abbreviated_config_flag_exits_via_argparse(sim_dir, tmp_path):
@@ -385,6 +399,16 @@ def test_non_finite_schema_population_size_is_data_error(sim_dir, tmp_path):
     argv = ["fit", "--data", str(sim_dir / "data.csv"), "--schema", str(schema),
             "--tau", "0.1", "--out", str(tmp_path / "x")]
     assert run(argv) == 3
+
+
+def test_boolean_schema_population_size_is_data_error(sim_dir, tmp_path, capsys):
+    doc = json.loads((sim_dir / "schema.json").read_text())
+    doc["population_size"] = True
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    argv = ["fit", "--data", str(sim_dir / "data.csv"), "--schema", str(tmp_path / "s.json"),
+            "--tau", "0.1", "--out", str(tmp_path / "x")]
+    assert run(argv) == 3
+    assert "population_size must be a JSON number" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_via_argparse():

@@ -1,11 +1,18 @@
 """Container invariants for the mixed-type sample."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surveymc import CategoryLayout, MixedDataset
 from surveymc.errors import InvalidInput, ShapeError, WeightError
+
+from helpers import nan_masks
 
 
 def small_dataset(**overrides):
@@ -13,7 +20,7 @@ def small_dataset(**overrides):
     Y = np.array([[1.0, np.nan, 1.0],
                   [np.nan, 2.0, 0.0],
                   [0.5, -1.0, np.nan]])
-    fields = dict(Y=Y, R=~np.isnan(Y), X=np.ones((3, 2)),
+    fields = dict(Y=Y, X=np.ones((3, 2)),
                   strata=np.array([1, 1, 2]), pi=np.array([0.5, 0.25, 1.0]),
                   layout=lay)
     fields.update(overrides)
@@ -45,14 +52,6 @@ def test_resolve_population_size_precedence():
 def test_population_size_must_be_positive_and_finite(size):
     with pytest.raises(InvalidInput):
         small_dataset(population_size=size)
-
-
-def test_r_must_match_nan_pattern():
-    Y = np.array([[1.0, 2.0, 3.0]])
-    R = np.array([[True, False, True]])
-    with pytest.raises(InvalidInput):
-        small_dataset(Y=Y, R=R, X=np.ones((1, 2)),
-                      strata=np.array([1]), pi=np.array([0.5]))
 
 
 def test_weight_validation():
@@ -96,3 +95,17 @@ def test_with_mask_holds_out_entries():
         ds.with_mask(~ds.R)  # would "keep" never-observed entries
     with pytest.raises(ShapeError):
         ds.with_mask(np.ones((2, 2), dtype=bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 4)))
+def test_r_is_derived_from_the_nan_pattern_of_y(data, shape):
+    values = arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+    Y, Y2 = (np.where(data.draw(nan_masks(shape)), np.nan, data.draw(values)) for _ in range(2))
+    n, L = shape
+    ds = MixedDataset(Y=Y, X=np.empty((n, 0)), strata=np.ones(n, dtype=np.int64),
+                      pi=np.ones(n), layout=CategoryLayout.of(("gaussian", L)))
+    npt.assert_array_equal(ds.R, ~np.isnan(Y))
+    npt.assert_array_equal(replace(ds, Y=Y2).R, ~np.isnan(Y2))
+    keep = ds.R & data.draw(arrays(bool, shape))
+    npt.assert_array_equal(ds.with_mask(keep).R, keep)

@@ -22,7 +22,7 @@ from surveymc.io import (ColumnSpec, SchemaFile, _write_csv, default_schema, fmt
                          write_benchmark_csvs, write_meta_json, write_trace_csv)
 from surveymc.simulator import PopulationSpec, simulate_survey
 
-from helpers import random_problem
+from helpers import nan_masks, random_problem
 
 GPB = smc.CategoryLayout.of(("gaussian", 2), ("poisson", 2), ("bernoulli", 2))
 
@@ -427,13 +427,15 @@ def schema_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(["columns", "delimiter", "na_marker", "population_size",
                                     "name", "role", "family", "sigma"]))
+        # numbers also come as booleans and as strings that parse as numbers
+        value = draw(st.one_of(JSON_VALUES, st.booleans(), st.floats(0.1, 1e4).map(str)))
         cols = doc.get("columns")
         if key in ("name", "role", "family", "sigma") and isinstance(cols, list) and cols:
             col = cols[draw(st.integers(0, len(cols) - 1))]
             if isinstance(col, dict):
-                col[key] = draw(JSON_VALUES)
+                col[key] = value
         else:
-            doc[key] = draw(JSON_VALUES)
+            doc[key] = value
     raw = json.dumps(doc).encode("utf-8")
     return draw(st.one_of(st.just(raw), st.binary(max_size=40),
                           st.integers(0, len(raw)).map(lambda k: raw[:k]),
@@ -459,9 +461,25 @@ def test_loaders_raise_only_package_errors_on_generated_csv(scratch, body, stand
             pass
 
 
+def _sets_a_bool_or_string_number(raw: bytes) -> bool:
+    """Whether a schema's population_size, or a column's sigma, is a JSON
+    boolean or string."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(doc, dict):
+        return False
+    cols = doc.get("columns")
+    values = [doc.get("population_size")] + [
+        c.get("sigma") for c in (cols if isinstance(cols, list) else []) if isinstance(c, dict)]
+    return any(isinstance(v, (bool, str)) for v in values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw=schema_files())
 def test_loaders_raise_only_package_errors_on_generated_schema(scratch, raw):
+    # and a population_size or sigma that is a boolean or a string never loads
     data, schema = scratch / "d.csv", scratch / "s.json"
     data.write_text("stratum,pi,x1,y1,y2\n1,0.5,0.1,2.0,1\n2,0.25,0.3,NA,0\n")
     schema.write_bytes(raw)
@@ -469,7 +487,8 @@ def test_loaders_raise_only_package_errors_on_generated_schema(scratch, raw):
         try:
             load()
         except SurveyMCError:
-            pass
+            continue
+        assert not _sets_a_bool_or_string_number(raw)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -483,11 +502,11 @@ def datasets(draw):
                                    sigma=draw(st.floats(0.1, 10.0)))
     L, D = layout.n_cols, draw(st.integers(0, 3))
     Y = draw(arrays(np.float64, (n, L), elements=FINITE))
-    Y[draw(arrays(bool, (n, L)))] = np.nan
+    Y[draw(nan_masks((n, L)))] = np.nan
     labels = draw(arrays(np.int64, n, elements=st.integers(0, 3)))
     pop = draw(st.one_of(st.none(), st.floats(1.0, 1e9)))
     return smc.MixedDataset(
-        Y=Y, R=~np.isnan(Y), X=draw(arrays(np.float64, (n, D), elements=FINITE)),
+        Y=Y, X=draw(arrays(np.float64, (n, D), elements=FINITE)),
         strata=np.unique(labels, return_inverse=True)[1] + 1,
         pi=draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0, exclude_min=True))),
         layout=layout, population_size=pop)

@@ -28,7 +28,7 @@ def one_stratum(X, *observed):
     observed, each observed where its vector is 1."""
     R = np.column_stack(observed).astype(bool)
     n = R.shape[0]
-    return smc.MixedDataset(Y=np.where(R, 0.0, np.nan), R=R, X=X,
+    return smc.MixedDataset(Y=np.where(R, 0.0, np.nan), X=X,
                             strata=np.ones(n, dtype=np.int64), pi=np.full(n, 0.5),
                             layout=smc.CategoryLayout.of(("gaussian", R.shape[1])))
 
@@ -97,7 +97,7 @@ def test_cell_flags_list_cells_in_stratum_major_order():
     R[~in1, 0] = True               # all observed: degenerate
     R[in1, 3] = False               # all missing: degenerate
     R[in1, 1] = X[in1, 0] > 0       # separated: ridge fallback
-    flagged = replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan), R=R)
+    flagged = replace(ds, Y=np.where(R, np.nan_to_num(ds.Y, nan=1.0), np.nan))
     model = smc.estimate_response_probs(flagged)
     # (stratum, column) pairs
     assert model.degenerate_cells.tolist() == [[1, 3], [2, 0]]
@@ -138,7 +138,7 @@ def test_permutation_invariance():
     model = smc.estimate_response_probs(ds)
 
     perm = rng.permutation(80)
-    ds_p = smc.MixedDataset(Y=ds.Y[perm], R=ds.R[perm], X=ds.X[perm],
+    ds_p = smc.MixedDataset(Y=ds.Y[perm], X=ds.X[perm],
                             strata=ds.strata[perm], pi=ds.pi[perm], layout=ds.layout)
     model_p = smc.estimate_response_probs(ds_p)
     npt.assert_allclose(model_p.p_hat, model.p_hat[perm], atol=1e-8)
@@ -148,7 +148,7 @@ def test_stratum_too_small():
     lay = smc.CategoryLayout.of(("gaussian", 1))
     n = 6
     Y = np.zeros((n, 1))
-    ds = smc.MixedDataset(Y=Y, R=~np.isnan(Y), X=np.arange(n * 3, dtype=float).reshape(n, 3),
+    ds = smc.MixedDataset(Y=Y, X=np.arange(n * 3, dtype=float).reshape(n, 3),
                           strata=np.array([1, 1, 1, 1, 1, 2]), pi=np.full(n, 0.5), layout=lay)
     with pytest.raises(StratumTooSmall):
         smc.estimate_response_probs(ds)
@@ -211,7 +211,7 @@ def stage_one_datasets(draw):
                 kind, rng.random(n) < 0.5))
     R = np.column_stack(columns)
     return smc.MixedDataset(
-        Y=np.where(R, 0.0, np.nan), R=R, X=X,
+        Y=np.where(R, 0.0, np.nan), X=X,
         strata=np.repeat(np.arange(1, len(sizes) + 1), sizes),
         pi=rng.uniform(0.05, 1.0, n), layout=smc.CategoryLayout.of(("gaussian", L)))
 

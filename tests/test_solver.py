@@ -23,7 +23,7 @@ from surveymc.solver import _Problem
 def one_cell_dataset(kind, y, pi=1.0, sigma=1.0):
     lay = smc.CategoryLayout.of((kind, 1), sigma=sigma)
     Y = np.array([[y]])
-    return smc.MixedDataset(Y=Y, R=~np.isnan(Y), X=np.ones((1, 1)),
+    return smc.MixedDataset(Y=Y, X=np.ones((1, 1)),
                             strata=np.array([1]), pi=np.array([pi]), layout=lay)
 
 
@@ -78,7 +78,7 @@ def observed_entry_problems(draw):
     R = np.column_stack([
         {"random": rng.random(n) < 0.6, "all": np.ones(n, bool), "none": np.zeros(n, bool)}[
             draw(st.sampled_from(("random", "all", "none")))] for _ in range(layout.n_cols)])
-    ds = smc.MixedDataset(Y=np.where(R, Y, np.nan), R=R, X=rng.normal(size=(n, 2)),
+    ds = smc.MixedDataset(Y=np.where(R, Y, np.nan), X=rng.normal(size=(n, 2)),
                           strata=np.ones(n, dtype=np.int64), pi=rng.uniform(0.05, 1.0, n),
                           layout=layout, population_size=float(n))
     probs = helpers.probs_of(rng.uniform(0.05, 1.0, R.shape), 0.05)
@@ -125,7 +125,7 @@ def test_gradient_single_entry_closed_form():
 def test_gradient_scales_inversely_with_pi():
     rng = np.random.default_rng(3)
     ds, probs, Z = helpers.random_problem(rng)
-    halved = smc.MixedDataset(Y=ds.Y, R=ds.R, X=ds.X, strata=ds.strata,
+    halved = smc.MixedDataset(Y=ds.Y, X=ds.X, strata=ds.strata,
                               pi=ds.pi / 2.0, layout=ds.layout)
     G1 = smc.gradient(Z, replace(ds, population_size=500.0), probs)
     G2 = smc.gradient(Z, replace(halved, population_size=500.0), probs)
@@ -210,7 +210,7 @@ def test_gaussian_identity_fixed_point():
     n, L = 25, 8
     lay = smc.CategoryLayout.of(("gaussian", L))
     Y = rng.normal(size=(n, L))
-    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.empty((n, 0)),
+    ds = smc.MixedDataset(Y=Y, X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
     probs = smc.ResponseProbModel.constant(n, L)
@@ -224,7 +224,7 @@ def early_stop_problem():
     n, L = 20, 6
     lay = smc.CategoryLayout.of(("gaussian", L))
     Y = rng.normal(size=(n, L))
-    ds = smc.MixedDataset(Y=Y, R=np.ones((n, L), dtype=bool), X=np.empty((n, 0)),
+    ds = smc.MixedDataset(Y=Y, X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
     return ds, smc.ResponseProbModel.constant(n, L)
@@ -283,8 +283,7 @@ def test_loss_is_design_unbiased():
             rng.choice(np.flatnonzero(strata_pop == h + 1), size=n_h[h], replace=False)
             for h in range(2)])
         pi = np.array([n_h[strata_pop[i] - 1] / N_h[strata_pop[i] - 1] for i in rows])
-        ds = smc.MixedDataset(Y=Y_pop[rows], R=np.ones((len(rows), 4), dtype=bool),
-                              X=np.ones((len(rows), 1)),
+        ds = smc.MixedDataset(Y=Y_pop[rows], X=np.ones((len(rows), 1)),
                               strata=strata_pop[rows], pi=pi, layout=lay)
         probs = smc.ResponseProbModel.constant(len(rows), 4)
         draws.append(smc.weighted_loss(Z_pop[rows], replace(ds, population_size=float(N)),
@@ -548,7 +547,7 @@ def tiny_surveys(draw):
             draw(st.sampled_from(("random", "all", "none")))] for _ in kinds])
     D = draw(st.sampled_from((0, 1, 2)))
     return blocks, draw(SCALES), dict(
-        Y=np.where(R, Y, np.nan), R=R, X=draw(SCALES) * rng.normal(size=(n, D)),
+        Y=np.where(R, Y, np.nan), X=draw(SCALES) * rng.normal(size=(n, D)),
         strata=np.repeat(np.arange(1, len(sizes) + 1), sizes),
         pi=np.minimum(1.0, draw(SCALES) * rng.uniform(0.05, 1.0, n)))
 
