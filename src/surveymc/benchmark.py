@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,10 +126,9 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def check_run_args(methods, n_replicates: int = 2, threads: int = 1,
-                   base_seed: int = 0) -> tuple[str, ...]:
+def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0) -> tuple[str, ...]:
     """Reject unknown or repeated methods, replicates < 2 (a standard error
-    needs two), threads < 1 or a negative seed before any fit."""
+    needs two) or a negative seed before any fit."""
     methods = tuple(methods)
     for name in methods:
         if name not in _REGISTRY:
@@ -138,27 +136,31 @@ def check_run_args(methods, n_replicates: int = 2, threads: int = 1,
     if len(set(methods)) != len(methods):
         raise InvalidInput(f"methods {methods} name a method more than once")
     check_int("replicates", n_replicates, 2)
-    check_int("threads", threads, 1)
     check_int("base_seed", base_seed, 0)
     return methods
+
+
+def _draw_replicate(spec: PopulationSpec, methods, base_seed: int, r: int, p_floor: float):
+    """Replicate r's dataset, true Z and stage-one model (None unless ipw runs)."""
+    _, sample = simulate_survey(spec, _data_rng(base_seed, r))
+    probs = estimate_response_probs(sample.dataset, p_floor=p_floor) if "ipw" in methods else None
+    return sample.dataset, sample.truth_Z, probs
 
 
 def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
                    config: SolverConfig, p_floor: float) -> ReplicationReport:
     t0 = time.perf_counter()
-    _, sample = simulate_survey(spec, _data_rng(base_seed, r))
-    ds = sample.dataset
-    probs = estimate_response_probs(ds, p_floor=p_floor) if "ipw" in methods else None
+    ds, truth_Z, probs = _draw_replicate(spec, methods, base_seed, r, p_floor)
     re: dict[str, dict[str, float]] = {}
     failures: dict[str, str] = {}
     for name in methods:
         try:
             Z_hat = _REGISTRY[name].fit(ds, probs, taus.get(name, config.tau), config,
                                         _method_rng(base_seed, r))
-            scores = block_relative_errors(Z_hat, sample.truth_Z, ds.layout)
+            scores = block_relative_errors(Z_hat, truth_Z, ds.layout)
             scores["overall_mean_scale"] = relative_error(
                 mean_from_natural(Z_hat, ds.layout),
-                mean_from_natural(sample.truth_Z, ds.layout))
+                mean_from_natural(truth_Z, ds.layout))
             re[name] = scores
         except SurveyMCError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
@@ -170,38 +172,31 @@ def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
 
 def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
                   taus: dict[str, float] | None = None, base_seed: int = 1,
-                  config: SolverConfig | None = None, p_floor: float = 0.01,
-                  threads: int = 1) -> BenchmarkSummary:
-    """Run the Monte Carlo comparison and aggregate mean and standard error.
+                  config: SolverConfig | None = None, p_floor: float = 0.01) -> BenchmarkSummary:
+    """Run the Monte Carlo replicates in order, in the calling thread, and
+    aggregate mean and standard error.
 
     taus maps method name to its tuning parameter; missing entries fall back
     to config.tau.  Failures are recorded per replicate and excluded from the
     aggregate, never silently dropped.
     """
-    methods = check_run_args(methods, n_replicates, threads, base_seed)
+    methods = check_run_args(methods, n_replicates, base_seed)
     config = config or SolverConfig(tau=2.0**-10)
     taus = dict(taus or {})
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(
-            lambda r: _one_replicate(spec, methods, taus, base_seed, r, config, p_floor),
-            range(1, n_replicates + 1)))
+    reports = [_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
+               for r in range(1, n_replicates + 1)]
 
     aggregate: dict[str, dict[str, tuple[float, float, int]]] = {}
-    n_failures = {name: 0 for name in methods}
+    n_failures: dict[str, int] = {}
     for name in methods:
         ok = [rep.re[name] for rep in reports if name in rep.re]
         n_failures[name] = n_replicates - len(ok)
-        if not ok:
-            aggregate[name] = {}
-            continue
-        labels = ok[0].keys()
-        agg = {}
-        for lab in labels:
+        aggregate[name] = {}
+        for lab in ok[0] if ok else ():
             vals = np.array([s[lab] for s in ok])
             se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
-            agg[lab] = (float(vals.mean()), se, int(vals.size))
-        aggregate[name] = agg
+            aggregate[name][lab] = (float(vals.mean()), se, int(vals.size))
     return BenchmarkSummary(spec=spec, methods=methods, taus=taus, base_seed=base_seed,
                             reports=tuple(reports), aggregate=aggregate,
                             n_failures=n_failures)
@@ -219,14 +214,12 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     """
     methods = check_run_args(methods, base_seed=base_seed)
     config = config or SolverConfig(tau=2.0**-10)
-    _, sample = simulate_survey(spec, _data_rng(base_seed, 0))
-    ds = sample.dataset
-    probs = estimate_response_probs(ds, p_floor=p_floor) if "ipw" in methods else None
+    ds, truth_Z, probs = _draw_replicate(spec, methods, base_seed, 0, p_floor)
     out: dict[str, float] = {}
     for name in methods:
         method = _REGISTRY[name]
         if method.tuned:
             out[name] = grid_search(grid, lambda t: relative_error(
                 method.fit(ds, probs, t, config, _method_rng(base_seed, 0)),
-                sample.truth_Z)).best_tau
+                truth_Z)).best_tau
     return out

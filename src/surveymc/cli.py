@@ -160,7 +160,8 @@ def cmd_benchmark(args) -> int:
     out = _outdir(args)
     spec = _spec_from_args(args)
     methods = check_run_args([m.strip() for m in args.methods.split(",")],
-                             args.replicates, args.threads, args.seed)
+                             args.replicates, args.seed)
+    check_int("threads", args.threads, 1)
     config = _solver_config(args, 2.0**-10)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}
@@ -169,8 +170,7 @@ def cmd_benchmark(args) -> int:
                                    base_seed=args.seed, config=config,
                                    p_floor=args.p_floor)
     summary = run_benchmark(spec, methods, n_replicates=args.replicates, taus=taus,
-                            base_seed=args.seed, config=config, p_floor=args.p_floor,
-                            threads=args.threads)
+                            base_seed=args.seed, config=config, p_floor=args.p_floor)
     scenario = f"xi={args.xi:g}"
     mio.write_benchmark_csvs(summary, scenario, os.path.join(out, "summary.csv"),
                              os.path.join(out, "replicates.csv"))
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=DEFAULT_GRID, help="tuning grid")
     _add_solver_flags(p)
     p.add_argument("--p-floor", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored, replicates run in order; kept so old command lines parse")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser
@@ -296,7 +297,7 @@ def _apply_config(argv: list[str]) -> tuple[list[str], list[str]]:
         raise InvalidInput("--config needs a path")
     path = argv[i + 1]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read config {path}: {exc}") from exc

@@ -104,7 +104,7 @@ def _json_number(value, key: str) -> float:
 
 def load_schema(path) -> SchemaFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     # ValueError covers undecodable bytes, bad JSON and over-long integers
     except (OSError, ValueError, RecursionError) as exc:
@@ -124,14 +124,17 @@ def load_schema(path) -> SchemaFile:
 
 
 def _read_rows(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV with at least one row, each as wide as the header."""
+    """Header and rows of a CSV with at least one row, each as wide as the
+    header, less a UTF-8 byte-order mark and the blank lines after the last row."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             header = next(reader, None)
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SchemaViolation(f"cannot read {path}: {exc}") from exc
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
         raise SchemaViolation(f"{path} has no data rows")
     for r, row in enumerate(rows):

@@ -81,8 +81,8 @@ def rank1_approx(M) -> np.ndarray:
 def svt_factors(M, tau: float) -> SvdFactors:
     """Factors (U_k, s_k - tau, V_k) of the k >= 0 singular triplets of M
     above tau, whose product is svt(M, tau).  If tau >= c ||M||_F (c = 1e-3)
-    they come from the SVD of B^T B = W diag(s^2) W^T (eigh is slower when
-    threads share OpenBLAS), B = M or M^T whichever is tall (m x n), and
+    they come from the SVD of B^T B = W diag(s^2) W^T (ROADMAP item 5 weighs
+    eigh), B = M or M^T whichever is tall (m x n), and
     B W / s.  That SVD is exact for B^T B + E, ||E|| <= (m + p(n)) u ||M||_F^2
     (u = 2^-53), so the result moves by O(||E|| / tau) <= O((m + p(n)) u / c)
     ||M||_F, about 1e-10 ||M||_F at m = 10^3.  Below the guard, e.g. tau = 0,

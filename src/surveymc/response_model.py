@@ -159,7 +159,8 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
 
     All-0 or all-1 columns get an intercept-only fit at the clamped logit of
     the empirical mean; the others run IRLS up the ridge ladder, a cell
-    moving to the next ridge only when it failed at this one.
+    moving to the next ridge only when it failed at this one.  Rank-deficient
+    features skip the plain fit, whose singular system fails only by round-off.
     """
     L = Y.shape[1]
     coefficients = np.zeros((L, features.shape[1]))
@@ -170,14 +171,15 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
     coefficients[degenerate, 0] = logit(np.clip(means[degenerate], _DEGENERATE_EPS,
                                                 1.0 - _DEGENERATE_EPS))
     todo = np.flatnonzero(~degenerate)
-    for attempt, ridge in enumerate(_RIDGE_LADDER):
+    full_rank = np.linalg.matrix_rank(features) == features.shape[1]
+    for ridge in _RIDGE_LADDER if full_rank else _RIDGE_LADDER[1:]:
         if not todo.size:
             break
         betas, steps, failed = _irls(features, Y[:, todo], row_weights, ridge)
         done = todo[~failed]
         coefficients[done] = betas[~failed]
         iterations[done] = steps[~failed]
-        fallback[done] = attempt > 0
+        fallback[done] = ridge > 0
         todo = todo[failed]
     if todo.size:
         raise NumericalFailure("IRLS failed even at the largest ridge")

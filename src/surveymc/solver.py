@@ -156,7 +156,7 @@ class _Problem:
             return self.tau * nuclear_norm(np.hstack([self.X, Z]))
         if self.D == 0:
             return self.tau * float(np.sum(factors.s))
-        _, R = np.linalg.qr(np.hstack([self.X, factors.U]))
+        R = np.linalg.qr(np.hstack([self.X, factors.U]), mode="r")
         tail = R[:, self.D:] @ (factors.s[:, None] * factors.V[self.D:].T)
         return self.tau * float(np.sum(singular_values(np.hstack([R[:, :self.D], tail]))))
 

@@ -229,17 +229,19 @@ def irls_one_cell(F, y, rw, ridge):
 
 def fit_one_cell(F, y, rw):
     """The per-cell stage-one fit, one cell at a time: (coefficients,
-    iterations, degenerate, fallback)."""
+    iterations, degenerate, fallback).  Rank-deficient features skip the
+    plain fit and start at the first nonzero ridge."""
     mean = float(y.mean())
     if mean == 0.0 or mean == 1.0:
         coef = np.zeros(F.shape[1])
         coef[0] = logit(np.clip(mean, DEGENERATE_EPS, 1.0 - DEGENERATE_EPS))
         return coef, 0, True, False
-    for attempt, ridge in enumerate(RIDGE_LADDER):
+    ladder = RIDGE_LADDER if np.linalg.matrix_rank(F) == F.shape[1] else RIDGE_LADDER[1:]
+    for ridge in ladder:
         out = irls_one_cell(F, y, rw, ridge)
         if out is not None:
             beta, iterations = out
-            return beta, iterations, False, attempt > 0
+            return beta, iterations, False, ridge > 0
     raise NumericalFailure("IRLS failed even at the largest ridge")
 
 

@@ -1,5 +1,6 @@
 """Scoring identities and the Monte Carlo harness."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 import helpers
 import surveymc as smc
+import surveymc.benchmark
 from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
 from surveymc.errors import DegenerateTruth, InvalidInput, ShapeError
+from surveymc.simulator import simulate_survey
 
 TINY = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
 
@@ -93,13 +96,15 @@ def test_benchmark_is_deterministic(tiny_run):
     assert tiny_run.aggregate == again.aggregate
 
 
-def test_benchmark_threads_do_not_change_results(tiny_run):
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=30)
-    par = run_benchmark(tiny_spec(), methods=METHODS, n_replicates=2,
-                        taus={m: 2.0**-8 for m in METHODS}, base_seed=11,
-                        config=cfg, threads=2)
-    for a, b in zip(tiny_run.reports, par.reports):
-        assert a.re == b.re
+def test_benchmark_runs_replicates_in_order_in_the_calling_thread(monkeypatch):
+    seen = []
+
+    def spy(spec, rng):
+        seen.append((threading.get_ident(), list(rng.bit_generator.seed_seq.entropy)))
+        return simulate_survey(spec, rng)
+    monkeypatch.setattr(surveymc.benchmark, "simulate_survey", spy)
+    run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=3, base_seed=11)
+    assert seen == [(threading.get_ident(), [11 ^ r, 0]) for r in (1, 2, 3)]
 
 
 def test_benchmark_validation():
@@ -113,12 +118,6 @@ def test_benchmark_validation():
             entry(tiny_spec(), base_seed=-1)
 
 
-@pytest.mark.parametrize("threads", [0, -4])
-def test_benchmark_rejects_nonpositive_threads(threads):
-    with pytest.raises(InvalidInput):
-        run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=2, threads=threads)
-
-
 # each entry point with one count or seed set to a value, and that count's minimum
 _DS, _PROBS, _ = helpers.random_problem(np.random.default_rng(0), n=10)
 COUNT_ARGS = {
@@ -126,7 +125,6 @@ COUNT_ARGS = {
     "tune_tau.folds": (2, lambda v: smc.tune_tau(_DS, _PROBS, folds=v)),
     "tune_tau.seed": (0, lambda v: smc.tune_tau(_DS, _PROBS, seed=v)),
     "run_benchmark.n_replicates": (2, lambda v: run_benchmark(tiny_spec(), n_replicates=v)),
-    "run_benchmark.threads": (1, lambda v: run_benchmark(tiny_spec(), threads=v)),
     "run_benchmark.base_seed": (0, lambda v: run_benchmark(tiny_spec(), base_seed=v)),
     "tune_benchmark_taus.base_seed": (0, lambda v: tune_benchmark_taus(tiny_spec(),
                                                                         base_seed=v)),

@@ -119,6 +119,21 @@ def test_fit_is_byte_identical_across_blas_thread_counts(tmp_path):
     assert metas[0] == metas[1]
 
 
+def test_fit_reads_a_schema_data_and_config_that_start_with_a_bom(sim_dir, tmp_path):
+    # Excel's "CSV UTF-8" and some editors put a UTF-8 byte-order mark first
+    bom = b"\xef\xbb\xbf"
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("data.csv", "schema.json"):
+        (marked / name).write_bytes(bom + (sim_dir / name).read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(bom + b'{"clamp": 30}')
+    assert run(fit_args(sim_dir, tmp_path / "plain")) == 0
+    assert run(["--config", str(cfg), *fit_args(marked, tmp_path / "f")]) == 0
+    for name in ("z_hat.csv", "p_hat.csv", "trace.csv"):
+        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["fit", "impute", "tune"])
 def test_meta_counts_the_stage_one_cells(sim_dir, tmp_path, command):
     # a covariate split makes stratum 1's first column separated, and its
@@ -441,12 +456,14 @@ def test_negative_seed_is_usage_error(sim_dir, tmp_path, command):
 
 
 def test_benchmark_fixed_tau_and_determinism(tmp_path):
-    outs = [tmp_path / "b1", tmp_path / "b2"]
-    for out in outs:
+    # --threads is checked and recorded, and cannot change a result
+    outs = [tmp_path / "b1", tmp_path / "b3"]
+    for out, threads in zip(outs, ("1", "3")):
         argv = ["benchmark", *TINY_DESIGN, "--methods", "ipw,hot_deck",
                 "--replicates", "2", "--seed", "11", "--tau", "0.00390625",
-                "--iterations", "30", "--out", str(out)]
+                "--iterations", "30", "--threads", threads, "--out", str(out)]
         assert run(argv) == 0
+        assert json.loads((out / "meta.json").read_text())["threads"] == int(threads)
     for name in ("summary.csv", "replicates.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     header = (outs[0] / "summary.csv").read_text().splitlines()[0]
@@ -473,18 +490,19 @@ def test_module_entry_point_help():
 
 
 def test_import_loads_numpy_but_no_scipy():
+    # nor concurrent.futures: the benchmark runs its replicates in one thread
     src = os.path.dirname(os.path.dirname(surveymc.solver.__file__))
-    code = ("import sys, surveymc; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    code = ("import sys, surveymc; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'scipy'}), 'concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['numpy']"
+    assert proc.stdout.strip() == "['numpy'] False"
 
 
-# an unknown or repeated method, one replicate, zero threads or a negative
-# seed fail before tuning and before the replicates
+# an unknown or repeated method, one replicate, zero threads (ignored, but
+# still checked) or a negative seed fail before tuning and before the replicates
 @pytest.mark.parametrize("extra", [["--methods", "ipw,nope"], ["--replicates", "1"],
                                    ["--threads", "0"],
                                    ["--threads", "0", "--tau", "0.1"],

@@ -220,6 +220,13 @@ def test_load_dataset_and_schema_reject_non_utf8(tmp_path):
         load_schema(schema)
 
 
+def test_load_dataset_rejects_a_blank_line_between_rows(tmp_path):
+    # blank lines after the last row are dropped; one between rows is a row
+    data, schema = write_small_csv(tmp_path, ["1,0.5,0.1,2.0,1", "", "2,0.25,0.3,NA,0", ""])
+    with pytest.raises(SchemaViolation, match="row 3 has 0 fields"):
+        load_dataset(data, schema)
+
+
 def test_load_dataset_rejects_empty_body(tmp_path):
     data, schema = write_small_csv(tmp_path, [])
     with pytest.raises(SchemaViolation):
@@ -520,10 +527,15 @@ def assert_same_bits(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ds=datasets())
-def test_save_load_dataset_round_trips_generated(scratch, ds):
+@given(ds=datasets(), bom=st.booleans(), blank_lines=st.integers(0, 2))
+def test_save_load_dataset_round_trips_generated(scratch, ds, bom, blank_lines):
+    # also with a UTF-8 byte-order mark before each file and blank lines
+    # after the last row, as editors and spreadsheets write them
     data, schema = scratch / "rt.csv", scratch / "rt.json"
     save_dataset(ds, data, schema)
+    mark = b"\xef\xbb\xbf" if bom else b""
+    data.write_bytes(mark + data.read_bytes() + b"\r\n" * blank_lines)
+    schema.write_bytes(mark + schema.read_bytes())
     back = load_dataset(data, schema)
     for name in ("Y", "X", "pi"):
         assert_same_bits(getattr(ds, name), getattr(back, name))

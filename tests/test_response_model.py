@@ -186,18 +186,33 @@ def test_p_floor_validated():
         smc.estimate_response_probs(ds, p_floor=1.0)
 
 
+# ways to make every stratum's features rank-deficient, and the covariate
+# count each needs
+RANK_DEFICIENT = {"duplicated": 2, "scaled": 2, "summed": 3, "constant": 1}
+
+
 @st.composite
-def stage_one_datasets(draw):
+def stage_one_datasets(draw, kinds):
     """Strata from one row over the minimum (D + 2) upward; response columns
     observed at random, by a logistic law, everywhere, nowhere, or split by a
-    covariate (separated); optionally a duplicated covariate (singular)."""
-    D = draw(st.integers(0, 3))
+    covariate (separated).  Unless full_rank, one covariate is another one
+    (duplicated), 3 times another one (scaled), the sum of two others
+    (summed), or constant within each stratum (constant); kinds names the
+    choices."""
+    covariates = draw(st.sampled_from(kinds))
+    D = draw(st.integers(RANK_DEFICIENT.get(covariates, 0), 3))
     sizes = draw(st.lists(st.integers(D + 2, D + 30), min_size=1, max_size=3))
     n, L = sum(sizes), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = draw(st.sampled_from((0.1, 1.0, 5.0))) * rng.normal(size=(n, D))
-    if D >= 2 and draw(st.booleans()):
+    if covariates == "duplicated":
         X[:, 1] = X[:, 0]
+    elif covariates == "scaled":
+        X[:, 1] = 3.0 * X[:, 0]
+    elif covariates == "summed":
+        X[:, 2] = X[:, 0] + X[:, 1]
+    elif covariates == "constant":
+        X[:, D - 1] = np.repeat(rng.normal(size=len(sizes)), sizes)
     columns = []
     for _ in range(L):
         kind = draw(st.sampled_from(("random", "logistic", "all", "none", "separated")))
@@ -216,8 +231,10 @@ def stage_one_datasets(draw):
         pi=rng.uniform(0.05, 1.0, n), layout=smc.CategoryLayout.of(("gaussian", L)))
 
 
+# a duplicated covariate's two columns sum the same terms, so their
+# coefficients stay equal; the other rank-deficient kinds are checked below
 @settings(max_examples=200, deadline=None)
-@given(ds=stage_one_datasets(), design_weighted=st.booleans())
+@given(ds=stage_one_datasets(("full_rank", "duplicated")), design_weighted=st.booleans())
 def test_batched_stage_one_matches_the_per_cell_oracle(ds, design_weighted):
     try:
         want = estimate_per_cell(ds, use_design_weights=design_weighted)
@@ -233,4 +250,33 @@ def test_batched_stage_one_matches_the_per_cell_oracle(ds, design_weighted):
     assert np.all(np.abs(model.coefficients - want.coefficients) <= 1e-10 * scale)
     for fallback, degenerate in zip(want.fallback.flat, want.degenerate.flat):
         event("fallback" if fallback else "degenerate" if degenerate else "plain")
+    npt.assert_allclose(model.p_hat, want.p_hat, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=stage_one_datasets(tuple(RANK_DEFICIENT)), design_weighted=st.booleans())
+def test_rank_deficient_strata_fit_every_cell_with_a_ridge(ds, design_weighted):
+    # whether the plain fit's singular system fails to solve would be
+    # round-off.  The coefficients are compared on the row space of each
+    # stratum's features: the 1e-4 ridge magnifies round-off in the gradient
+    # 1e4-fold along the null space, which changes no probability
+    try:
+        want = estimate_per_cell(ds, use_design_weights=design_weighted)
+    except NumericalFailure:
+        event("NumericalFailure")
+        with pytest.raises(NumericalFailure):
+            smc.estimate_response_probs(ds, use_design_weights=design_weighted)
+        return
+    model = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
+    assert np.all(model.fallback != model.degenerate)
+    for name in ("iterations", "degenerate", "fallback"):
+        npt.assert_array_equal(getattr(model, name), getattr(want, name))
+    scale = np.maximum(1.0, np.max(np.abs(want.coefficients), axis=2, keepdims=True))
+    for h in range(ds.n_strata):
+        rows = ds.strata == h + 1
+        F = np.column_stack([np.ones(rows.sum()), ds.X[rows]])
+        _, s, Vt = np.linalg.svd(F)
+        V = Vt[s > s[0] * max(F.shape) * np.finfo(float).eps]    # matrix_rank's rank
+        diff = (model.coefficients[h] - want.coefficients[h]) @ V.T @ V
+        assert np.all(np.abs(diff) <= 1e-10 * scale[h])
     npt.assert_allclose(model.p_hat, want.p_hat, rtol=0, atol=1e-12)
