@@ -127,9 +127,11 @@ METHODS = tuple(_REGISTRY)
 
 
 def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0) -> tuple[str, ...]:
-    """Reject unknown or repeated methods, replicates < 2 (a standard error
-    needs two) or a negative seed before any fit."""
+    """Reject an empty method list, unknown or repeated methods, replicates
+    < 2 (a standard error needs two) or a negative seed before any fit."""
     methods = tuple(methods)
+    if not methods:
+        raise InvalidInput(f"methods must name at least one of {METHODS}")
     for name in methods:
         if name not in _REGISTRY:
             raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")

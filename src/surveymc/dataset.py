@@ -4,7 +4,8 @@ Rows are sampled elements; columns split into D >= 0 fully observed covariates
 (X, n x D: the only covariates either stage uses) and L response columns
 grouped by family.  A missing response is NaN in Y; the response indicator
 R = ~isnan(Y) is derived from it, never passed in.  pi holds first-order
-inclusion probabilities; strata labels are the contiguous integers 1..H.
+inclusion probabilities; strata labels are the contiguous integers 1..H
+(integer-valued numbers of any dtype; a fractional label is an error).
 """
 
 from __future__ import annotations
@@ -42,19 +43,24 @@ class MixedDataset:
     R: np.ndarray = field(init=False, repr=False)  # ~isnan(Y)
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=np.float64)
-        X = np.asarray(self.X, dtype=np.float64)
-        strata = np.asarray(self.strata, dtype=np.int64)
-        pi = np.asarray(self.pi, dtype=np.float64)
-        for name, arr, ndim in (("Y", Y, 2), ("X", X, 2), ("strata", strata, 1), ("pi", pi, 1)):
-            if arr.ndim != ndim:
-                raise ShapeError(f"{name} must be {ndim}-dimensional, got {arr.ndim}")
+        arrays = []
+        for name, ndim in (("Y", 2), ("X", 2), ("strata", 1), ("pi", 1)):
+            value = getattr(self, name)
+            try:  # numpy would only warn when it drops an imaginary part
+                if np.iscomplexobj(value):
+                    raise TypeError("complex entries")
+                arrays.append(np.asarray(value, dtype=np.float64))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidInput(f"{name} must hold real numbers: {exc}") from exc
+            if arrays[-1].ndim != ndim:
+                raise ShapeError(f"{name} must be {ndim}-dimensional, got {arrays[-1].ndim}")
+        Y, X, labels, pi = arrays
         n, L = Y.shape
         if n < 1 or L < 1:
             raise ShapeError(f"Y must be nonempty, got {Y.shape}")
         if X.shape[0] != n:
             raise ShapeError(f"X shape {X.shape} incompatible with n={n}")
-        if strata.shape[0] != n or pi.shape[0] != n:
+        if labels.shape[0] != n or pi.shape[0] != n:
             raise ShapeError("strata and pi must have one entry per row")
         if L != self.layout.n_cols:
             raise ShapeError(f"layout covers {self.layout.n_cols} columns, Y has {L}")
@@ -65,15 +71,16 @@ class MixedDataset:
             raise InvalidInput("observed Y entries must be finite")
         if not np.isfinite(pi).all() or np.any(pi <= 0) or np.any(pi > 1):
             raise WeightError("inclusion probabilities must lie in (0, 1]")
-        labels = np.unique(strata)
-        if labels[0] != 1 or labels[-1] != labels.size:
+        # compared as floats before the cast, which would truncate a fraction
+        uniq = np.unique(labels)
+        if not np.array_equal(uniq, np.arange(1, uniq.size + 1)):
             raise InvalidInput("strata labels must be the contiguous integers 1..H")
         if self.population_size is not None:
             check_real("population_size", self.population_size, 0.0)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "strata", labels.astype(np.int64))
         object.__setattr__(self, "pi", pi)
 
     # -- basic shape accessors -------------------------------------------

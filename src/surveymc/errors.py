@@ -64,20 +64,22 @@ class WeightError(SurveyMCError):
 
 
 def check_int(name: str, value, minimum: int) -> None:
-    """Raise InvalidInput unless value is an integer (Python or numpy) of at
-    least minimum; counts and seeds pass through here before reaching
-    range() or numpy's seeding."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Raise InvalidInput unless value is an integer (Python or numpy, not a
+    bool) of at least minimum; counts and seeds pass through here before
+    reaching range() or numpy's seeding."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidInput(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
                *, inf_ok: bool = False) -> None:
-    """Raise InvalidInput unless value is a real number (Python or numpy) with
-    low < value < high, so finite under the default bounds; inf_ok also lets
-    +inf through.  Settings pass through here before numpy compares them."""
+    """Raise InvalidInput unless value is a real number (Python or numpy, not a
+    bool) with low < value < high, so finite under the default bounds; inf_ok
+    also lets +inf through.  Settings pass through here before numpy compares
+    them."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        x = float(value) if real else math.nan
     except OverflowError:  # an integer beyond float64
         x = math.nan
     if not (low < x < high or (inf_ok and x == math.inf)):

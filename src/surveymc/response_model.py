@@ -160,7 +160,9 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
     All-0 or all-1 columns get an intercept-only fit at the clamped logit of
     the empirical mean; the others run IRLS up the ridge ladder, a cell
     moving to the next ridge only when it failed at this one.  Rank-deficient
-    features skip the plain fit, whose singular system fails only by round-off.
+    features skip the plain fit, whose singular system fails only by round-off,
+    and their ridge fits are projected onto the features' row space, where the
+    exact ridge solution lies: off it, IRLS keeps only round-off times 1/ridge.
     """
     L = Y.shape[1]
     coefficients = np.zeros((L, features.shape[1]))
@@ -171,7 +173,9 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
     coefficients[degenerate, 0] = logit(np.clip(means[degenerate], _DEGENERATE_EPS,
                                                 1.0 - _DEGENERATE_EPS))
     todo = np.flatnonzero(~degenerate)
-    full_rank = np.linalg.matrix_rank(features) == features.shape[1]
+    _, s, Vt = np.linalg.svd(features, full_matrices=False)
+    row_space = Vt[s > s[0] * max(features.shape) * np.finfo(float).eps]  # matrix_rank's tolerance
+    full_rank = len(row_space) == features.shape[1]
     for ridge in _RIDGE_LADDER if full_rank else _RIDGE_LADDER[1:]:
         if not todo.size:
             break
@@ -183,6 +187,8 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
         todo = todo[failed]
     if todo.size:
         raise NumericalFailure("IRLS failed even at the largest ridge")
+    if not full_rank:
+        coefficients[~degenerate] = coefficients[~degenerate] @ row_space.T @ row_space
     return coefficients, iterations, degenerate, fallback
 
 

@@ -36,7 +36,7 @@ from .dataset import MixedDataset
 from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
                      check_int, check_real)
 from .families import mean_from_natural
-from .linalg import SvdFactors, nuclear_norm, rank1_approx, singular_values, svt_factors
+from .linalg import SvdFactors, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
 
@@ -149,19 +149,21 @@ class _Problem:
             G[idx] = w * (g_prime - y)
         return total, G.reshape(Z.shape)
 
-    def penalty(self, Z: np.ndarray, factors: SvdFactors | None = None) -> float:
-        """tau * ||[X, Z]||_*; given Z's factors from prox_step, the norm of
-        R blockdiag(I_D, diag(s) V_k[D:]^T) with [X, U_k] = QR (sum(s) if D = 0)."""
+    def spectrum(self, Z: np.ndarray, factors: SvdFactors | None = None) -> np.ndarray:
+        """Singular values of [X, Z]; given Z's factors from prox_step, those of
+        R blockdiag(I_D, diag(s) V_k[D:]^T) with [X, U_k] = QR (s itself if D = 0)."""
         if factors is None:
-            return self.tau * nuclear_norm(np.hstack([self.X, Z]))
+            return singular_values(np.hstack([self.X, Z]))
         if self.D == 0:
-            return self.tau * float(np.sum(factors.s))
+            return factors.s
         R = np.linalg.qr(np.hstack([self.X, factors.U]), mode="r")
         tail = R[:, self.D:] @ (factors.s[:, None] * factors.V[self.D:].T)
-        return self.tau * float(np.sum(singular_values(np.hstack([R[:, :self.D], tail]))))
+        return singular_values(np.hstack([R[:, :self.D], tail]))
 
-    def objective(self, Z: np.ndarray) -> float:
-        return self.loss(Z) + self.penalty(Z)
+    def objective(self, Z: np.ndarray, loss=None, factors=None) -> tuple[float, np.ndarray]:
+        """(loss + tau ||[X, Z]||_*, the spectrum that priced it); loss defaults to loss(Z)."""
+        svals = self.spectrum(Z, factors)
+        return (self.loss(Z) if loss is None else loss) + self.tau * float(np.sum(svals)), svals
 
     def prox_step(self, T: np.ndarray, thresh: float) -> tuple:
         """Threshold [X, T], keep the response columns, project them into the
@@ -202,7 +204,7 @@ def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
     Raises NumericalFailure when a term overflows float64."""
     prob, Z = _problem_at(Z, dataset, probs, config.tau, config.clamp)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite("objective", prob.objective(Z))
+        return _finite("objective", prob.objective(Z)[0])
 
 
 def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel,
@@ -239,7 +241,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     prob = _Problem(dataset, probs, config.tau, config.clamp)
 
     Z1, n_proj = prob.project(rank1_approx(prob.Yf))
-    obj1 = prob.objective(Z1)
+    obj1, svals1 = prob.objective(Z1)
     if not np.isfinite(obj1):
         raise NumericalFailure(f"objective non-finite at initialization: {obj1}")
 
@@ -279,17 +281,15 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         n_backtracks += tries
         n_proj += moved
 
-        cand_obj = cand_loss + prob.penalty(cand, factors)
+        cand_obj, cand_svals = prob.objective(cand, cand_loss, factors)
         if not np.isfinite(cand_obj):
-            err = NumericalFailure(f"objective non-finite at iteration {k}")
-            err.trace = np.asarray(trace)
-            raise err
+            raise NumericalFailure(f"objective non-finite at iteration {k}")
 
         accepted.append(bool(cand_obj < obj1))
         trace.append(cand_obj if accepted[-1] else obj1)
         if accepted[-1]:
             Z2 = Z1 + (cand - Z1) / theta
-            Z1, obj1 = cand, cand_obj
+            Z1, obj1, svals1 = cand, cand_obj, cand_svals
         elif j == 1 and min(ceiling, 2.0 * eta) == eta_start:
             # a rejected plain step that the next iteration would start from
             # the same step size recomputes: a fixed point
@@ -300,10 +300,9 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
             n_restarts += j > 1
             Z2, j = Z1, 0
 
-    svals = singular_values(np.hstack([prob.X, Z1]))
-    diagnostics = {
-        "final_nuclear_norm": float(np.sum(svals)),
-        "rank_estimate": int(np.count_nonzero(svals > 1e-8 * max(svals[0], 1e-300))),
+    diagnostics = {  # of Z_hat, from the spectrum that priced it
+        "final_nuclear_norm": float(np.sum(svals1)),
+        "rank_estimate": int(np.count_nonzero(svals1 > 1e-8 * svals1.max(initial=1e-300))),
         "domain_projections": n_proj,
         "backtracks": n_backtracks,
         "accepted_steps": int(np.count_nonzero(accepted)),
@@ -322,16 +321,14 @@ def grid_search(grid, score) -> TuneResult:
 
     score maps a tau to a number where lower is better; ties break toward
     the larger tau.  Raises InvalidInput unless the grid holds positive
-    finite values.
+    finite real numbers (a bool or a string is not one).
     """
-    try:
-        taus = tuple(sorted(set(float(t) for t in grid)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"grid must hold real tau values: {exc}") from exc
-    if not taus:
+    grid = tuple(grid) if np.iterable(grid) else ()
+    if not grid:
         raise InvalidInput("grid must contain positive finite tau values")
-    for t in taus:
+    for t in grid:
         check_real("grid tau", t, 0.0)
+    taus = tuple(sorted(set(float(t) for t in grid)))
     scores = tuple(score(t) for t in taus)
     best_i = 0
     for i in range(1, len(taus)):

@@ -230,18 +230,21 @@ def irls_one_cell(F, y, rw, ridge):
 def fit_one_cell(F, y, rw):
     """The per-cell stage-one fit, one cell at a time: (coefficients,
     iterations, degenerate, fallback).  Rank-deficient features skip the
-    plain fit and start at the first nonzero ridge."""
+    plain fit, start at the first nonzero ridge and keep the fit's
+    projection onto the row space of F (of matrix_rank's rank)."""
     mean = float(y.mean())
     if mean == 0.0 or mean == 1.0:
         coef = np.zeros(F.shape[1])
         coef[0] = logit(np.clip(mean, DEGENERATE_EPS, 1.0 - DEGENERATE_EPS))
         return coef, 0, True, False
-    ladder = RIDGE_LADDER if np.linalg.matrix_rank(F) == F.shape[1] else RIDGE_LADDER[1:]
-    for ridge in ladder:
+    _, s, Vt = np.linalg.svd(F, full_matrices=False)
+    V = Vt[s > s[0] * max(F.shape) * np.finfo(float).eps]
+    full_rank = len(V) == F.shape[1]
+    for ridge in RIDGE_LADDER if full_rank else RIDGE_LADDER[1:]:
         out = irls_one_cell(F, y, rw, ridge)
         if out is not None:
             beta, iterations = out
-            return beta, iterations, False, ridge > 0
+            return (beta if full_rank else beta @ V.T @ V), iterations, False, ridge > 0
     raise NumericalFailure("IRLS failed even at the largest ridge")
 
 

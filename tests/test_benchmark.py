@@ -138,7 +138,7 @@ COUNT_ARGS = {
 def test_bad_counts_and_seeds_are_invalid_input(data):
     minimum, call = COUNT_ARGS[data.draw(st.sampled_from(sorted(COUNT_ARGS)))]
     bad = data.draw(st.one_of(st.integers(max_value=minimum - 1), st.floats(),
-                              st.text(max_size=3), st.none()))
+                              st.text(max_size=3), st.none(), st.booleans()))
     with pytest.raises(InvalidInput):
         call(bad)
 
@@ -163,7 +163,7 @@ _OBJECT_ARGS = {
     "generate_population": lambda v: smc.generate_population(tiny_spec(), v),
     "draw_sample": lambda v: smc.draw_sample(_TRUTH, tiny_spec(), v),
     "impose_responses_and_missingness": lambda v: smc.impose_responses_and_missingness(
-        _SAMPLE, _TRUTH, v),
+        _SAMPLE, v),
     "Family.sample": lambda v: smc.Family("poisson").sample(np.zeros(3), v),
     "hot_deck": lambda v: smc.hot_deck(_DS, v),
 }
@@ -178,7 +178,8 @@ def _parses_as_float(text):
 
 
 JUNK = st.one_of(st.none(), st.text(max_size=3).filter(lambda t: not _parses_as_float(t)),
-                 st.lists(st.floats(), max_size=2), st.complex_numbers(), st.just(10**400))
+                 st.lists(st.floats(), max_size=2), st.complex_numbers(), st.just(10**400),
+                 st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,6 +228,9 @@ def test_tune_benchmark_taus_rejects_unknown_method():
         tune_benchmark_taus(tiny_spec(), methods=("nope",))
     with pytest.raises(InvalidInput):
         tune_benchmark_taus(tiny_spec(), methods=("ipw", "nope"))
+    for entry in (run_benchmark, tune_benchmark_taus):
+        with pytest.raises(InvalidInput):  # no method: nothing would be fitted
+            entry(tiny_spec(), methods=())
 
 
 def test_tune_benchmark_taus_scores_reproduce_direct_fits():

@@ -1,5 +1,6 @@
 """Container invariants for the mixed-type sample."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,36 @@ def test_strata_must_be_contiguous():
         small_dataset(strata=np.array([1, 1, 3]))
     with pytest.raises(InvalidInput):
         small_dataset(strata=np.array([0, 0, 1]))
+
+
+LABELS = st.one_of(st.integers(-1, 4), st.integers(1, 3).map(float), st.floats(),
+                   st.sampled_from([1.7, 2.2, np.nan, np.inf, -np.inf, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(LABELS, min_size=3, max_size=3))
+def test_strata_labels_must_be_integer_valued_and_contiguous(labels):
+    # a label is compared before the integer cast: no row changes stratum
+    # and no numpy warning escapes
+    valid = all(np.isfinite(x) and x == int(x) for x in labels)
+    ints = sorted({int(x) for x in labels}) if valid else []
+    valid = valid and ints == list(range(1, len(ints) + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not valid:
+            with pytest.raises(InvalidInput):
+                small_dataset(strata=labels)
+            return
+        ds = small_dataset(strata=labels)
+    assert ds.strata.dtype == np.int64 and ds.strata.tolist() == [int(x) for x in labels]
+
+
+@pytest.mark.parametrize("name", ["Y", "X", "strata", "pi"])
+def test_a_field_that_is_not_numeric_is_invalid_input(name):
+    value = small_dataset().__dict__[name].astype(object)
+    value.flat[-1] = "a"
+    with pytest.raises(InvalidInput, match=name):
+        small_dataset(**{name: value})
 
 
 def test_shape_validation():

@@ -13,7 +13,7 @@ from scipy.special import expit, logit
 import surveymc as smc
 from surveymc.errors import InvalidInput, NumericalFailure, StratumTooSmall
 
-from helpers import build_missingness_dataset, estimate_per_cell
+from helpers import build_missingness_dataset, estimate_per_cell, irls_one_cell
 
 
 def logistic_draw(beta, n, rng, scale=1.5):
@@ -257,9 +257,9 @@ def test_batched_stage_one_matches_the_per_cell_oracle(ds, design_weighted):
 @given(ds=stage_one_datasets(tuple(RANK_DEFICIENT)), design_weighted=st.booleans())
 def test_rank_deficient_strata_fit_every_cell_with_a_ridge(ds, design_weighted):
     # whether the plain fit's singular system fails to solve would be
-    # round-off.  The coefficients are compared on the row space of each
-    # stratum's features: the 1e-4 ridge magnifies round-off in the gradient
-    # 1e4-fold along the null space, which changes no probability
+    # round-off.  The 1e-4 ridge magnifies round-off in the gradient 1e4-fold
+    # along the null space of the stratum's features, where the exact ridge
+    # fit has no part: the fitted cells keep none
     try:
         want = estimate_per_cell(ds, use_design_weights=design_weighted)
     except NumericalFailure:
@@ -272,11 +272,44 @@ def test_rank_deficient_strata_fit_every_cell_with_a_ridge(ds, design_weighted):
     for name in ("iterations", "degenerate", "fallback"):
         npt.assert_array_equal(getattr(model, name), getattr(want, name))
     scale = np.maximum(1.0, np.max(np.abs(want.coefficients), axis=2, keepdims=True))
+    assert np.all(np.abs(model.coefficients - want.coefficients) <= 1e-10 * scale)
     for h in range(ds.n_strata):
         rows = ds.strata == h + 1
         F = np.column_stack([np.ones(rows.sum()), ds.X[rows]])
-        _, s, Vt = np.linalg.svd(F)
-        V = Vt[s > s[0] * max(F.shape) * np.finfo(float).eps]    # matrix_rank's rank
-        diff = (model.coefficients[h] - want.coefficients[h]) @ V.T @ V
-        assert np.all(np.abs(diff) <= 1e-10 * scale[h])
+        null = np.linalg.svd(F)[2][np.linalg.matrix_rank(F):]
+        fitted = ~model.degenerate[h]
+        off = model.coefficients[h][fitted] @ null.T
+        assert np.all(np.abs(off) <= 1e-13 * scale[h][fitted])
     npt.assert_allclose(model.p_hat, want.p_hat, rtol=0, atol=1e-12)
+
+
+def test_a_cell_singular_in_its_own_solve_escalates_alone(monkeypatch):
+    # every stacked solve raises, so each step retries cell by cell; the
+    # second retry (cell 1's first step) raises too, so cell 1 alone fails
+    # the plain fit and is refit at the 1e-4 ridge
+    rng = np.random.default_rng(9)
+    F, X, _ = logistic_draw(np.array([0.2, 0.5]), 80, rng)
+    observed = [rng.random(80) < expit(F @ rng.normal(0.3, 0.3, 2)) for _ in range(3)]
+    ds = one_stratum(X, *observed)
+    want = estimate_per_cell(ds)
+    ridge_fit, ridge_steps = irls_one_cell(F, observed[1].astype(float), np.ones(80), 1e-4)
+    solve, retries = np.linalg.solve, []
+
+    def failing_solve(H, rhs):
+        if np.ndim(H) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        retries.append(rhs)
+        if len(retries) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(H, rhs)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    model = smc.estimate_response_probs(ds)
+    assert not want.fallback.any() and not want.degenerate.any()
+    assert model.fallback[0].tolist() == [False, True, False]
+    others = [0, 2]
+    npt.assert_array_equal(model.iterations[0, others], want.iterations[0, others])
+    scale = np.maximum(1.0, np.max(np.abs(want.coefficients[0]), axis=1, keepdims=True))
+    diff = model.coefficients[0] - want.coefficients[0]
+    assert np.all(np.abs(diff[others]) <= 1e-10 * scale[others])
+    assert model.iterations[0, 1] == ridge_steps
+    assert np.all(np.abs(model.coefficients[0, 1] - ridge_fit) <= 1e-10 * scale[1])

@@ -376,8 +376,8 @@ def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, 
     cand, moved, factors = prob.prox_step(T, thresh_frac * np.linalg.norm(M, 2))
     assert moved == 0 and factors is not None
     full = 0.3 * smc.nuclear_norm(np.hstack([prob.X, cand]))
-    assert prob.penalty(cand) == full
-    assert abs(prob.penalty(cand, factors) - full) <= 1e-12 * full
+    assert 0.3 * float(np.sum(prob.spectrum(cand))) == full
+    assert abs(0.3 * float(np.sum(prob.spectrum(cand, factors))) - full) <= 1e-12 * full
 
 
 def test_clipped_candidate_takes_the_full_penalty():
@@ -391,8 +391,9 @@ def test_clipped_candidate_takes_the_full_penalty():
 
 @pytest.mark.parametrize("clamp", [30.0, 0.5])
 def test_recorded_objective_is_the_objective_of_z_hat(clamp):
-    # the trace's last value was priced by the factor penalty when the final
-    # candidate was not clipped and by the full SVD when it was
+    # the trace's last value, the final nuclear norm and the rank estimate
+    # come from the factor spectrum when the final candidate was not clipped
+    # and from the full SVD when it was
     rng = np.random.default_rng(20)
     ds, probs, _ = helpers.random_problem(rng, n=40, layout=GPB)
     cfg = smc.SolverConfig(tau=2.0**-6, iterations=60, clamp=clamp)
@@ -402,6 +403,11 @@ def test_recorded_objective_is_the_objective_of_z_hat(clamp):
         assert (res.diagnostics["domain_projections"] > 0) == (clamp < 1.0)
         want = smc.objective(res.Z_hat, ds, probs, cfg)
         assert abs(res.objective_trace[-1] - want) <= 1e-12 * max(1.0, abs(want))
+        XZ = np.hstack([ds.X, res.Z_hat])
+        norm = res.diagnostics["final_nuclear_norm"]
+        assert abs(norm - smc.nuclear_norm(XZ)) <= 1e-12 * norm
+        svals = np.linalg.svd(XZ, compute_uv=False)
+        assert res.diagnostics["rank_estimate"] == np.count_nonzero(svals > 1e-8 * svals[0])
 
 
 def small_survey():
@@ -426,15 +432,16 @@ def counting_svd(monkeypatch, raise_at=None):
 
 
 def test_iterations_make_no_full_svd(monkeypatch):
-    # 200 iterations, no clipping: the full-size SVDs are the rank-1 start,
-    # the initial objective and the diagnostics, not one or two per iteration
+    # 200 iterations, no clipping: the full-size SVDs are the rank-1 start
+    # and the initial objective, not one or two per iteration; the
+    # diagnostics read the spectrum that priced the last accepted iterate
     ds, probs = small_survey()
     calls = counting_svd(monkeypatch)
     res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-10, iterations=200))
     assert res.iterations_run == 200 and res.diagnostics["domain_projections"] == 0
-    assert calls.count(ds.n) == 3
+    assert calls.count(ds.n) == 2
     # plus, per iteration, the SVD of the Gram matrix and a (D+k) x (D+L) one
-    assert len(calls) == 3 + 2 * 200
+    assert len(calls) == 2 + 2 * 200
 
 
 @pytest.mark.parametrize("N", [5e-324, 1e-310])
@@ -457,7 +464,7 @@ def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
     calls = counting_svd(monkeypatch)
     smc.fit_completion(ds, probs, cfg)
     monkeypatch.undo()
-    counting_svd(monkeypatch, raise_at=len(calls))  # the diagnostics spectrum
+    counting_svd(monkeypatch, raise_at=len(calls))  # the last candidate's spectrum
     with pytest.raises(NumericalFailure):
         smc.fit_completion(ds, probs, cfg)
     monkeypatch.undo()
@@ -511,7 +518,7 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     eta = res.diagnostics["step_size_final"]
     (cand, _, factors), eta_next = next_plain_step(prob, ds, cfg, res.Z_hat, eta)
     assert eta_next == eta
-    assert prob.loss(cand) + prob.penalty(cand, factors) >= t[-1]
+    assert prob.objective(cand, factors=factors)[0] >= t[-1]
     # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
     want = smc.objective(res.Z_hat, ds, probs, cfg)
     assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
