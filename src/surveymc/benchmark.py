@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import collective_unweighted, hot_deck, soft_impute
-from .errors import DegenerateTruth, InvalidInput, ShapeError, SurveyMCError, check_int
+from .errors import (DegenerateTruth, InvalidInput, ShapeError, SurveyMCError, check_int,
+                     real_array)
 from .families import mean_from_natural
 from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
@@ -32,12 +33,16 @@ __all__ = ["ReplicationReport", "BenchmarkSummary", "relative_error",
            "tune_benchmark_taus", "METHODS"]
 
 
-def relative_error(estimate, reference) -> float:
-    """||estimate - reference||_F / ||reference||_F."""
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
+def _pair(estimate, reference) -> tuple[np.ndarray, np.ndarray]:
+    est, ref = real_array("estimate", estimate, 2), real_array("reference", reference, 2)
     if est.shape != ref.shape:
         raise ShapeError(f"shape mismatch {est.shape} vs {ref.shape}")
+    return est, ref
+
+
+def relative_error(estimate, reference) -> float:
+    """||estimate - reference||_F / ||reference||_F of two matrices."""
+    est, ref = _pair(estimate, reference)
     denom = float(np.linalg.norm(ref))
     if denom == 0.0:
         raise DegenerateTruth("reference matrix is identically zero")
@@ -47,10 +52,7 @@ def relative_error(estimate, reference) -> float:
 def block_relative_errors(estimate, reference, layout) -> dict[str, float]:
     """Overall and per-block relative errors, in that order, with the overall
     squared error computed as the sum of block squared errors."""
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if est.shape != ref.shape:
-        raise ShapeError(f"shape mismatch {est.shape} vs {ref.shape}")
+    est, ref = _pair(layout.matrix("estimate", estimate), reference)
     total_num = total_den = 0.0
     blocks: dict[str, float] = {}
     for i, (fam, sl) in enumerate(layout.slices()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, WeightError, check_real
+from .errors import InvalidInput, ShapeError, WeightError, check_real, real_array
 from .families import CategoryLayout
 
 __all__ = ["MixedDataset", "Standardization"]
@@ -43,33 +43,22 @@ class MixedDataset:
     R: np.ndarray = field(init=False, repr=False)  # ~isnan(Y)
 
     def __post_init__(self):
-        arrays = []
-        for name, ndim in (("Y", 2), ("X", 2), ("strata", 1), ("pi", 1)):
-            value = getattr(self, name)
-            try:  # numpy would only warn when it drops an imaginary part
-                if np.iscomplexobj(value):
-                    raise TypeError("complex entries")
-                arrays.append(np.asarray(value, dtype=np.float64))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInput(f"{name} must hold real numbers: {exc}") from exc
-            if arrays[-1].ndim != ndim:
-                raise ShapeError(f"{name} must be {ndim}-dimensional, got {arrays[-1].ndim}")
-        Y, X, labels, pi = arrays
-        n, L = Y.shape
-        if n < 1 or L < 1:
+        Y = self.layout.matrix("Y", self.Y)
+        X, labels, pi = (real_array(name, getattr(self, name), ndim)
+                         for name, ndim in (("X", 2), ("strata", 1), ("pi", 1)))
+        n = Y.shape[0]
+        if n < 1:
             raise ShapeError(f"Y must be nonempty, got {Y.shape}")
         if X.shape[0] != n:
             raise ShapeError(f"X shape {X.shape} incompatible with n={n}")
         if labels.shape[0] != n or pi.shape[0] != n:
             raise ShapeError("strata and pi must have one entry per row")
-        if L != self.layout.n_cols:
-            raise ShapeError(f"layout covers {self.layout.n_cols} columns, Y has {L}")
         if not np.isfinite(X).all():
             raise InvalidInput("X contains non-finite entries")
         R = ~np.isnan(Y)
         if not np.isfinite(Y[R]).all():
             raise InvalidInput("observed Y entries must be finite")
-        if not np.isfinite(pi).all() or np.any(pi <= 0) or np.any(pi > 1):
+        if not np.all((pi > 0) & (pi <= 1)):  # NaN fails it too
             raise WeightError("inclusion probabilities must lie in (0, 1]")
         # compared as floats before the cast, which would truncate a fraction
         uniq = np.unique(labels)
@@ -116,9 +105,9 @@ class MixedDataset:
     def with_mask(self, keep: np.ndarray) -> "MixedDataset":
         """Copy with response entries outside `keep` re-marked as missing.
 
-        keep must be a subset of the current R; used to hold out folds.
+        keep (nonzero: kept) must be a subset of the current R; used to hold out folds.
         """
-        keep = np.asarray(keep, dtype=bool)
+        keep = real_array("mask", keep, 2) != 0
         if keep.shape != self.R.shape:
             raise ShapeError("mask shape differs from R")
         if np.any(keep & ~self.R):

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its argument boundary.
 
 Every public entry point raises one of these instead of letting bare
 numpy/ValueError surprises escape.  Each class carries the CLI's exit code
 for it: usage problems -> 2, data problems -> 3, numerical problems -> 4.
+Its four checkers, check_int, check_real, check_rng and real_array, are the
+package's one boundary: they turn a bad count, setting, generator or array
+into InvalidInput.
 """
 
 import math
@@ -72,19 +75,19 @@ def check_int(name: str, value, minimum: int) -> None:
 
 
 def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
-               *, inf_ok: bool = False) -> None:
+               *, low_ok: bool = False, inf_ok: bool = False) -> None:
     """Raise InvalidInput unless value is a real number (Python or numpy, not a
-    bool) with low < value < high, so finite under the default bounds; inf_ok
-    also lets +inf through.  Settings pass through here before numpy compares
-    them."""
+    bool) with low < value < high, so finite under the default bounds; low_ok
+    also lets low through, inf_ok +inf.  Settings pass through here before
+    numpy compares them."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:  # an integer beyond float64
         x = math.nan
-    if not (low < x < high or (inf_ok and x == math.inf)):
-        raise InvalidInput(f"{name} must be a real number in ({low:g}, {high:g}"
-                           f"{']' if inf_ok else ')'}, got {value!r}")
+    if not ((low < x or low_ok and x == low) and x < high or inf_ok and x == math.inf):
+        raise InvalidInput(f"{name} must be a real number in {'[' if low_ok else '('}{low:g}, "
+                           f"{high:g}{']' if inf_ok else ')'}, got {value!r}")
 
 
 def check_rng(rng, kinds=(np.random.Generator, np.random.RandomState)) -> None:
@@ -93,3 +96,21 @@ def check_rng(rng, kinds=(np.random.Generator, np.random.RandomState)) -> None:
     simulator makes."""
     if not isinstance(rng, kinds):
         raise InvalidInput(f"rng must be a numpy random generator, got {rng!r}")
+
+
+def real_array(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """value as a float64 ndarray (itself if it is one) with ndim axes if
+    given, else InvalidInput.  No pass over the data: a NaN or an infinity
+    means a different error (or none) to each caller, which checks them."""
+    try:
+        A = np.asarray(value)
+        if A.dtype != np.float64:
+            if A.dtype.kind not in "biufO":  # complex, strings, dates, records
+                raise TypeError(f"dtype {A.dtype} is not real")
+            with np.errstate(over="raise"):  # a long double beyond float64
+                A = A.astype(np.float64)
+    except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:
+        raise InvalidInput(f"{name} must hold real numbers: {exc}") from exc
+    if ndim is not None and A.ndim != ndim:
+        raise InvalidInput(f"{name} must be {ndim}-dimensional, got ndim={A.ndim}")
+    return A

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, check_real, check_rng
+from .errors import (DomainError, InvalidInput, ShapeError, check_int, check_real, check_rng,
+                     real_array)
 
 __all__ = ["Family", "Block", "CategoryLayout", "FAMILY_NAMES",
            "mean_from_natural", "natural_from_mean", "expit", "logit"]
@@ -48,7 +49,7 @@ def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 def expit(z) -> np.ndarray:
     """Logistic function, elementwise and overflow-safe for every float64 z;
     subnormal rather than 0 for z in (-745, -708)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = real_array("z", z)
     return _logistic(z, np.exp(-np.abs(z)))
 
 
@@ -56,6 +57,7 @@ def logit(p: np.ndarray) -> np.ndarray:
     """Inverse of expit, log(p / (1 - p)), for p in (0, 1); callers clip p.
     On [1e-6, 1 - 1e-6] the absolute error is below 2e-15, but near p = 0.5,
     where the result is near 0, the relative error is about 4e-17 / |p - 0.5|."""
+    p = real_array("p", p)
     return np.log(p / (1.0 - p))
 
 
@@ -81,22 +83,22 @@ class Family:
 
     def domain_box(self, half_width: float) -> tuple[float, float]:
         """[lo, hi] interval: the clamp box intersected with the domain."""
-        if half_width <= 0:
-            raise InvalidInput(f"half_width must be positive, got {half_width}")
+        check_real("half_width", half_width, 0.0, inf_ok=True)
         if self.kind == "exponential":
             return (-half_width, _EXP_DOMAIN_MAX)
         return (-half_width, half_width)
 
-    def _check_domain(self, z: np.ndarray) -> None:
+    def _in_domain(self, z) -> np.ndarray:
+        z = real_array("z", z)
         if self.kind == "exponential" and np.any(z > _EXP_DOMAIN_MAX):
             raise DomainError("exponential family requires natural parameter < 0")
+        return z
 
     # -- cumulant and derivatives ----------------------------------------
 
     def g(self, z) -> np.ndarray:
         """Cumulant function, elementwise."""
-        z = np.asarray(z, dtype=np.float64)
-        self._check_domain(z)
+        z = self._in_domain(z)
         if self.kind == "bernoulli":
             return _softplus(z, np.exp(-np.abs(z)))
         if self.kind == "poisson":
@@ -107,8 +109,7 @@ class Family:
 
     def g_prime(self, z) -> np.ndarray:
         """Mean function g'."""
-        z = np.asarray(z, dtype=np.float64)
-        self._check_domain(z)
+        z = self._in_domain(z)
         if self.kind == "bernoulli":
             return expit(z)
         if self.kind == "poisson":
@@ -119,8 +120,7 @@ class Family:
 
     def g_double_prime(self, z) -> np.ndarray:
         """Variance function g''; strictly positive on the domain."""
-        z = np.asarray(z, dtype=np.float64)
-        self._check_domain(z)
+        z = self._in_domain(z)
         if self.kind == "bernoulli":
             return expit(z) * expit(-z)
         if self.kind == "poisson":
@@ -132,7 +132,7 @@ class Family:
     def g_and_g_prime(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(g(z), g_prime(z)), bitwise, from one exponential per entry:
         bernoulli shares e^-|z| between g and g', poisson's g' is its g."""
-        z = np.asarray(z, dtype=np.float64)
+        z = real_array("z", z)
         if self.kind == "bernoulli":
             e = np.exp(-np.abs(z))
             return _softplus(z, e), _logistic(z, e)
@@ -148,6 +148,7 @@ class Family:
         domain edge, which iterates touch only transiently (the gradient
         repels them): it is scored on the interior [-beta, -1/max(beta, 1)],
         and edge visits are left to the backtracking line search."""
+        check_real("beta", beta, 0.0)
         if self.kind == "exponential":
             hi = min(-1.0 / max(beta, 1.0), _EXP_DOMAIN_MAX)
             return float(1.0 / hi**2)
@@ -174,7 +175,7 @@ class Family:
         [1e-3, 1 - 1e-3] before the logit.  Used to put mean-scale
         imputations on the natural-parameter scale.
         """
-        m = np.asarray(m, dtype=np.float64)
+        m = real_array("m", m)
         if self.kind == "bernoulli":
             return logit(np.clip(m, _MEAN_EPS, 1.0 - _MEAN_EPS))
         if self.kind == "poisson":
@@ -192,8 +193,7 @@ class Block:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidInput(f"block must hold at least one column, got {self.count}")
+        check_int("block count", self.count, 1)
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,14 @@ class CategoryLayout:
     def n_cols(self) -> int:
         return sum(b.count for b in self.blocks)
 
+    def matrix(self, name: str, M) -> np.ndarray:
+        """M as a float64 matrix (real_array) with one column per layout
+        column; raises InvalidInput, or ShapeError for another width."""
+        A = real_array(name, M, 2)
+        if A.shape[1] != self.n_cols:
+            raise ShapeError(f"layout covers {self.n_cols} columns, {name} has {A.shape[1]}")
+        return A
+
     def slices(self) -> list[tuple[Family, slice]]:
         """(family, column slice) per block, in order."""
         out, start = [], 0
@@ -227,18 +235,12 @@ class CategoryLayout:
 
 def mean_from_natural(Z, layout: CategoryLayout) -> np.ndarray:
     """Blockwise mean function g' applied to a natural-parameter matrix."""
-    Z = np.asarray(Z, dtype=np.float64)
-    M = np.empty_like(Z)
-    for fam, sl in layout.slices():
-        M[:, sl] = fam.g_prime(Z[:, sl])
-    return M
+    Z = layout.matrix("Z", Z)
+    return np.hstack([fam.g_prime(Z[:, sl]) for fam, sl in layout.slices()])
 
 
 def natural_from_mean(M, layout: CategoryLayout, clamp: float = 30.0) -> np.ndarray:
     """Blockwise inverse mean mapping, clipped into each family's clamp box."""
-    M = np.asarray(M, dtype=np.float64)
-    Z = np.empty_like(M)
-    for fam, sl in layout.slices():
-        lo, hi = fam.domain_box(clamp)
-        Z[:, sl] = np.clip(fam.mean_to_natural(M[:, sl]), lo, hi)
-    return Z
+    M = layout.matrix("M", M)
+    return np.hstack([np.clip(fam.mean_to_natural(M[:, sl]), *fam.domain_box(clamp))
+                      for fam, sl in layout.slices()])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MixedDataset, Standardization
-from .errors import InvalidInput, SchemaViolation
+from .errors import InvalidInput, SchemaViolation, real_array
 from .families import Block, CategoryLayout, Family
 
 __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
@@ -273,8 +273,11 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
 
 
 def save_matrix_csv(M, path, prefix: str = "c", na_marker: str = "NA") -> None:
-    """Write M under the header prefix1, prefix2, ..."""
-    M = np.asarray(M, dtype=np.float64)
+    """Write M under the header prefix1, prefix2, ..., NaN as na_marker; an
+    infinity, which load_matrix_csv would reject, raises InvalidInput."""
+    M = real_array("M", M, 2)
+    if np.isinf(M).any():
+        raise InvalidInput("M contains an infinite entry")
     _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M, na_marker)
 
 

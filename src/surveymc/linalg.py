@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, check_real, real_array
 
 __all__ = [
     "SvdFactors",
@@ -45,12 +45,10 @@ class SvdFactors:
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return M as a finite 2-d float64 array.
 
-    Raises InvalidInput for wrong dimensionality, empty axes, or non-finite
-    entries.
+    Raises InvalidInput for entries that are not real numbers, wrong
+    dimensionality, empty axes, or non-finite entries.
     """
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-dimensional, got ndim={A.ndim}")
+    A = real_array(name, M, 2)
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInput(f"{name} must have at least one row and column, got {A.shape}")
     if not np.isfinite(A).all():
@@ -87,8 +85,7 @@ def svt_factors(M, tau: float) -> SvdFactors:
     (u = 2^-53), so the result moves by O(||E|| / tau) <= O((m + p(n)) u / c)
     ||M||_F, about 1e-10 ||M||_F at m = 10^3.  Below the guard, e.g. tau = 0,
     svd_thin of M gives them.  Raises InvalidInput or NumericalFailure."""
-    if not np.isfinite(tau) or tau < 0:
-        raise InvalidInput(f"tau must be finite and >= 0, got {tau}")
+    check_real("tau", tau, 0.0, low_ok=True)
     A = as_matrix(M)
     if tau < 1e-3 * np.linalg.norm(A):  # below c ||M||_F: no Gram path
         f = svd_thin(A)

@@ -34,9 +34,9 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
-                     check_int, check_real)
+                     check_int, check_real, real_array)
 from .families import mean_from_natural
-from .linalg import SvdFactors, rank1_approx, singular_values, svt_factors
+from .linalg import SvdFactors, as_matrix, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
 
@@ -97,10 +97,10 @@ class _Problem:
 
     def __init__(self, dataset: MixedDataset, probs: ResponseProbModel,
                  tau: float, clamp: float):
-        p_hat = np.asarray(probs.p_hat, dtype=np.float64)
+        p_hat = real_array("p_hat", probs.p_hat, 2)
         if p_hat.shape != dataset.Y.shape:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
-        if np.any(p_hat <= 0) or np.any(p_hat > 1):
+        if not np.all((p_hat > 0) & (p_hat <= 1)):  # NaN fails it too
             raise InvalidInput("p_hat entries must lie in (0, 1]")
         self.Yf = np.nan_to_num(dataset.Y)
         self.N = dataset.resolve_population_size()
@@ -209,11 +209,9 @@ def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
 
 def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel,
                 tau: float = 1.0, clamp: float = np.inf) -> tuple[_Problem, np.ndarray]:
-    Z = np.asarray(Z, dtype=np.float64)
+    Z = as_matrix(Z, "Z")
     if Z.shape != dataset.Y.shape:
         raise ShapeError(f"Z shape {Z.shape} differs from Y shape {dataset.Y.shape}")
-    if not np.isfinite(Z).all():
-        raise InvalidInput("Z contains non-finite entries")
     return _Problem(dataset, probs, tau, clamp), Z
 
 

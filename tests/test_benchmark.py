@@ -1,6 +1,8 @@
 """Scoring identities and the Monte Carlo harness."""
 
+import os
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,9 @@ import surveymc.benchmark
 from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
 from surveymc.errors import DegenerateTruth, InvalidInput, ShapeError
+from surveymc.families import expit, logit
+from surveymc.io import save_matrix_csv
+from surveymc.linalg import as_matrix, rank1_approx, singular_values, svd_thin, svt_factors
 from surveymc.simulator import simulate_survey
 
 TINY = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
@@ -46,6 +51,15 @@ def test_block_errors_decompose_the_overall_error():
         den += d
     assert out["overall"] == pytest.approx(np.sqrt(num / den), rel=1e-12)
     assert out["overall"] == pytest.approx(relative_error(est, ref), rel=1e-12)
+
+
+def test_block_errors_need_the_layout_width():
+    # a wider pair was once scored on the columns the layout covers only
+    est = np.ones((4, TINY.n_cols + 1))
+    with pytest.raises(ShapeError, match="layout covers 12 columns, estimate has 13"):
+        block_relative_errors(est, 2.0 * est, TINY)
+    with pytest.raises(ShapeError):
+        block_relative_errors(est[:, 1:], est, TINY)
 
 
 def test_block_errors_reject_zero_block():
@@ -130,6 +144,7 @@ COUNT_ARGS = {
                                                                         base_seed=v)),
     "ResponseProbModel.constant.n": (1, lambda v: smc.ResponseProbModel.constant(v, 2)),
     "ResponseProbModel.constant.n_cols": (1, lambda v: smc.ResponseProbModel.constant(2, v)),
+    "Block.count": (1, lambda v: smc.Block(smc.Family("gaussian"), v)),
 }
 
 
@@ -153,6 +168,15 @@ _REAL_SETTINGS = {
     "estimate_response_probs.p_floor": (0.0, 1.0, False,
                                         lambda v: smc.estimate_response_probs(_DS, p_floor=v)),
     "grid_search.grid": (0.0, np.inf, False, lambda v: smc.grid_search((v,), float)),
+    # (-5e-324, inf) holds exactly the floats >= 0: tau = 0 is valid
+    "svt_factors.tau": (-5e-324, np.inf, False, lambda v: svt_factors(np.eye(3), v)),
+    "Family.domain_box": (0.0, np.inf, True, lambda v: smc.Family("poisson").domain_box(v)),
+    "Family.curvature_sup": (0.0, np.inf, False,
+                             lambda v: smc.Family("poisson").curvature_sup(v)),
+    "hot_deck.clamp": (0.0, np.inf, True,
+                       lambda v: smc.hot_deck(_DS, np.random.default_rng(0), clamp=v)),
+    "natural_from_mean.clamp": (0.0, np.inf, True, lambda v: smc.natural_from_mean(
+        np.full((2, TINY.n_cols), 0.5), TINY, v)),
 }
 _TRUTH = smc.generate_population(tiny_spec(), np.random.default_rng(0))
 _SAMPLE = smc.draw_sample(_TRUTH, tiny_spec(), np.random.default_rng(1))
@@ -195,6 +219,71 @@ def test_bad_reals_generators_and_layouts_are_invalid_input(data):
         bad = data.draw(st.one_of(st.integers(), st.floats(), JUNK))
     with pytest.raises(InvalidInput):
         call(bad)
+
+
+_Z = np.zeros(_DS.Y.shape)
+_FIT = smc.SolverConfig(tau=0.1, iterations=1)
+_POISSON = smc.Family("poisson")
+# each public array argument: a valid value for it, the number of axes it
+# must have (None: any), and the call taking it
+_ARRAY_ARGS = {
+    "MixedDataset.Y": (_DS.Y, 2, lambda v: replace(_DS, Y=v)),
+    "MixedDataset.X": (_DS.X, 2, lambda v: replace(_DS, X=v)),
+    "MixedDataset.strata": (_DS.strata, 1, lambda v: replace(_DS, strata=v)),
+    "MixedDataset.pi": (_DS.pi, 1, lambda v: replace(_DS, pi=v)),
+    "MixedDataset.with_mask": (_DS.R, 2, _DS.with_mask),
+    "weighted_loss.Z": (_Z, 2, lambda v: smc.weighted_loss(v, _DS, _PROBS)),
+    "gradient.Z": (_Z, 2, lambda v: smc.gradient(v, _DS, _PROBS)),
+    "objective.Z": (_Z, 2, lambda v: smc.objective(v, _DS, _PROBS, _FIT)),
+    "fit_completion.p_hat": (_PROBS.p_hat, 2, lambda v: smc.fit_completion(
+        _DS, replace(_PROBS, p_hat=v), _FIT)),
+    **{f"{fn.__name__}.M": (np.eye(3), 2, fn) for fn in (
+        svd_thin, rank1_approx, singular_values, smc.nuclear_norm, as_matrix)},
+    "svt.M": (np.eye(3), 2, lambda v: smc.svt(v, 0.1)),
+    "svt_factors.M": (np.eye(3), 2, lambda v: svt_factors(v, 0.1)),
+    "relative_error.estimate": (np.ones((2, 3)), 2, lambda v: relative_error(v, np.ones((2, 3)))),
+    "relative_error.reference": (np.ones((2, 3)), 2, lambda v: relative_error(np.ones((2, 3)), v)),
+    "block_relative_errors.estimate": (np.ones((2, 12)), 2, lambda v: block_relative_errors(
+        v, np.ones((2, 12)), TINY)),
+    "block_relative_errors.reference": (np.ones((2, 12)), 2, lambda v: block_relative_errors(
+        np.ones((2, 12)), v, TINY)),
+    **{f"Family.{method}.z": (np.full(3, -1.0), None, getattr(smc.Family(kind), method))
+       for kind, method in (("exponential", "g"), ("poisson", "g_prime"),
+                            ("gaussian", "g_double_prime"), ("bernoulli", "g_and_g_prime"),
+                            ("poisson", "mean_to_natural"))},
+    "Family.sample.z": (np.zeros(3), None, lambda v: _POISSON.sample(v, np.random.default_rng(0))),
+    "expit.z": (np.zeros(3), None, expit),
+    "logit.p": (np.full(3, 0.5), None, logit),
+    "mean_from_natural.Z": (np.zeros((2, 12)), 2, lambda v: smc.mean_from_natural(v, TINY)),
+    "natural_from_mean.M": (np.full((2, 12), 0.5), 2, lambda v: smc.natural_from_mean(v, TINY)),
+    "save_matrix_csv.M": (np.eye(3), 2, lambda v: save_matrix_csv(v, os.devnull)),
+}
+
+
+def _with_entry(valid, entry):
+    """valid as an object array whose last entry is entry."""
+    out = valid.astype(object)
+    out.flat[-1] = entry
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bad_arrays_are_invalid_input(data):
+    valid, ndim, call = _ARRAY_ARGS[data.draw(st.sampled_from(sorted(_ARRAY_ARGS)))]
+    junk = [st.complex_numbers(max_magnitude=1e6).map(lambda c: valid + c),
+            st.complex_numbers(), st.text(max_size=3),
+            st.just(valid.astype(str)),  # numeric strings
+            st.just([[1.0], [2.0, 3.0]]), st.just(10**400),
+            st.sampled_from(["a", 1j, 10**400]).map(lambda e: _with_entry(valid, e))]
+    if ndim is not None:  # 0-d and a wrong number of axes
+        junk += [st.floats().map(np.array), st.just(valid[..., None]),
+                 st.just(valid.ravel()[:1] if ndim > 1 else np.diag(valid))]
+    bad = data.draw(st.one_of(junk))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            call(bad)
 
 
 def test_legacy_random_state_still_drives_the_simulator():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from surveymc.errors import DomainError, InvalidInput
+from surveymc.errors import DomainError, InvalidInput, ShapeError
 from surveymc.families import (Block, CategoryLayout, Family, expit, logit,
                                mean_from_natural, natural_from_mean)
 
@@ -276,3 +276,15 @@ def test_natural_from_mean_respects_clamp_box():
     Z = natural_from_mean(M, lay, clamp=5.0)
     assert Z[0, 0] == -5.0
     assert Z[0, 1] == -5.0
+
+
+@pytest.mark.parametrize("cols", [3, 6])
+def test_matrix_maps_need_the_layout_width(cols):
+    # a wider matrix once came back with uninitialised columns, a narrower
+    # one with a truncated last block
+    lay = CategoryLayout.of(("gaussian", 2), ("poisson", 2))
+    M = np.full((3, cols), 0.5)
+    with pytest.raises(ShapeError, match=f"layout covers 4 columns, M has {cols}"):
+        natural_from_mean(M, lay)
+    with pytest.raises(ShapeError, match=f"layout covers 4 columns, Z has {cols}"):
+        mean_from_natural(M, lay)

@@ -306,6 +306,15 @@ def test_matrix_csv_round_trip_with_nan(tmp_path):
     assert path.read_text().splitlines()[0] == "c1,c2"
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_save_matrix_csv_rejects_an_infinity(tmp_path, value):
+    # load_matrix_csv rejects the token an infinity would write
+    path = tmp_path / "m.csv"
+    with pytest.raises(InvalidInput, match="infinite"):
+        save_matrix_csv(np.array([[0.1, np.nan], [value, 1.0]]), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("body", ["c1,c2\n0.1,zap\n", "c1,c2\n0.1,inf\n",
                                   "c1,c2\n0.1\n", "c1,c2\n0.1,2,3\n", "c1,c2\n", "", None],
                          ids=["junk", "inf", "short-row", "long-row", "no-rows", "empty",
@@ -575,6 +584,10 @@ def _token(x: float, na_marker: str) -> str:
     na_marker=st.sampled_from(["NA", "", "nan", "n,a", '"q"', " x\n"]), ds=datasets())
 def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, na_marker, ds):
     fast, slow = scratch / "fast.csv", scratch / "slow.csv"
+    if np.isinf(M).any():  # refused: load_matrix_csv would reject its token
+        with pytest.raises(InvalidInput):
+            save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
+        M = np.where(np.isinf(M), np.nan, M)
     save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
     _write_csv(slow, [f"m{j + 1}" for j in range(M.shape[1])],
                ([_token(v, na_marker) for v in row] for row in M))

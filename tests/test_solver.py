@@ -165,6 +165,20 @@ def test_shape_and_domain_checks():
         smc.weighted_loss(Z, ds, wrong_p)
 
 
+@pytest.mark.parametrize("observed", [True, False])
+def test_a_nan_p_hat_is_invalid_input(observed):
+    # a NaN at an observed entry once surfaced as a weight overflow blamed on
+    # N, and one at a missing entry passed unnoticed
+    ds, probs, Z = helpers.random_problem(np.random.default_rng(5))
+    p_hat = probs.p_hat.copy()
+    p_hat[tuple(np.argwhere(ds.R == observed)[0])] = np.nan
+    nan_p = helpers.probs_of(p_hat, 0.2)
+    with pytest.raises(InvalidInput, match="p_hat"):
+        smc.weighted_loss(Z, ds, nan_p)
+    with pytest.raises(InvalidInput, match="p_hat"):
+        smc.fit_completion(ds, nan_p, smc.SolverConfig(tau=0.1, iterations=2))
+
+
 def test_config_validation():
     with pytest.raises(InvalidInput):
         smc.SolverConfig(tau=0.0)
