@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import ColumnEmpty, check_rng
-from .families import CategoryLayout, mean_from_natural, natural_from_mean
+from .errors import ColumnEmpty, check_real, check_type
+from .families import DEFAULT_CLAMP, CategoryLayout, mean_from_natural, natural_from_mean
 from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
 
@@ -40,24 +40,26 @@ class BaselineResult:
     notes: dict
 
 
-def _unweighted_fit(dataset: MixedDataset, config: SolverConfig,
+def _unweighted_fit(dataset: MixedDataset, tau: float, config: SolverConfig,
                     layout: CategoryLayout) -> tuple[np.ndarray, dict]:
     """fit_completion on a copy with no covariates, pi = 1, N = n and p_hat = 1,
     the columns read under `layout`; returns Z_hat and the notes of the fit."""
     n, L = dataset.Y.shape
     flat = replace(dataset, X=np.empty((n, 0)), pi=np.ones(n), population_size=float(n),
                    layout=layout)
-    res = fit_completion(flat, ResponseProbModel.constant(n, L), config)
+    res = fit_completion(flat, ResponseProbModel.constant(n, L), tau, config)
     return res.Z_hat, {"diagnostics": res.diagnostics,
                        "objective_trace": res.objective_trace,
                        "iterations": res.iterations_run}
 
 
-def soft_impute(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
-    """Soft-impute at lam = n*L*config.tau: the unweighted fit with every
-    column gaussian (sigma 1), so Z_hat estimates the means directly."""
+def soft_impute(dataset: MixedDataset, tau: float,
+                config: SolverConfig = SolverConfig()) -> BaselineResult:
+    """Soft-impute at lam = n*L*tau: the unweighted fit with every column
+    gaussian (sigma 1), so Z_hat estimates the means directly."""
+    check_type("dataset", dataset, MixedDataset)
     layout = CategoryLayout.of(("gaussian", dataset.n_responses))
-    M, notes = _unweighted_fit(dataset, config, layout)
+    M, notes = _unweighted_fit(dataset, tau, config, layout)
     return BaselineResult(
         method="soft_impute",
         Y_imputed=np.where(dataset.R, dataset.Y, M),
@@ -67,14 +69,16 @@ def soft_impute(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
 
 
 def hot_deck(dataset: MixedDataset, rng: np.random.Generator,
-             *, clamp: float = 30.0) -> BaselineResult:
+             *, clamp: float = DEFAULT_CLAMP) -> BaselineResult:
     """Fill each missing entry with a uniformly drawn observed donor from the
     same column and stratum, falling back to the whole column when a
     (column, stratum) cell has no donor.
 
     Raises ColumnEmpty when a column has no observed entry in any stratum.
     """
-    check_rng(rng, np.random.Generator)
+    check_type("dataset", dataset, MixedDataset)
+    check_type("rng", rng, np.random.Generator)
+    check_real("clamp", clamp, 0.0, inf_ok=True)
     Y, R, strata = dataset.Y, dataset.R, dataset.strata
     Y_imputed = Y.copy()  # missing entries are NaN until drawn
     fallback_cells = 0
@@ -101,10 +105,12 @@ def hot_deck(dataset: MixedDataset, rng: np.random.Generator,
     )
 
 
-def collective_unweighted(dataset: MixedDataset, config: SolverConfig) -> BaselineResult:
-    """Main solver with all weights switched off and the dataset's families;
-    config holds every setting.  The penalty is the plain nuclear norm of Z."""
-    Z, notes = _unweighted_fit(dataset, config, dataset.layout)
+def collective_unweighted(dataset: MixedDataset, tau: float,
+                          config: SolverConfig = SolverConfig()) -> BaselineResult:
+    """Main solver at tau with all weights switched off and the dataset's
+    families.  The penalty is the plain nuclear norm of Z."""
+    check_type("dataset", dataset, MixedDataset)
+    Z, notes = _unweighted_fit(dataset, tau, config, dataset.layout)
     means = mean_from_natural(Z, dataset.layout)
     return BaselineResult(
         method="collective_unweighted",

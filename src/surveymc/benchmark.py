@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import collective_unweighted, hot_deck, soft_impute
 from .errors import (DegenerateTruth, InvalidInput, ShapeError, SurveyMCError, check_int,
-                     real_array)
-from .families import mean_from_natural
+                     check_real, check_type, real_array)
+from .families import CategoryLayout, mean_from_natural
 from .response_model import estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
 from .solver import DEFAULT_TAU_GRID, SolverConfig, fit_completion, grid_search
@@ -52,6 +52,7 @@ def relative_error(estimate, reference) -> float:
 def block_relative_errors(estimate, reference, layout) -> dict[str, float]:
     """Overall and per-block relative errors, in that order, with the overall
     squared error computed as the sum of block squared errors."""
+    check_type("layout", layout, CategoryLayout)
     est, ref = _pair(layout.matrix("estimate", estimate), reference)
     total_num = total_den = 0.0
     blocks: dict[str, float] = {}
@@ -101,15 +102,15 @@ def _method_rng(base_seed: int, r: int) -> np.random.Generator:
 
 
 def _ipw(ds, probs, tau, config, rng):
-    return fit_completion(ds, probs, replace(config, tau=tau)).Z_hat
+    return fit_completion(ds, probs, tau, config).Z_hat
 
 
 def _collective_unweighted(ds, probs, tau, config, rng):
-    return collective_unweighted(ds, replace(config, tau=tau)).Z_hat_natural
+    return collective_unweighted(ds, tau, config).Z_hat_natural
 
 
 def _soft_impute(ds, probs, tau, config, rng):
-    return soft_impute(ds, replace(config, tau=tau)).Z_hat_natural
+    return soft_impute(ds, tau, config).Z_hat_natural
 
 
 def _hot_deck(ds, probs, tau, config, rng):
@@ -128,9 +129,10 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0) -> tuple[str, ...]:
-    """Reject an empty method list, unknown or repeated methods, replicates
-    < 2 (a standard error needs two) or a negative seed before any fit."""
+def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0,
+                   taus: dict[str, float] | None = None) -> tuple[str, ...]:
+    """Reject, before any draw or fit, no methods, unknown or repeated ones,
+    replicates < 2, a negative seed and, given taus, a tuned method without a valid tau."""
     methods = tuple(methods)
     if not methods:
         raise InvalidInput(f"methods must name at least one of {METHODS}")
@@ -141,6 +143,10 @@ def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0) -> tuple[
         raise InvalidInput(f"methods {methods} name a method more than once")
     check_int("replicates", n_replicates, 2)
     check_int("base_seed", base_seed, 0)
+    check_type("taus", taus, dict, type(None))
+    for name in methods:
+        if taus is not None and _REGISTRY[name].tuned:  # a missing tau reads as None
+            check_real(f"taus[{name!r}]", taus.get(name), 0.0)
     return methods
 
 
@@ -159,7 +165,7 @@ def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
     failures: dict[str, str] = {}
     for name in methods:
         try:
-            Z_hat = _REGISTRY[name].fit(ds, probs, taus.get(name, config.tau), config,
+            Z_hat = _REGISTRY[name].fit(ds, probs, taus.get(name), config,
                                         _method_rng(base_seed, r))
             scores = block_relative_errors(Z_hat, truth_Z, ds.layout)
             scores["overall_mean_scale"] = relative_error(
@@ -174,19 +180,21 @@ def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
                              re=re, failures=failures)
 
 
-def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
-                  taus: dict[str, float] | None = None, base_seed: int = 1,
-                  config: SolverConfig | None = None, p_floor: float = 0.01) -> BenchmarkSummary:
+def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20, *,
+                  taus: dict[str, float], base_seed: int = 1,
+                  config: SolverConfig = SolverConfig(),
+                  p_floor: float = 0.01) -> BenchmarkSummary:
     """Run the Monte Carlo replicates in order, in the calling thread, and
     aggregate mean and standard error.
 
-    taus maps method name to its tuning parameter; missing entries fall back
-    to config.tau.  Failures are recorded per replicate and excluded from the
-    aggregate, never silently dropped.
+    taus is required and maps every tuned method to its tau; a run of
+    hot_deck alone passes {}.  Failures are recorded per replicate and
+    excluded from the aggregate, never silently dropped.
     """
-    methods = check_run_args(methods, n_replicates, base_seed)
-    config = config or SolverConfig(tau=2.0**-10)
-    taus = dict(taus or {})
+    check_type("spec", spec, PopulationSpec)
+    check_type("config", config, SolverConfig)
+    check_type("taus", taus, dict)
+    methods = check_run_args(methods, n_replicates, base_seed, taus)
 
     reports = [_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
                for r in range(1, n_replicates + 1)]
@@ -201,13 +209,13 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
             vals = np.array([s[lab] for s in ok])
             se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
             aggregate[name][lab] = (float(vals.mean()), se, int(vals.size))
-    return BenchmarkSummary(spec=spec, methods=methods, taus=taus, base_seed=base_seed,
+    return BenchmarkSummary(spec=spec, methods=methods, taus=dict(taus), base_seed=base_seed,
                             reports=tuple(reports), aggregate=aggregate,
                             n_failures=n_failures)
 
 
 def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_GRID,
-                        base_seed: int = 1, config: SolverConfig | None = None,
+                        base_seed: int = 1, config: SolverConfig = SolverConfig(),
                         p_floor: float = 0.01) -> dict[str, float]:
     """Tune each method's tau once on the reserved validation replicate.
 
@@ -216,8 +224,9 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     grid and scores the relative error against the validation truth; ties
     break toward the larger tau.  Methods without a tau are left out.
     """
+    check_type("spec", spec, PopulationSpec)
+    check_type("config", config, SolverConfig)
     methods = check_run_args(methods, base_seed=base_seed)
-    config = config or SolverConfig(tau=2.0**-10)
     ds, truth_Z, probs = _draw_replicate(spec, methods, base_seed, 0, p_floor)
     out: dict[str, float] = {}
     for name in methods:

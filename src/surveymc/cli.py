@@ -49,10 +49,6 @@ def _spec_from_args(args) -> PopulationSpec:
                           xi=args.xi, n_covariates=args.covariates)
 
 
-def _solver_config(args, tau: float) -> SolverConfig:
-    return SolverConfig(tau=tau, iterations=args.iterations, clamp=args.clamp)
-
-
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -83,8 +79,8 @@ def _load(args) -> MixedDataset:
 def _fit(args, dataset: MixedDataset):
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
-    result = fit_completion(dataset, probs, _solver_config(args, args.tau))
-    return probs, result
+    return probs, fit_completion(dataset, probs, args.tau,
+                                 SolverConfig(iterations=args.iterations, clamp=args.clamp))
 
 
 def cmd_simulate(args) -> int:
@@ -145,9 +141,9 @@ def cmd_tune(args) -> int:
     dataset = _load(args)
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
-    grid = mio.parse_tau_grid(args.grid)
-    result = tune_tau(dataset, probs, grid=grid, folds=args.folds, seed=args.seed,
-                      base_config=_solver_config(args, grid[0]))
+    result = tune_tau(dataset, probs, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
+                      seed=args.seed,
+                      config=SolverConfig(iterations=args.iterations, clamp=args.clamp))
     mio.write_tau_scores(result, os.path.join(out, "tau_scores.csv"))
     mio.write_meta_json(_meta(args, {"best_tau": result.best_tau,
                                      "stage_one": _stage_one(probs)}),
@@ -162,7 +158,7 @@ def cmd_benchmark(args) -> int:
     methods = check_run_args([m.strip() for m in args.methods.split(",")],
                              args.replicates, args.seed)
     check_int("threads", args.threads, 1)
-    config = _solver_config(args, 2.0**-10)
+    config = SolverConfig(iterations=args.iterations, clamp=args.clamp)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}
     else:
@@ -187,8 +183,8 @@ def cmd_benchmark(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=200, help="iteration cap")
-    p.add_argument("--clamp", type=float, default=30.0,
+    p.add_argument("--iterations", type=int, default=SolverConfig.iterations, help="iteration cap")
+    p.add_argument("--clamp", type=float, default=SolverConfig.clamp,
                    help="natural-parameter clamp box half-width")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, WeightError, check_real, real_array
+from .errors import InvalidInput, ShapeError, WeightError, check_real, check_type, real_array
 from .families import CategoryLayout
 
 __all__ = ["MixedDataset", "Standardization"]
@@ -43,6 +43,7 @@ class MixedDataset:
     R: np.ndarray = field(init=False, repr=False)  # ~isnan(Y)
 
     def __post_init__(self):
+        check_type("layout", self.layout, CategoryLayout)
         Y = self.layout.matrix("Y", self.Y)
         X, labels, pi = (real_array(name, getattr(self, name), ndim)
                          for name, ndim in (("X", 2), ("strata", 1), ("pi", 1)))

@@ -3,9 +3,9 @@
 Every public entry point raises one of these instead of letting bare
 numpy/ValueError surprises escape.  Each class carries the CLI's exit code
 for it: usage problems -> 2, data problems -> 3, numerical problems -> 4.
-Its four checkers, check_int, check_real, check_rng and real_array, are the
-package's one boundary: they turn a bad count, setting, generator or array
-into InvalidInput.
+Its four checkers, check_int, check_real, check_type and real_array, are the
+package's one boundary: they turn a bad count, setting, object (a dataset,
+layout, config, generator, ...) or array into InvalidInput.
 """
 
 import math
@@ -90,23 +90,32 @@ def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
                            f"{high:g}{']' if inf_ok else ')'}, got {value!r}")
 
 
-def check_rng(rng, kinds=(np.random.Generator, np.random.RandomState)) -> None:
-    """Raise InvalidInput unless rng is an instance of kinds: by default a numpy
-    Generator or a legacy RandomState, which both have every draw the
-    simulator makes."""
-    if not isinstance(rng, kinds):
-        raise InvalidInput(f"rng must be a numpy random generator, got {rng!r}")
+# the generators with every draw the simulator makes
+GENERATORS = (np.random.Generator, np.random.RandomState)
+
+
+def check_type(name: str, value, *kinds: type) -> None:
+    """Raise InvalidInput unless value is an instance of one of kinds; object
+    arguments pass through here before any of their attributes is read."""
+    if not isinstance(value, kinds):
+        raise InvalidInput(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, "
+                           f"got {value!r}")
 
 
 def real_array(name: str, value, ndim: int | None = None) -> np.ndarray:
     """value as a float64 ndarray (itself if it is one) with ndim axes if
-    given, else InvalidInput.  No pass over the data: a NaN or an infinity
-    means a different error (or none) to each caller, which checks them."""
+    given, else InvalidInput.  No pass over numeric data (an object array's
+    entries are each checked to be real numbers): a NaN or an infinity means
+    a different error (or none) to each caller, which checks them."""
     try:
         A = np.asarray(value)
         if A.dtype != np.float64:
             if A.dtype.kind not in "biufO":  # complex, strings, dates, records
                 raise TypeError(f"dtype {A.dtype} is not real")
+            # astype would read None as NaN and a numeric string as its number
+            if A.dtype == object and not all(isinstance(v, (numbers.Real, np.bool_))
+                                             for v in A.flat):
+                raise TypeError("an entry is not a real number")
             with np.errstate(over="raise"):  # a long double beyond float64
                 A = A.astype(np.float64)
     except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:

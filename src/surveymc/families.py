@@ -20,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InvalidInput, ShapeError, check_int, check_real, check_rng,
-                     real_array)
+from .errors import (GENERATORS, DomainError, InvalidInput, ShapeError, check_int, check_real,
+                     check_type, real_array)
 
-__all__ = ["Family", "Block", "CategoryLayout", "FAMILY_NAMES",
+__all__ = ["Family", "Block", "CategoryLayout", "FAMILY_NAMES", "DEFAULT_CLAMP",
            "mean_from_natural", "natural_from_mean", "expit", "logit"]
 
 FAMILY_NAMES = ("bernoulli", "poisson", "gaussian", "exponential")
+
+# default half-width of the natural-parameter clamp box (solver, baselines, CLI)
+DEFAULT_CLAMP = 30.0
 
 # exponential family: natural parameters above this value are out of domain
 _EXP_DOMAIN_MAX = -1e-8
@@ -81,12 +84,12 @@ class Family:
 
     # -- domain ---------------------------------------------------------
 
-    def domain_box(self, half_width: float) -> tuple[float, float]:
-        """[lo, hi] interval: the clamp box intersected with the domain."""
-        check_real("half_width", half_width, 0.0, inf_ok=True)
+    def domain_box(self, clamp: float) -> tuple[float, float]:
+        """[lo, hi] interval: the clamp box [-clamp, clamp] intersected with the domain."""
+        check_real("clamp", clamp, 0.0, inf_ok=True)
         if self.kind == "exponential":
-            return (-half_width, _EXP_DOMAIN_MAX)
-        return (-half_width, half_width)
+            return (-clamp, _EXP_DOMAIN_MAX)
+        return (-clamp, clamp)
 
     def _in_domain(self, z) -> np.ndarray:
         z = real_array("z", z)
@@ -158,7 +161,7 @@ class Family:
 
     def sample(self, z, rng: np.random.Generator) -> np.ndarray:
         """Draw one response per natural parameter entry, with mean g'(z)."""
-        check_rng(rng)
+        check_type("rng", rng, *GENERATORS)
         mean = self.g_prime(z)
         if self.kind == "bernoulli":
             return (rng.random(mean.shape) < mean).astype(np.float64)
@@ -235,12 +238,14 @@ class CategoryLayout:
 
 def mean_from_natural(Z, layout: CategoryLayout) -> np.ndarray:
     """Blockwise mean function g' applied to a natural-parameter matrix."""
+    check_type("layout", layout, CategoryLayout)
     Z = layout.matrix("Z", Z)
     return np.hstack([fam.g_prime(Z[:, sl]) for fam, sl in layout.slices()])
 
 
-def natural_from_mean(M, layout: CategoryLayout, clamp: float = 30.0) -> np.ndarray:
+def natural_from_mean(M, layout: CategoryLayout, clamp: float = DEFAULT_CLAMP) -> np.ndarray:
     """Blockwise inverse mean mapping, clipped into each family's clamp box."""
+    check_type("layout", layout, CategoryLayout)
     M = layout.matrix("M", M)
     return np.hstack([np.clip(fam.mean_to_natural(M[:, sl]), *fam.domain_box(clamp))
                       for fam, sl in layout.slices()])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import NumericalFailure, StratumTooSmall, check_int, check_real
+from .errors import NumericalFailure, StratumTooSmall, check_int, check_real, check_type
 from .families import expit, logit
 
 __all__ = ["ResponseProbModel", "estimate_response_probs"]
@@ -195,6 +195,7 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
 def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
                             use_design_weights: bool = False) -> ResponseProbModel:
     """Fit every (column, stratum) cell and assemble the clamped p_hat matrix."""
+    check_type("dataset", dataset, MixedDataset)
     check_real("p_floor", p_floor, 0.0, 1.0)
     n, L = dataset.Y.shape
     H, D = dataset.n_strata, dataset.n_covariates

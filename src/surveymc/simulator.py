@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import (DegenerateTruth, DesignError, InvalidInput, check_int, check_real,
-                     check_rng)
+from .errors import (GENERATORS, DegenerateTruth, DesignError, InvalidInput, check_int,
+                     check_real, check_type)
 from .families import CategoryLayout, expit
 
 __all__ = ["PopulationSpec", "SyntheticTruth", "SampledData",
@@ -51,8 +51,7 @@ class PopulationSpec:
         for name in ("n_strata", "m1", "m2", "n_covariates"):
             check_int(name, getattr(self, name), 1)
         check_real("xi", self.xi)
-        if not isinstance(self.layout, CategoryLayout):
-            raise InvalidInput(f"layout must be a CategoryLayout, got {self.layout!r}")
+        check_type("layout", self.layout, CategoryLayout)
         if any(b.family.kind == "exponential" for b in self.layout.blocks):
             raise InvalidInput("simulated natural parameters lie in [0, 1], outside the "
                                "exponential family's domain z < 0")
@@ -93,7 +92,8 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Synth
     the cluster rates and sizes, then per cluster the covariate block and one
     weight matrix per response block, then the missingness coefficients.
     """
-    check_rng(rng)
+    check_type("spec", spec, PopulationSpec)
+    check_type("rng", rng, *GENERATORS)
     H, D, L = spec.n_strata, spec.n_covariates, spec.layout.n_cols
     a = rng.exponential(size=H)
     M_h = 5 * rng.poisson(a) + 20
@@ -145,7 +145,9 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Synth
 def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
                 rng: np.random.Generator) -> SampledData:
     """Two-stage draw: PPS with replacement over clusters, then SRSWOR."""
-    check_rng(rng)
+    check_type("truth", truth, SyntheticTruth)
+    check_type("spec", spec, PopulationSpec)
+    check_type("rng", rng, *GENERATORS)
     H = spec.n_strata
     if truth.stratum_sizes.shape[0] != H:
         raise DesignError(f"population has {truth.stratum_sizes.shape[0]} strata, spec says {H}")
@@ -196,6 +198,7 @@ def impose_responses_and_missingness(sample: SampledData,
     Duplicate rows (a cluster drawn twice can repeat elements across draws)
     receive independent response and missingness realizations.
     """
+    check_type("sample", sample, SampledData)
     ds = sample.dataset
     Y = np.empty_like(sample.truth_Z)
     for fam, sl in ds.layout.slices():

@@ -1,6 +1,6 @@
 """Stage two: weighted low-rank completion of the natural-parameter matrix.
 
-The estimate minimizes
+The estimate at penalty weight tau, each fit's argument, minimizes
 
     (1/(N L)) sum_i (1/pi_i) sum_j (r_ij / p_ij) (-y_ij z_ij + g_j(z_ij))
         + tau * || [X, Z] ||_*
@@ -28,14 +28,14 @@ cap would give, and the trace ends there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import MixedDataset
 from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, ShapeError,
-                     check_int, check_real, real_array)
-from .families import mean_from_natural
+                     check_int, check_real, check_type, real_array)
+from .families import DEFAULT_CLAMP, mean_from_natural
 from .linalg import SvdFactors, as_matrix, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
 from .response_model import ResponseProbModel
@@ -53,18 +53,16 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings: the penalty weight tau, the iteration cap (the loop
-    stops earlier at a fixed point, see fit_completion) and the clamp box
-    half-width.  The step size is always automatic and backtracked.  The
-    population size N is the dataset's (MixedDataset.resolve_population_size).
+    """Settings shared by every fit of a tuning path, whose tau is each fit's
+    argument: the iteration cap (the loop stops earlier at a fixed point, see
+    fit_completion) and the clamp box half-width.  The step size is automatic
+    and backtracked; N is the dataset's (MixedDataset.resolve_population_size).
     """
 
-    tau: float
     iterations: int = 200
-    clamp: float = 30.0
+    clamp: float = DEFAULT_CLAMP
 
     def __post_init__(self):
-        check_real("tau", self.tau, 0.0)
         check_int("iterations", self.iterations, 1)
         check_real("clamp", self.clamp, 0.0, inf_ok=True)
 
@@ -95,8 +93,9 @@ class _Problem:
     weights and responses of its observed entries.
     """
 
-    def __init__(self, dataset: MixedDataset, probs: ResponseProbModel,
-                 tau: float, clamp: float):
+    def __init__(self, dataset: MixedDataset, probs: ResponseProbModel, clamp: float):
+        check_type("dataset", dataset, MixedDataset)
+        check_type("probs", probs, ResponseProbModel)
         p_hat = real_array("p_hat", probs.p_hat, 2)
         if p_hat.shape != dataset.Y.shape:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
@@ -110,7 +109,6 @@ class _Problem:
         if not np.isfinite(W).all():
             raise NumericalFailure(f"population size N={self.N} makes a response "
                                    f"weight 1/(N L pi p_hat) overflow")
-        self.tau = tau
         self.X = dataset.X
         self.D = self.X.shape[1]
         slices = dataset.layout.slices()
@@ -160,10 +158,10 @@ class _Problem:
         tail = R[:, self.D:] @ (factors.s[:, None] * factors.V[self.D:].T)
         return singular_values(np.hstack([R[:, :self.D], tail]))
 
-    def objective(self, Z: np.ndarray, loss=None, factors=None) -> tuple[float, np.ndarray]:
+    def objective(self, Z: np.ndarray, tau: float, loss=None, factors=None) -> tuple:
         """(loss + tau ||[X, Z]||_*, the spectrum that priced it); loss defaults to loss(Z)."""
         svals = self.spectrum(Z, factors)
-        return (self.loss(Z) if loss is None else loss) + self.tau * float(np.sum(svals)), svals
+        return (self.loss(Z) if loss is None else loss) + tau * float(np.sum(svals)), svals
 
     def prox_step(self, T: np.ndarray, thresh: float) -> tuple:
         """Threshold [X, T], keep the response columns, project them into the
@@ -198,21 +196,20 @@ def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel) -> np.ndarray:
         return _finite("gradient", prob.value_and_grad(Z)[1])
 
 
-def objective(Z, dataset: MixedDataset, probs: ResponseProbModel,
-              config: SolverConfig) -> float:
+def objective(Z, dataset: MixedDataset, probs: ResponseProbModel, tau: float) -> float:
     """weighted_loss plus tau times the nuclear norm of [dataset.X, Z].
     Raises NumericalFailure when a term overflows float64."""
-    prob, Z = _problem_at(Z, dataset, probs, config.tau, config.clamp)
+    check_real("tau", tau, 0.0)
+    prob, Z = _problem_at(Z, dataset, probs)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite("objective", prob.objective(Z)[0])
+        return _finite("objective", prob.objective(Z, tau)[0])
 
 
-def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel,
-                tau: float = 1.0, clamp: float = np.inf) -> tuple[_Problem, np.ndarray]:
-    Z = as_matrix(Z, "Z")
+def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel) -> tuple[_Problem, np.ndarray]:
+    prob, Z = _Problem(dataset, probs, np.inf), as_matrix(Z, "Z")  # no clamp box
     if Z.shape != dataset.Y.shape:
         raise ShapeError(f"Z shape {Z.shape} differs from Y shape {dataset.Y.shape}")
-    return _Problem(dataset, probs, tau, clamp), Z
+    return prob, Z
 
 
 def _finite(what: str, value):
@@ -222,10 +219,10 @@ def _finite(what: str, value):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is handled, see the docstring
-def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
-                   config: SolverConfig) -> CompletionResult:
-    """Run the descent-guarded accelerated proximal loop with momentum
-    restart, until a fixed point or config.iterations (see the module notes).
+def fit_completion(dataset: MixedDataset, probs: ResponseProbModel, tau: float,
+                   config: SolverConfig = SolverConfig()) -> CompletionResult:
+    """Fit at tau: run the descent-guarded accelerated proximal loop with
+    momentum restart, until a fixed point or config.iterations (module notes).
 
     The penalty augments Z with dataset.X (n x D, D >= 0).  A trial step that
     overflows float64 is halved.  Raises ColumnEmpty when the dataset has no
@@ -234,12 +231,15 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
     (an N so large that every weight is 0) or when a weight overflows (an N
     so small that N*L*pi*p_hat underflows).
     """
+    check_real("tau", tau, 0.0)
+    check_type("config", config, SolverConfig)
+    check_type("dataset", dataset, MixedDataset)
     if not dataset.R.any():
         raise ColumnEmpty("dataset has no observed response to fit")
-    prob = _Problem(dataset, probs, config.tau, config.clamp)
+    prob = _Problem(dataset, probs, config.clamp)
 
     Z1, n_proj = prob.project(rank1_approx(prob.Yf))
-    obj1, svals1 = prob.objective(Z1)
+    obj1, svals1 = prob.objective(Z1, tau)
     if not np.isfinite(obj1):
         raise NumericalFailure(f"objective non-finite at initialization: {obj1}")
 
@@ -264,7 +264,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         for tries in range(_MAX_BACKTRACKS + 1):
             T = Q - eta * G
             if np.isfinite(T).all():  # else the step is too long for float64
-                cand, moved, factors = prob.prox_step(T, eta * config.tau)
+                cand, moved, factors = prob.prox_step(T, eta * tau)
                 diff = cand - Q
                 cand_loss = prob.loss(cand)
                 # einsum, not a BLAS dot: its sum does not depend on the thread count
@@ -279,7 +279,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel,
         n_backtracks += tries
         n_proj += moved
 
-        cand_obj, cand_svals = prob.objective(cand, cand_loss, factors)
+        cand_obj, cand_svals = prob.objective(cand, tau, cand_loss, factors)
         if not np.isfinite(cand_obj):
             raise NumericalFailure(f"objective non-finite at iteration {k}")
 
@@ -337,15 +337,18 @@ def grid_search(grid, score) -> TuneResult:
 
 def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
              grid=DEFAULT_TAU_GRID, folds: int = 5, seed: int = 0,
-             base_config: SolverConfig | None = None) -> TuneResult:
+             config: SolverConfig = SolverConfig()) -> TuneResult:
     """Pick tau from a grid by k-fold cross-validation.
 
     The observed entries are split into `folds` folds by a permutation drawn
     from `seed`.  Each tau is scored by the squared distance between the
     mean-scale imputations and the held-out observed responses, summed over
-    the folds; ties break toward the larger tau (see grid_search).
-    base_config supplies every solver setting except tau.
+    the folds; ties break toward the larger tau (see grid_search).  Every fit
+    takes its grid tau and the settings of config.
     """
+    check_type("dataset", dataset, MixedDataset)
+    check_type("probs", probs, ResponseProbModel)
+    check_type("config", config, SolverConfig)
     check_int("folds", folds, 2)
     check_int("seed", seed, 0)
     obs = np.argwhere(dataset.R)
@@ -358,12 +361,11 @@ def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
         keep = dataset.R.copy()
         keep[rows, cols] = False
         held_out.append((dataset.with_mask(keep), rows, cols, dataset.Y[rows, cols]))
-    base = base_config or SolverConfig(tau=1.0)  # tau is set per grid point
 
     def score(t: float) -> float:
         total = 0.0
         for ds_f, rows, cols, held_y in held_out:
-            res = fit_completion(ds_f, probs, replace(base, tau=t))
+            res = fit_completion(ds_f, probs, t, config)
             imput = mean_from_natural(res.Z_hat, dataset.layout)[rows, cols]
             total += float(np.sum((imput - held_y) ** 2))
         return total

@@ -80,20 +80,20 @@ def test_criterion_02_svt_spectrum_and_prox_optimality():
 
 def test_criterion_03_all_traces_exactly_nonincreasing():
     runs = []
-    for seed, layout, kwargs in [
-            (0, mixed_layout(), dict(tau=2.0**-6)),
-            (1, mixed_layout(), dict(tau=0.5)),
-            (2, GPB_SMALL, dict(tau=2.0**-10)),
-            (3, GPB_SMALL, dict(tau=2.0**-8)),
-            (4, mixed_layout(), dict(tau=2.0**-8, clamp=3.0)),
-            (5, GPB_SMALL, dict(tau=2.0**-8)),
-            (6, smc.CategoryLayout.of(("gaussian", 6)), dict(tau=2.0**-40)),
-            (7, GPB_SMALL, dict(tau=2.0**-12))]:
+    for seed, layout, tau, kwargs in [
+            (0, mixed_layout(), 2.0**-6, {}),
+            (1, mixed_layout(), 0.5, {}),
+            (2, GPB_SMALL, 2.0**-10, {}),
+            (3, GPB_SMALL, 2.0**-8, {}),
+            (4, mixed_layout(), 2.0**-8, dict(clamp=3.0)),
+            (5, GPB_SMALL, 2.0**-8, {}),
+            (6, smc.CategoryLayout.of(("gaussian", 6)), 2.0**-40, {}),
+            (7, GPB_SMALL, 2.0**-12, {})]:
         rng = np.random.default_rng(seed)
         ds, probs, _ = random_problem(rng, n=40, layout=layout)
         config = smc.SolverConfig(iterations=80, **kwargs)
         for data in (replace(ds, X=np.empty((ds.n, 0))), ds):
-            runs.append(smc.fit_completion(data, probs, config))
+            runs.append(smc.fit_completion(data, probs, tau, config))
     ok = all(trace_is_monotone(r) for r in runs)
     accepted = sum(int(np.sum(r.accepted)) for r in runs)
     steps = sum(r.iterations_run for r in runs)
@@ -106,8 +106,8 @@ def test_criterion_04_solver_convergence_rate():
     t0 = time.perf_counter()
     _, sample = smc.simulate_survey(BENCH_SPEC, np.random.default_rng([0, 0]))
     probs = smc.estimate_response_probs(sample.dataset, p_floor=0.01)
-    config = smc.SolverConfig(tau=2.0**-10, iterations=2000)
-    result = smc.fit_completion(sample.dataset, probs, config)
+    config = smc.SolverConfig(iterations=2000)
+    result = smc.fit_completion(sample.dataset, probs, 2.0**-10, config)
     f = np.asarray(result.objective_trace)
     # the loop stops at a fixed point, where every later iteration would
     # record f[-1] again: the trace past the stop is f[-1]
@@ -181,7 +181,7 @@ def test_criterion_06_response_model_recovery():
 def test_criterion_07_weighted_method_wins_benchmark():
     t0 = time.perf_counter()
     methods = ("ipw", "collective_unweighted", "soft_impute", "hot_deck")
-    config = smc.SolverConfig(tau=2.0**-10, iterations=200)
+    config = smc.SolverConfig(iterations=200)
     taus = smc.tune_benchmark_taus(BENCH_SPEC, methods, base_seed=1,
                                    config=config, p_floor=0.01)
     summary = smc.run_benchmark(BENCH_SPEC, methods, n_replicates=20, taus=taus,

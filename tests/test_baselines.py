@@ -37,15 +37,15 @@ def one_block_dataset(Y, R=None, kind="gaussian", strata=None):
                             layout=smc.CategoryLayout.of((kind, L)))
 
 
-def si_config(lam, n, L, **kw):
-    """Config whose solver objective is soft-impute's at lam, divided by n*L."""
-    return smc.SolverConfig(tau=lam / (n * L), **kw)
+def si_args(lam, n, L, **kw):
+    """tau and config whose solver objective is soft-impute's at lam, divided by n*L."""
+    return lam / (n * L), smc.SolverConfig(**kw)
 
 
 def test_soft_impute_identity_when_fully_observed():
     rng = np.random.default_rng(0)
     Y = rng.normal(size=(12, 5))
-    out = soft_impute(one_block_dataset(Y), si_config(1e-12, 12, 5))
+    out = soft_impute(one_block_dataset(Y), *si_args(1e-12, 12, 5))
     npt.assert_array_equal(out.Y_imputed, Y)
     npt.assert_allclose(out.Z_hat_natural, Y, atol=1e-10)
     assert out.notes["diagnostics"]["stop"] == "fixed_point"
@@ -57,7 +57,7 @@ def test_soft_impute_recovers_masked_rank1():
     rng = np.random.default_rng(3)
     Y, R, M = masked_lowrank(rng, miss=0.25)
     assert R.sum(axis=1).min() >= 3
-    out = soft_impute(one_block_dataset(Y, R), si_config(0.05, 30, 8, iterations=2000))
+    out = soft_impute(one_block_dataset(Y, R), *si_args(0.05, 30, 8, iterations=2000))
     assert out.notes["diagnostics"]["stop"] == "fixed_point"
     filled = np.where(R, Y, out.Y_imputed)
     assert np.linalg.norm(filled - M) / np.linalg.norm(M) < 1e-2
@@ -68,7 +68,7 @@ def test_soft_impute_recovers_masked_rank1():
 def test_soft_impute_trace_monotone():
     rng = np.random.default_rng(2)
     Y, R, _ = masked_lowrank(rng, rank=3)
-    out = soft_impute(one_block_dataset(Y, R), si_config(0.5, 30, 8))
+    out = soft_impute(one_block_dataset(Y, R), *si_args(0.5, 30, 8))
     t = out.notes["objective_trace"]
     assert t.size == out.notes["iterations"] + 1
     assert np.all(np.diff(t) <= 0)
@@ -77,7 +77,7 @@ def test_soft_impute_trace_monotone():
 def test_soft_impute_huge_tau_gives_zero_matrix():
     rng = np.random.default_rng(3)
     Y, R, _ = masked_lowrank(rng)
-    out = soft_impute(one_block_dataset(Y, R), si_config(1e6, 30, 8))
+    out = soft_impute(one_block_dataset(Y, R), *si_args(1e6, 30, 8))
     assert np.all(out.Y_imputed[~R] == 0.0)
     npt.assert_array_equal(out.Y_imputed[R], Y[R])
 
@@ -86,7 +86,7 @@ def test_soft_impute_maps_through_inverse_mean():
     rng = np.random.default_rng(4)
     Z = rng.uniform(0.1, 1.0, (15, 4))
     Y = np.exp(Z)  # exact means, fully observed
-    out = soft_impute(one_block_dataset(Y, kind="poisson"), si_config(1e-12, 15, 4))
+    out = soft_impute(one_block_dataset(Y, kind="poisson"), *si_args(1e-12, 15, 4))
     npt.assert_allclose(out.Z_hat_natural, Z, atol=1e-8)
 
 
@@ -94,9 +94,9 @@ def test_soft_impute_validation():
     Y = np.ones((3, 2))
     for tau in (-1.0, 0.0):
         with pytest.raises(InvalidInput):
-            soft_impute(one_block_dataset(Y), smc.SolverConfig(tau=tau))
+            soft_impute(one_block_dataset(Y), tau)
     with pytest.raises(ColumnEmpty):
-        soft_impute(one_block_dataset(np.full((3, 2), np.nan)), smc.SolverConfig(tau=0.1))
+        soft_impute(one_block_dataset(np.full((3, 2), np.nan)), 0.1)
 
 
 @st.composite
@@ -122,7 +122,7 @@ def soft_impute_problems(draw):
 def test_soft_impute_reaches_the_mm_oracle_objective(problem):
     Y, R, lam = problem
     n, L = Y.shape
-    out = soft_impute(one_block_dataset(Y, R), si_config(lam, n, L, iterations=5000))
+    out = soft_impute(one_block_dataset(Y, R), *si_args(lam, n, L, iterations=5000))
     mine = helpers.soft_impute_objective(out.Z_hat_natural, Y, R, lam)
     ref = helpers.soft_impute_objective(helpers.soft_impute_mm(Y, R, lam, tol=1e-12),
                                         Y, R, lam)
@@ -178,12 +178,12 @@ def test_hot_deck_deterministic_in_rng():
 def test_collective_unweighted_equals_flattened_solver():
     rng = np.random.default_rng(7)
     ds, _, _ = helpers.random_problem(rng, n=30)
-    cfg = smc.SolverConfig(tau=2.0**-6, iterations=40)
-    out = collective_unweighted(ds, cfg)
+    cfg = smc.SolverConfig(iterations=40)
+    out = collective_unweighted(ds, 2.0**-6, cfg)
     n, L = ds.Y.shape
     flat = replace(ds, X=np.empty((n, 0)), pi=np.ones(n), population_size=float(n))
     probs = smc.ResponseProbModel.constant(n, L)
-    res = smc.fit_completion(flat, probs, cfg)
+    res = smc.fit_completion(flat, probs, 2.0**-6, cfg)
     npt.assert_array_equal(out.Z_hat_natural, res.Z_hat)
     npt.assert_array_equal(out.notes["objective_trace"], res.objective_trace)
 
@@ -191,7 +191,7 @@ def test_collective_unweighted_equals_flattened_solver():
 def test_collective_unweighted_imputes_means():
     rng = np.random.default_rng(8)
     ds, _, _ = helpers.random_problem(rng, n=25)
-    out = collective_unweighted(ds, smc.SolverConfig(tau=2.0**-8, iterations=30))
+    out = collective_unweighted(ds, 2.0**-8, smc.SolverConfig(iterations=30))
     npt.assert_array_equal(out.Y_imputed[ds.R], ds.Y[ds.R])
     means = smc.mean_from_natural(out.Z_hat_natural, ds.layout)
     npt.assert_array_equal(out.Y_imputed[~ds.R], means[~ds.R])

@@ -71,7 +71,7 @@ def test_block_errors_reject_zero_block():
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=30)
+    cfg = smc.SolverConfig(iterations=30)
     return run_benchmark(tiny_spec(), methods=METHODS, n_replicates=2,
                          taus={m: 2.0**-8 for m in METHODS}, base_seed=11,
                          config=cfg)
@@ -100,7 +100,7 @@ def test_benchmark_aggregate_matches_reports(tiny_run):
 
 
 def test_benchmark_is_deterministic(tiny_run):
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=30)
+    cfg = smc.SolverConfig(iterations=30)
     again = run_benchmark(tiny_spec(), methods=METHODS, n_replicates=2,
                           taus={m: 2.0**-8 for m in METHODS}, base_seed=11,
                           config=cfg)
@@ -117,29 +117,48 @@ def test_benchmark_runs_replicates_in_order_in_the_calling_thread(monkeypatch):
         seen.append((threading.get_ident(), list(rng.bit_generator.seed_seq.entropy)))
         return simulate_survey(spec, rng)
     monkeypatch.setattr(surveymc.benchmark, "simulate_survey", spy)
-    run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=3, base_seed=11)
+    run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=3, taus={}, base_seed=11)
     assert seen == [(threading.get_ident(), [11 ^ r, 0]) for r in (1, 2, 3)]
 
 
+_TAUS = {m: 0.1 for m in METHODS}
+
+
 def test_benchmark_validation():
-    with pytest.raises(InvalidInput):
-        run_benchmark(tiny_spec(), methods=("ipw", "nope"), n_replicates=2)
-    with pytest.raises(InvalidInput):
-        run_benchmark(tiny_spec(), n_replicates=1)
+    with pytest.raises(InvalidInput, match="unknown method 'nope'"):
+        run_benchmark(tiny_spec(), methods=("ipw", "nope"), n_replicates=2, taus=_TAUS)
+    with pytest.raises(InvalidInput, match="replicates"):
+        run_benchmark(tiny_spec(), n_replicates=1, taus=_TAUS)
     # numpy would reject the replicate seeds base_seed ^ r only mid-run
-    for entry in (run_benchmark, tune_benchmark_taus):
-        with pytest.raises(InvalidInput):
-            entry(tiny_spec(), base_seed=-1)
+    for entry, kwargs in ((run_benchmark, {"taus": _TAUS}), (tune_benchmark_taus, {})):
+        with pytest.raises(InvalidInput, match="base_seed"):
+            entry(tiny_spec(), base_seed=-1, **kwargs)
+
+
+def test_run_benchmark_needs_a_tau_for_every_tuned_method(monkeypatch):
+    # a tuned method without a tau once fell back to the config's tau
+    def boom(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+    monkeypatch.setattr(surveymc.benchmark, "simulate_survey", boom)
+    for taus in ({}, {"soft_impute": 0.1, "hot_deck": 0.1}):
+        with pytest.raises(InvalidInput, match="'ipw'"):
+            run_benchmark(tiny_spec(), methods=("ipw", "soft_impute"), taus=taus)
+    for tau in (0.0, np.nan, None, "0.1"):
+        with pytest.raises(InvalidInput, match="'ipw'"):
+            run_benchmark(tiny_spec(), methods=("ipw",), taus={"ipw": tau})
 
 
 # each entry point with one count or seed set to a value, and that count's minimum
 _DS, _PROBS, _ = helpers.random_problem(np.random.default_rng(0), n=10)
+_Z = np.zeros(_DS.Y.shape)
 COUNT_ARGS = {
-    "SolverConfig.iterations": (1, lambda v: smc.SolverConfig(tau=0.1, iterations=v)),
+    "SolverConfig.iterations": (1, lambda v: smc.SolverConfig(iterations=v)),
     "tune_tau.folds": (2, lambda v: smc.tune_tau(_DS, _PROBS, folds=v)),
     "tune_tau.seed": (0, lambda v: smc.tune_tau(_DS, _PROBS, seed=v)),
-    "run_benchmark.n_replicates": (2, lambda v: run_benchmark(tiny_spec(), n_replicates=v)),
-    "run_benchmark.base_seed": (0, lambda v: run_benchmark(tiny_spec(), base_seed=v)),
+    "run_benchmark.n_replicates": (2, lambda v: run_benchmark(tiny_spec(), n_replicates=v,
+                                                              taus=_TAUS)),
+    "run_benchmark.base_seed": (0, lambda v: run_benchmark(tiny_spec(), base_seed=v,
+                                                           taus=_TAUS)),
     "tune_benchmark_taus.base_seed": (0, lambda v: tune_benchmark_taus(tiny_spec(),
                                                                         base_seed=v)),
     "ResponseProbModel.constant.n": (1, lambda v: smc.ResponseProbModel.constant(v, 2)),
@@ -158,11 +177,23 @@ def test_bad_counts_and_seeds_are_invalid_input(data):
         call(bad)
 
 
+def _hot_deck_at(clamp):
+    """hot_deck at clamp, asserting that a refused clamp draws nothing."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    try:
+        return smc.hot_deck(_DS, rng, clamp=clamp)
+    finally:
+        assert rng.bit_generator.state == state
+
+
 # each entry point with one real setting set to a value, the open interval
-# (low, high) that setting must lie in, and whether +inf is valid too
+# (low, high) that setting must lie in, and whether +inf is valid too; the
+# error names the setting, the last part of the key
 _REAL_SETTINGS = {
-    "SolverConfig.tau": (0.0, np.inf, False, lambda v: smc.SolverConfig(tau=v)),
-    "SolverConfig.clamp": (0.0, np.inf, True, lambda v: smc.SolverConfig(tau=0.1, clamp=v)),
+    "fit_completion.tau": (0.0, np.inf, False, lambda v: smc.fit_completion(_DS, _PROBS, v)),
+    "objective.tau": (0.0, np.inf, False, lambda v: smc.objective(_Z, _DS, _PROBS, v)),
+    "SolverConfig.clamp": (0.0, np.inf, True, lambda v: smc.SolverConfig(clamp=v)),
     "PopulationSpec.xi": (-np.inf, np.inf, False, lambda v: replace(tiny_spec(), xi=v)),
     "Family.sigma": (0.0, np.inf, False, lambda v: smc.Family("gaussian", sigma=v)),
     "estimate_response_probs.p_floor": (0.0, 1.0, False,
@@ -170,11 +201,11 @@ _REAL_SETTINGS = {
     "grid_search.grid": (0.0, np.inf, False, lambda v: smc.grid_search((v,), float)),
     # (-5e-324, inf) holds exactly the floats >= 0: tau = 0 is valid
     "svt_factors.tau": (-5e-324, np.inf, False, lambda v: svt_factors(np.eye(3), v)),
-    "Family.domain_box": (0.0, np.inf, True, lambda v: smc.Family("poisson").domain_box(v)),
-    "Family.curvature_sup": (0.0, np.inf, False,
-                             lambda v: smc.Family("poisson").curvature_sup(v)),
-    "hot_deck.clamp": (0.0, np.inf, True,
-                       lambda v: smc.hot_deck(_DS, np.random.default_rng(0), clamp=v)),
+    "Family.domain_box.clamp": (0.0, np.inf, True,
+                                lambda v: smc.Family("poisson").domain_box(v)),
+    "Family.curvature_sup.beta": (0.0, np.inf, False,
+                                  lambda v: smc.Family("poisson").curvature_sup(v)),
+    "hot_deck.clamp": (0.0, np.inf, True, _hot_deck_at),
     "natural_from_mean.clamp": (0.0, np.inf, True, lambda v: smc.natural_from_mean(
         np.full((2, TINY.n_cols), 0.5), TINY, v)),
 }
@@ -210,19 +241,70 @@ JUNK = st.one_of(st.none(), st.text(max_size=3).filter(lambda t: not _parses_as_
 @given(data=st.data())
 def test_bad_reals_generators_and_layouts_are_invalid_input(data):
     if data.draw(st.booleans()):
-        low, high, inf_ok, call = _REAL_SETTINGS[data.draw(st.sampled_from(
-            sorted(_REAL_SETTINGS)))]
+        key = data.draw(st.sampled_from(sorted(_REAL_SETTINGS)))
+        low, high, inf_ok, call = _REAL_SETTINGS[key]
         outside = st.floats().filter(lambda x: not (low < x < high or inf_ok and x == np.inf))
         bad = data.draw(st.one_of(outside, JUNK))
+        name = key.rsplit(".", 1)[1]
     else:
         call = _OBJECT_ARGS[data.draw(st.sampled_from(sorted(_OBJECT_ARGS)))]
         bad = data.draw(st.one_of(st.integers(), st.floats(), JUNK))
-    with pytest.raises(InvalidInput):
+        name = None
+    with pytest.raises(InvalidInput, match=name):
         call(bad)
 
 
-_Z = np.zeros(_DS.Y.shape)
-_FIT = smc.SolverConfig(tau=0.1, iterations=1)
+# each (entry point, object argument) and the call passing it a value
+_OBJECTS = {
+    ("fit_completion", "dataset"): lambda v: smc.fit_completion(v, _PROBS, 0.1),
+    ("fit_completion", "probs"): lambda v: smc.fit_completion(_DS, v, 0.1),
+    ("fit_completion", "config"): lambda v: smc.fit_completion(_DS, _PROBS, 0.1, v),
+    ("weighted_loss", "dataset"): lambda v: smc.weighted_loss(_Z, v, _PROBS),
+    ("gradient", "probs"): lambda v: smc.gradient(_Z, _DS, v),
+    ("objective", "dataset"): lambda v: smc.objective(_Z, v, _PROBS, 0.1),
+    ("tune_tau", "dataset"): lambda v: smc.tune_tau(v, _PROBS),
+    ("tune_tau", "probs"): lambda v: smc.tune_tau(_DS, v),
+    ("tune_tau", "config"): lambda v: smc.tune_tau(_DS, _PROBS, config=v),
+    ("soft_impute", "dataset"): lambda v: smc.soft_impute(v, 0.1),
+    ("soft_impute", "config"): lambda v: smc.soft_impute(_DS, 0.1, v),
+    ("collective_unweighted", "dataset"): lambda v: smc.collective_unweighted(v, 0.1),
+    ("collective_unweighted", "config"): lambda v: smc.collective_unweighted(_DS, 0.1, v),
+    ("hot_deck", "dataset"): lambda v: smc.hot_deck(v, np.random.default_rng(0)),
+    ("estimate_response_probs", "dataset"): smc.estimate_response_probs,
+    ("run_benchmark", "spec"): lambda v: run_benchmark(v, taus=_TAUS),
+    ("run_benchmark", "config"): lambda v: run_benchmark(tiny_spec(), taus=_TAUS, config=v),
+    ("run_benchmark", "taus"): lambda v: run_benchmark(tiny_spec(), taus=v),
+    ("tune_benchmark_taus", "spec"): tune_benchmark_taus,
+    ("tune_benchmark_taus", "config"): lambda v: tune_benchmark_taus(tiny_spec(), config=v),
+    ("MixedDataset", "layout"): lambda v: replace(_DS, layout=v),
+    ("mean_from_natural", "layout"): lambda v: smc.mean_from_natural(_Z, v),
+    ("natural_from_mean", "layout"): lambda v: smc.natural_from_mean(_Z, v),
+    ("block_relative_errors", "layout"): lambda v: block_relative_errors(_Z, _Z, v),
+    ("generate_population", "spec"): lambda v: smc.generate_population(
+        v, np.random.default_rng(0)),
+    ("draw_sample", "truth"): lambda v: smc.draw_sample(v, tiny_spec(),
+                                                        np.random.default_rng(0)),
+    ("draw_sample", "spec"): lambda v: smc.draw_sample(_TRUTH, v, np.random.default_rng(0)),
+    ("impose_responses_and_missingness", "sample"): lambda v: (
+        smc.impose_responses_and_missingness(v, np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "x", {}], ids=["None", "str", "dict"])
+@pytest.mark.parametrize("entry", sorted(_OBJECTS), ids=".".join)
+def test_objects_of_the_wrong_type_are_invalid_input_before_any_fit(monkeypatch, entry, bad):
+    # each once escaped as a bare AttributeError or TypeError, or passed
+    def boom(*args, **kwargs):
+        raise AssertionError("a fit or a draw ran before the check")
+    # the baselines' own fit_completion call is where their config is checked
+    for module in (surveymc.solver, surveymc.benchmark):
+        monkeypatch.setattr(module, "fit_completion", boom)
+    monkeypatch.setattr(surveymc.benchmark, "simulate_survey", boom)
+    with pytest.raises(InvalidInput, match=entry[1]):
+        _OBJECTS[entry](bad)
+
+
+_FIT = smc.SolverConfig(iterations=1)
 _POISSON = smc.Family("poisson")
 # each public array argument: a valid value for it, the number of axes it
 # must have (None: any), and the call taking it
@@ -234,9 +316,9 @@ _ARRAY_ARGS = {
     "MixedDataset.with_mask": (_DS.R, 2, _DS.with_mask),
     "weighted_loss.Z": (_Z, 2, lambda v: smc.weighted_loss(v, _DS, _PROBS)),
     "gradient.Z": (_Z, 2, lambda v: smc.gradient(v, _DS, _PROBS)),
-    "objective.Z": (_Z, 2, lambda v: smc.objective(v, _DS, _PROBS, _FIT)),
+    "objective.Z": (_Z, 2, lambda v: smc.objective(v, _DS, _PROBS, 0.1)),
     "fit_completion.p_hat": (_PROBS.p_hat, 2, lambda v: smc.fit_completion(
-        _DS, replace(_PROBS, p_hat=v), _FIT)),
+        _DS, replace(_PROBS, p_hat=v), 0.1, _FIT)),
     **{f"{fn.__name__}.M": (np.eye(3), 2, fn) for fn in (
         svd_thin, rank1_approx, singular_values, smc.nuclear_norm, as_matrix)},
     "svt.M": (np.eye(3), 2, lambda v: smc.svt(v, 0.1)),
@@ -275,7 +357,8 @@ def test_bad_arrays_are_invalid_input(data):
             st.complex_numbers(), st.text(max_size=3),
             st.just(valid.astype(str)),  # numeric strings
             st.just([[1.0], [2.0, 3.0]]), st.just(10**400),
-            st.sampled_from(["a", 1j, 10**400]).map(lambda e: _with_entry(valid, e))]
+            st.sampled_from(["a", 1j, 10**400, None, "0.5"]).map(
+                lambda e: _with_entry(valid, e))]
     if ndim is not None:  # 0-d and a wrong number of axes
         junk += [st.floats().map(np.array), st.just(valid[..., None]),
                  st.just(valid.ravel()[:1] if ndim > 1 else np.diag(valid))]
@@ -286,6 +369,16 @@ def test_bad_arrays_are_invalid_input(data):
             call(bad)
 
 
+@pytest.mark.parametrize("entry", [None, "0.5", "nan"])
+@pytest.mark.parametrize("key", ["expit.z", "MixedDataset.Y", "as_matrix.M"])
+def test_object_arrays_hold_only_real_numbers(key, entry):
+    # the cast once read None as NaN, a missing response in Y, and "0.5" as 0.5
+    valid, _, call = _ARRAY_ARGS[key]
+    call(valid.astype(object))  # real entries pass
+    with pytest.raises(InvalidInput, match="must hold real numbers"):
+        call(_with_entry(valid, entry))
+
+
 def test_legacy_random_state_still_drives_the_simulator():
     _, sample = smc.simulate_survey(tiny_spec(), np.random.RandomState(0))
     assert sample.dataset.R.any()
@@ -294,7 +387,7 @@ def test_legacy_random_state_still_drives_the_simulator():
 
 
 def test_tune_benchmark_taus_smoke():
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
+    cfg = smc.SolverConfig(iterations=20)
     grid = (2.0**-10, 2.0**-6, 2.0**-2)
     out = tune_benchmark_taus(tiny_spec(), methods=("ipw", "soft_impute", "hot_deck"),
                               grid=grid, base_seed=11, config=cfg)
@@ -307,7 +400,7 @@ def test_tune_benchmark_taus_pinned_values():
     # one registry and one tuning loop; soft_impute re-recorded when it became
     # the unweighted solver on an all-gaussian layout (its tau was the grid
     # maximum 2.0, its loss then unscaled by 1/(n L))
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
+    cfg = smc.SolverConfig(iterations=20)
     out = tune_benchmark_taus(tiny_spec(), methods=METHODS, base_seed=11, config=cfg)
     assert out == {"ipw": 2.0**-6, "collective_unweighted": 2.0, "soft_impute": 2.0**-8}
 
@@ -317,16 +410,16 @@ def test_tune_benchmark_taus_rejects_unknown_method():
         tune_benchmark_taus(tiny_spec(), methods=("nope",))
     with pytest.raises(InvalidInput):
         tune_benchmark_taus(tiny_spec(), methods=("ipw", "nope"))
-    for entry in (run_benchmark, tune_benchmark_taus):
-        with pytest.raises(InvalidInput):  # no method: nothing would be fitted
-            entry(tiny_spec(), methods=())
+    for entry, kwargs in ((run_benchmark, {"taus": _TAUS}), (tune_benchmark_taus, {})):
+        with pytest.raises(InvalidInput, match="at least one"):  # nothing would be fitted
+            entry(tiny_spec(), methods=(), **kwargs)
 
 
 def test_tune_benchmark_taus_scores_reproduce_direct_fits():
     # rebuild the validation replicate (id 0) and fit every tau directly:
     # each tuned tau is the last argmin of the relative error over the grid
     base_seed, p_floor = 11, 0.01
-    cfg = smc.SolverConfig(tau=2.0**-8, iterations=20)
+    cfg = smc.SolverConfig(iterations=20)
     grid = (2.0**-10, 2.0**-6, 2.0**-2)
     out = tune_benchmark_taus(tiny_spec(), methods=METHODS, grid=grid,
                               base_seed=base_seed, config=cfg, p_floor=p_floor)
@@ -334,10 +427,9 @@ def test_tune_benchmark_taus_scores_reproduce_direct_fits():
     ds = sample.dataset
     probs = smc.estimate_response_probs(ds, p_floor=p_floor)
     direct = {
-        "ipw": lambda t: smc.fit_completion(ds, probs, replace(cfg, tau=t)).Z_hat,
-        "collective_unweighted": lambda t: smc.collective_unweighted(
-            ds, replace(cfg, tau=t)).Z_hat_natural,
-        "soft_impute": lambda t: smc.soft_impute(ds, replace(cfg, tau=t)).Z_hat_natural,
+        "ipw": lambda t: smc.fit_completion(ds, probs, t, cfg).Z_hat,
+        "collective_unweighted": lambda t: smc.collective_unweighted(ds, t, cfg).Z_hat_natural,
+        "soft_impute": lambda t: smc.soft_impute(ds, t, cfg).Z_hat_natural,
     }
     assert set(out) == set(direct)
     for name, fit in direct.items():

@@ -502,10 +502,12 @@ def test_import_loads_numpy_but_no_scipy():
 
 
 # an unknown or repeated method, one replicate, zero threads (ignored, but
-# still checked) or a negative seed fail before tuning and before the replicates
+# still checked), a negative seed or a tau out of range fail before tuning and
+# before the replicates
 @pytest.mark.parametrize("extra", [["--methods", "ipw,nope"], ["--replicates", "1"],
                                    ["--threads", "0"],
                                    ["--threads", "0", "--tau", "0.1"],
+                                   ["--tau", "0"], ["--tau", "nan"],
                                    ["--seed", "-1"],
                                    ["--methods", "hot_deck,hot_deck"]])
 def test_benchmark_bad_arguments_fail_before_any_fit(tmp_path, monkeypatch, extra):

@@ -5,7 +5,7 @@ written independently in helpers.py; the loop is checked for its exact
 descent guarantee and its closed-form fixed point in the Gaussian case.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -96,7 +96,7 @@ def observed_entry_problems(draw):
 @given(problem=observed_entry_problems())
 def test_value_and_grad_match_the_dense_per_block_reference(problem):
     ds, probs, Z, clamp = problem
-    prob = _Problem(ds, probs, tau=1.0, clamp=clamp)
+    prob = _Problem(ds, probs, clamp=clamp)
     value, G = prob.value_and_grad(Z)
     assert value == prob.loss(Z)  # the loop prices Q and its candidates alike
     want, want_G, loss_scale, grad_scale = helpers.dense_loss_and_grad(Z, ds, probs)
@@ -136,13 +136,12 @@ def test_objective_composes_loss_and_penalty():
     rng = np.random.default_rng(4)
     ds, probs, Z = helpers.random_problem(rng)
     ds = replace(ds, population_size=200.0)
-    cfg = smc.SolverConfig(tau=0.3)
     want = (smc.weighted_loss(Z, ds, probs)
             + 0.3 * smc.nuclear_norm(np.hstack([ds.X, Z])))
-    assert smc.objective(Z, ds, probs, cfg) == pytest.approx(want, rel=1e-12)
+    assert smc.objective(Z, ds, probs, 0.3) == pytest.approx(want, rel=1e-12)
     # a dataset without covariates has no augmentation
     want_plain = smc.weighted_loss(Z, ds, probs) + 0.3 * smc.nuclear_norm(Z)
-    assert smc.objective(Z, no_covariates(ds), probs, cfg) == pytest.approx(want_plain,
+    assert smc.objective(Z, no_covariates(ds), probs, 0.3) == pytest.approx(want_plain,
                                                                             rel=1e-12)
 
 
@@ -176,26 +175,31 @@ def test_a_nan_p_hat_is_invalid_input(observed):
     with pytest.raises(InvalidInput, match="p_hat"):
         smc.weighted_loss(Z, ds, nan_p)
     with pytest.raises(InvalidInput, match="p_hat"):
-        smc.fit_completion(ds, nan_p, smc.SolverConfig(tau=0.1, iterations=2))
+        smc.fit_completion(ds, nan_p, 0.1, smc.SolverConfig(iterations=2))
 
 
 def test_config_validation():
+    # the config holds the settings a tuning path shares; tau is each fit's argument
+    assert [f.name for f in fields(smc.SolverConfig)] == ["iterations", "clamp"]
+    assert smc.SolverConfig() == smc.SolverConfig(iterations=200, clamp=30.0)
+    ds, probs, _ = helpers.random_problem(np.random.default_rng(5), n=10)
+    for tau in (0.0, -1.0, np.inf, np.nan, None, "0.1"):
+        with pytest.raises(InvalidInput):
+            smc.fit_completion(ds, probs, tau)
     with pytest.raises(InvalidInput):
-        smc.SolverConfig(tau=0.0)
-    with pytest.raises(InvalidInput):
-        smc.SolverConfig(tau=0.1, iterations=0)
+        smc.SolverConfig(iterations=0)
     for count in (2.5, float("nan")):  # range() would reject these mid-fit
         with pytest.raises(InvalidInput):
-            smc.SolverConfig(tau=0.1, iterations=count)
+            smc.SolverConfig(iterations=count)
     with pytest.raises(InvalidInput):
-        smc.SolverConfig(tau=0.1, clamp=0.0)
-    assert smc.SolverConfig(tau=0.1, clamp=np.inf).clamp == np.inf  # no clamp box
+        smc.SolverConfig(clamp=0.0)
+    assert smc.SolverConfig(clamp=np.inf).clamp == np.inf  # no clamp box
 
 
 def fit_small(rng, tau=2.0**-8, iterations=60, **kw):
     ds, probs, _ = helpers.random_problem(rng, n=40)
-    cfg = smc.SolverConfig(tau=tau, iterations=iterations, **kw)
-    return smc.fit_completion(ds, probs, cfg), ds
+    cfg = smc.SolverConfig(iterations=iterations, **kw)
+    return smc.fit_completion(ds, probs, tau, cfg), ds
 
 
 def test_trace_is_exactly_monotone():
@@ -209,8 +213,8 @@ def test_trace_is_exactly_monotone():
 def test_iterate_stays_in_clamp_box():
     rng = np.random.default_rng(8)
     ds, probs, _ = helpers.random_problem(rng, n=30)
-    cfg = smc.SolverConfig(tau=2.0**-10, iterations=40, clamp=3.0)
-    res = smc.fit_completion(ds, probs, cfg)
+    cfg = smc.SolverConfig(iterations=40, clamp=3.0)
+    res = smc.fit_completion(ds, probs, 2.0**-10, cfg)
     assert np.max(np.abs(res.Z_hat)) <= 3.0
     for fam, sl in ds.layout.slices():
         lo, hi = fam.domain_box(3.0)
@@ -228,8 +232,8 @@ def test_gaussian_identity_fixed_point():
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
     probs = smc.ResponseProbModel.constant(n, L)
-    cfg = smc.SolverConfig(tau=2.0**-40, iterations=300)
-    res = smc.fit_completion(ds, probs, cfg)
+    cfg = smc.SolverConfig(iterations=300)
+    res = smc.fit_completion(ds, probs, 2.0**-40, cfg)
     assert np.max(np.abs(res.Z_hat - Y)) < 1e-3
 
 
@@ -248,7 +252,7 @@ def test_early_stop():
     # a fully observed gaussian problem converges fast, so the loop must stop
     # at its fixed point well short of the iteration cap
     ds, probs = early_stop_problem()
-    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-30, iterations=500))
+    res = smc.fit_completion(ds, probs, 2.0**-30, smc.SolverConfig(iterations=500))
     assert res.diagnostics["stop"] == "fixed_point"
     assert res.iterations_run == 3 and not res.accepted[-1]
     assert helpers.trace_is_monotone(res)
@@ -268,8 +272,8 @@ def test_large_tau_collapses_rank():
     rng = np.random.default_rng(12)
     ds, probs, _ = helpers.random_problem(rng, n=40)
     ds = no_covariates(ds)
-    small = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-12, iterations=60))
-    large = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**2, iterations=60))
+    small = smc.fit_completion(ds, probs, 2.0**-12, smc.SolverConfig(iterations=60))
+    large = smc.fit_completion(ds, probs, 2.0**2, smc.SolverConfig(iterations=60))
     nn_small = smc.nuclear_norm(small.Z_hat)
     nn_large = smc.nuclear_norm(large.Z_hat)
     assert nn_large <= nn_small
@@ -316,7 +320,7 @@ def test_grid_search_tie_breaks_toward_larger():
     ds = no_covariates(ds)
 
     def score(t):
-        res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=t, iterations=5))
+        res = smc.fit_completion(ds, probs, t, smc.SolverConfig(iterations=5))
         return float(np.linalg.norm(res.Z_hat - Z) / np.linalg.norm(Z))
 
     out = smc.grid_search((2e6, 1e6), score)
@@ -341,12 +345,12 @@ def test_tune_tau_k_fold():
     rng = np.random.default_rng(16)
     ds, probs, _ = helpers.random_problem(rng, n=30)
     grid = (2.0**-8, 2.0**-4)
-    base = smc.SolverConfig(tau=grid[0], iterations=25)
-    out = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, base_config=base)
+    cfg = smc.SolverConfig(iterations=25)
+    out = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, config=cfg)
     assert out.best_tau in grid
     assert all(np.isfinite(out.scores))
     # deterministic in the fold seed
-    again = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, base_config=base)
+    again = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, config=cfg)
     assert out == again
 
 
@@ -357,7 +361,10 @@ def test_tune_tau_errors():
         smc.tune_tau(ds, probs, grid=())
     with pytest.raises(InvalidInput):
         smc.tune_tau(ds, probs, grid=(0.0, 1.0))
-    for bad in (dict(folds=1), dict(folds=2.5), dict(seed=-1)):
+    # a dict of settings is not a config: it once raised a bare TypeError,
+    # and an empty one passed as "no config"
+    for bad in (dict(folds=1), dict(folds=2.5), dict(seed=-1),
+                dict(config={"iterations": 5}), dict(config={})):
         with pytest.raises(InvalidInput):
             smc.tune_tau(ds, probs, **bad)
     few = one_cell_dataset("gaussian", 1.0)
@@ -371,7 +378,7 @@ def test_fit_rejects_dataset_without_observed_response():
     ds, probs, _ = helpers.random_problem(rng, n=10)
     empty = ds.with_mask(np.zeros_like(ds.R))
     with pytest.raises(ColumnEmpty):
-        smc.fit_completion(empty, probs, smc.SolverConfig(tau=0.1))
+        smc.fit_completion(empty, probs, 0.1)
 
 
 GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
@@ -383,7 +390,7 @@ GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
 def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, seed):
     rng = np.random.default_rng(seed)
     ds, probs, _ = helpers.random_problem(rng, n=n, layout=GPB)
-    prob = _Problem(ds if with_x else no_covariates(ds), probs, tau=0.3, clamp=30.0)
+    prob = _Problem(ds if with_x else no_covariates(ds), probs, clamp=30.0)
     T = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, GPB.n_cols))
     T += 0.1 * rng.normal(size=T.shape)
     M = np.hstack([prob.X, T])
@@ -397,7 +404,7 @@ def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, 
 def test_clipped_candidate_takes_the_full_penalty():
     rng = np.random.default_rng(19)
     ds, probs, _ = helpers.random_problem(rng, n=20, layout=GPB)
-    prob = _Problem(ds, probs, tau=0.3, clamp=0.5)
+    prob = _Problem(ds, probs, clamp=0.5)
     cand, moved, factors = prob.prox_step(5.0 * rng.normal(size=ds.Y.shape), 0.1)
     assert moved > 0 and factors is None
     assert np.all(np.abs(cand) <= 0.5)
@@ -410,12 +417,12 @@ def test_recorded_objective_is_the_objective_of_z_hat(clamp):
     # and from the full SVD when it was
     rng = np.random.default_rng(20)
     ds, probs, _ = helpers.random_problem(rng, n=40, layout=GPB)
-    cfg = smc.SolverConfig(tau=2.0**-6, iterations=60, clamp=clamp)
+    cfg = smc.SolverConfig(iterations=60, clamp=clamp)
     for ds in (ds, no_covariates(ds)):
-        res = smc.fit_completion(ds, probs, cfg)
+        res = smc.fit_completion(ds, probs, 2.0**-6, cfg)
         assert res.diagnostics["accepted_steps"] > 0
         assert (res.diagnostics["domain_projections"] > 0) == (clamp < 1.0)
-        want = smc.objective(res.Z_hat, ds, probs, cfg)
+        want = smc.objective(res.Z_hat, ds, probs, 2.0**-6)
         assert abs(res.objective_trace[-1] - want) <= 1e-12 * max(1.0, abs(want))
         XZ = np.hstack([ds.X, res.Z_hat])
         norm = res.diagnostics["final_nuclear_norm"]
@@ -451,7 +458,7 @@ def test_iterations_make_no_full_svd(monkeypatch):
     # diagnostics read the spectrum that priced the last accepted iterate
     ds, probs = small_survey()
     calls = counting_svd(monkeypatch)
-    res = smc.fit_completion(ds, probs, smc.SolverConfig(tau=2.0**-10, iterations=200))
+    res = smc.fit_completion(ds, probs, 2.0**-10, smc.SolverConfig(iterations=200))
     assert res.iterations_run == 200 and res.diagnostics["domain_projections"] == 0
     assert calls.count(ds.n) == 2
     # plus, per iteration, the SVD of the Gram matrix and a (D+k) x (D+L) one
@@ -465,7 +472,7 @@ def test_population_size_that_overflows_a_weight_is_numerical_failure(N):
     ds, probs = small_survey()
     tiny = replace(ds, population_size=N)
     Z = np.zeros(ds.Y.shape)
-    for call in (lambda: smc.fit_completion(tiny, probs, smc.SolverConfig(tau=0.1)),
+    for call in (lambda: smc.fit_completion(tiny, probs, 0.1),
                  lambda: smc.weighted_loss(Z, tiny, probs),
                  lambda: smc.gradient(Z, tiny, probs)):
         with pytest.raises(NumericalFailure, match=f"N={N!r}"):
@@ -474,24 +481,24 @@ def test_population_size_that_overflows_a_weight_is_numerical_failure(N):
 
 def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
     ds, probs = small_survey()
-    cfg = smc.SolverConfig(tau=2.0**-10, iterations=3)
+    cfg = smc.SolverConfig(iterations=3)
     calls = counting_svd(monkeypatch)
-    smc.fit_completion(ds, probs, cfg)
+    smc.fit_completion(ds, probs, 2.0**-10, cfg)
     monkeypatch.undo()
     counting_svd(monkeypatch, raise_at=len(calls))  # the last candidate's spectrum
     with pytest.raises(NumericalFailure):
-        smc.fit_completion(ds, probs, cfg)
+        smc.fit_completion(ds, probs, 2.0**-10, cfg)
     monkeypatch.undo()
     calls = counting_svd(monkeypatch, raise_at=3)  # the first prox step's Gram SVD
     with pytest.raises(NumericalFailure):
-        smc.fit_completion(ds, probs, cfg)
+        smc.fit_completion(ds, probs, 2.0**-10, cfg)
     assert calls[-1] == ds.layout.n_cols + ds.X.shape[1]
 
 
 STOP_MODES = {"automatic step": {}, "active clamp": dict(clamp=0.5)}
 
 
-def next_plain_step(prob, ds, cfg, Z, eta):
+def next_plain_step(prob, ds, tau, cfg, Z, eta):
     """The candidate and step size of a plain automatic step from Z that
     starts where the loop's next iteration would, written out from the
     method's rules."""
@@ -500,7 +507,7 @@ def next_plain_step(prob, ds, cfg, Z, eta):
     eta = min(1.0 / prob.curvature_bound(min(cfg.clamp, max(1.0, np.max(np.abs(Z0))))),
               2.0 * eta)
     while True:  # halve while the quadratic majorant is violated
-        step = prob.prox_step(Z - eta * G, eta * cfg.tau)
+        step = prob.prox_step(Z - eta * G, eta * tau)
         diff = step[0] - Z
         majorant = (loss_Z + float(np.einsum("ij,ij->", G, diff))
                     + float(np.einsum("ij,ij->", diff, diff)) / (2.0 * eta))
@@ -516,9 +523,9 @@ def next_plain_step(prob, ds, cfg, Z, eta):
 def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x, seed):
     rng = np.random.default_rng(seed)
     ds, probs, _ = helpers.random_problem(rng, n=n, layout=helpers.mixed_layout())
-    cfg = smc.SolverConfig(tau=2.0**log2_tau, iterations=300, **STOP_MODES[mode])
+    tau, cfg = 2.0**log2_tau, smc.SolverConfig(iterations=300, **STOP_MODES[mode])
     ds = ds if with_x else no_covariates(ds)
-    res = smc.fit_completion(ds, probs, cfg)
+    res = smc.fit_completion(ds, probs, tau, cfg)
     t = res.objective_trace
     assert np.all(np.diff(t) <= 0)
     if res.diagnostics["stop"] == "cap":
@@ -528,13 +535,13 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     # one more plain step from Z_hat, priced as the loop prices it, does not
     # lower the objective, and it ends at step_size_final: the next iteration
     # would repeat the last one
-    prob = _Problem(ds, probs, cfg.tau, cfg.clamp)
+    prob = _Problem(ds, probs, cfg.clamp)
     eta = res.diagnostics["step_size_final"]
-    (cand, _, factors), eta_next = next_plain_step(prob, ds, cfg, res.Z_hat, eta)
+    (cand, _, factors), eta_next = next_plain_step(prob, ds, tau, cfg, res.Z_hat, eta)
     assert eta_next == eta
-    assert prob.objective(cand, factors=factors)[0] >= t[-1]
+    assert prob.objective(cand, tau, factors=factors)[0] >= t[-1]
     # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
-    want = smc.objective(res.Z_hat, ds, probs, cfg)
+    want = smc.objective(res.Z_hat, ds, probs, tau)
     assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -582,8 +589,8 @@ def test_two_stages_on_generated_surveys_raise_only_package_errors(survey, desig
     try:
         ds = smc.MixedDataset(layout=smc.CategoryLayout.of(*blocks, sigma=sigma), **fields)
         probs = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
-        res = smc.fit_completion(ds, probs, smc.SolverConfig(
-            tau=2.0**log2_tau, iterations=30, clamp=clamp))
+        res = smc.fit_completion(ds, probs, 2.0**log2_tau,
+                                 smc.SolverConfig(iterations=30, clamp=clamp))
     except SurveyMCError as exc:
         event(type(exc).__name__)
         return
@@ -605,9 +612,8 @@ def test_loss_gradient_and_objective_fail_only_with_numerical_failure(survey, z_
     for fam, sl in ds.layout.slices():  # in the domain: exponential z <= -1e-8
         Z[:, sl] = np.minimum(Z[:, sl], fam.domain_box(1.0)[1])
     probs = helpers.probs_of(rng.uniform(0.05, 1.0, ds.Y.shape), 0.05)
-    cfg = smc.SolverConfig(tau=2.0**log2_tau)
     for call in (lambda: smc.weighted_loss(Z, ds, probs), lambda: smc.gradient(Z, ds, probs),
-                 lambda: smc.objective(Z, ds, probs, cfg)):
+                 lambda: smc.objective(Z, ds, probs, 2.0**log2_tau)):
         try:
             value = call()
         except NumericalFailure:
