@@ -26,7 +26,6 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import ColumnEmpty, check_real, check_type
 from .families import DEFAULT_CLAMP, CategoryLayout, mean_from_natural, natural_from_mean
-from .response_model import ResponseProbModel
 from .solver import SolverConfig, fit_completion
 
 __all__ = ["BaselineResult", "soft_impute", "hot_deck", "collective_unweighted"]
@@ -47,7 +46,7 @@ def _unweighted_fit(dataset: MixedDataset, tau: float, config: SolverConfig,
     n, L = dataset.Y.shape
     flat = replace(dataset, X=np.empty((n, 0)), pi=np.ones(n), population_size=float(n),
                    layout=layout)
-    res = fit_completion(flat, ResponseProbModel.constant(n, L), tau, config)
+    res = fit_completion(flat, np.ones((n, L)), tau, config)
     return res.Z_hat, {"diagnostics": res.diagnostics,
                        "objective_trace": res.objective_trace,
                        "iterations": res.iterations_run}

@@ -24,7 +24,7 @@ from .baselines import collective_unweighted, hot_deck, soft_impute
 from .errors import (DegenerateTruth, InvalidInput, ShapeError, SurveyMCError, check_int,
                      check_real, check_type, real_array)
 from .families import CategoryLayout, mean_from_natural
-from .response_model import estimate_response_probs
+from .response_model import DEFAULT_P_FLOOR, estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
 from .solver import DEFAULT_TAU_GRID, SolverConfig, fit_completion, grid_search
 
@@ -96,24 +96,25 @@ def _method_rng(base_seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng([base_seed ^ r, 1])
 
 
-# Each method maps (dataset, probs, tau, config, rng) to its natural-parameter
-# estimate.  The solvers are looked up by module-global name at call time so
-# that rebinding fit_completion and the baselines here reaches every fit.
+# Each method maps (dataset, p_hat, tau, config, rng) to its natural-parameter
+# estimate; p_hat, stage one's estimate, is None unless ipw runs.  The solvers
+# are looked up by module-global name at call time so that rebinding
+# fit_completion and the baselines here reaches every fit.
 
 
-def _ipw(ds, probs, tau, config, rng):
-    return fit_completion(ds, probs, tau, config).Z_hat
+def _ipw(ds, p_hat, tau, config, rng):
+    return fit_completion(ds, p_hat, tau, config).Z_hat
 
 
-def _collective_unweighted(ds, probs, tau, config, rng):
+def _collective_unweighted(ds, p_hat, tau, config, rng):
     return collective_unweighted(ds, tau, config).Z_hat_natural
 
 
-def _soft_impute(ds, probs, tau, config, rng):
+def _soft_impute(ds, p_hat, tau, config, rng):
     return soft_impute(ds, tau, config).Z_hat_natural
 
 
-def _hot_deck(ds, probs, tau, config, rng):
+def _hot_deck(ds, p_hat, tau, config, rng):
     return hot_deck(ds, rng, clamp=config.clamp).Z_hat_natural
 
 
@@ -132,7 +133,8 @@ METHODS = tuple(_REGISTRY)
 def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0,
                    taus: dict[str, float] | None = None) -> tuple[str, ...]:
     """Reject, before any draw or fit, no methods, unknown or repeated ones,
-    replicates < 2, a negative seed and, given taus, a tuned method without a valid tau."""
+    replicates < 2, a negative seed and, given taus, a tuned method without a
+    valid tau, a tau for a method not requested, or any invalid tau."""
     methods = tuple(methods)
     if not methods:
         raise InvalidInput(f"methods must name at least one of {METHODS}")
@@ -147,25 +149,30 @@ def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0,
     for name in methods:
         if taus is not None and _REGISTRY[name].tuned:  # a missing tau reads as None
             check_real(f"taus[{name!r}]", taus.get(name), 0.0)
+    for name, tau in (taus or {}).items():
+        if name not in methods:
+            raise InvalidInput(f"taus names {name!r}, which is not one of the methods {methods}")
+        check_real(f"taus[{name!r}]", tau, 0.0)
     return methods
 
 
 def _draw_replicate(spec: PopulationSpec, methods, base_seed: int, r: int, p_floor: float):
-    """Replicate r's dataset, true Z and stage-one model (None unless ipw runs)."""
+    """Replicate r's dataset, true Z and stage-one p_hat (None unless ipw runs)."""
     _, sample = simulate_survey(spec, _data_rng(base_seed, r))
-    probs = estimate_response_probs(sample.dataset, p_floor=p_floor) if "ipw" in methods else None
-    return sample.dataset, sample.truth_Z, probs
+    ds = sample.dataset
+    p_hat = estimate_response_probs(ds, p_floor=p_floor).p_hat if "ipw" in methods else None
+    return ds, sample.truth_Z, p_hat
 
 
 def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
                    config: SolverConfig, p_floor: float) -> ReplicationReport:
     t0 = time.perf_counter()
-    ds, truth_Z, probs = _draw_replicate(spec, methods, base_seed, r, p_floor)
+    ds, truth_Z, p_hat = _draw_replicate(spec, methods, base_seed, r, p_floor)
     re: dict[str, dict[str, float]] = {}
     failures: dict[str, str] = {}
     for name in methods:
         try:
-            Z_hat = _REGISTRY[name].fit(ds, probs, taus.get(name), config,
+            Z_hat = _REGISTRY[name].fit(ds, p_hat, taus.get(name), config,
                                         _method_rng(base_seed, r))
             scores = block_relative_errors(Z_hat, truth_Z, ds.layout)
             scores["overall_mean_scale"] = relative_error(
@@ -183,7 +190,7 @@ def _one_replicate(spec: PopulationSpec, methods, taus, base_seed: int, r: int,
 def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20, *,
                   taus: dict[str, float], base_seed: int = 1,
                   config: SolverConfig = SolverConfig(),
-                  p_floor: float = 0.01) -> BenchmarkSummary:
+                  p_floor: float = DEFAULT_P_FLOOR) -> BenchmarkSummary:
     """Run the Monte Carlo replicates in order, in the calling thread, and
     aggregate mean and standard error.
 
@@ -194,6 +201,7 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
     check_type("spec", spec, PopulationSpec)
     check_type("config", config, SolverConfig)
     check_type("taus", taus, dict)
+    check_real("p_floor", p_floor, 0.0, 1.0)
     methods = check_run_args(methods, n_replicates, base_seed, taus)
 
     reports = [_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
@@ -216,7 +224,7 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
 
 def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_GRID,
                         base_seed: int = 1, config: SolverConfig = SolverConfig(),
-                        p_floor: float = 0.01) -> dict[str, float]:
+                        p_floor: float = DEFAULT_P_FLOOR) -> dict[str, float]:
     """Tune each method's tau once on the reserved validation replicate.
 
     The validation replicate (id 0) is generated independently of the
@@ -226,13 +234,14 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     """
     check_type("spec", spec, PopulationSpec)
     check_type("config", config, SolverConfig)
+    check_real("p_floor", p_floor, 0.0, 1.0)
     methods = check_run_args(methods, base_seed=base_seed)
-    ds, truth_Z, probs = _draw_replicate(spec, methods, base_seed, 0, p_floor)
+    ds, truth_Z, p_hat = _draw_replicate(spec, methods, base_seed, 0, p_floor)
     out: dict[str, float] = {}
     for name in methods:
         method = _REGISTRY[name]
         if method.tuned:
             out[name] = grid_search(grid, lambda t: relative_error(
-                method.fit(ds, probs, t, config, _method_rng(base_seed, 0)),
+                method.fit(ds, p_hat, t, config, _method_rng(base_seed, 0)),
                 truth_Z)).best_tau
     return out

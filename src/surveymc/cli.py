@@ -21,7 +21,7 @@ from .benchmark import METHODS, check_run_args, run_benchmark, tune_benchmark_ta
 from .dataset import MixedDataset
 from .errors import InvalidInput, SurveyMCError, check_int
 from .families import CategoryLayout, mean_from_natural
-from .response_model import estimate_response_probs
+from .response_model import DEFAULT_P_FLOOR, estimate_response_probs
 from .simulator import PopulationSpec, simulate_survey
 from .solver import SolverConfig, fit_completion, tune_tau
 
@@ -79,7 +79,7 @@ def _load(args) -> MixedDataset:
 def _fit(args, dataset: MixedDataset):
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
-    return probs, fit_completion(dataset, probs, args.tau,
+    return probs, fit_completion(dataset, probs.p_hat, args.tau,
                                  SolverConfig(iterations=args.iterations, clamp=args.clamp))
 
 
@@ -141,7 +141,7 @@ def cmd_tune(args) -> int:
     dataset = _load(args)
     probs = estimate_response_probs(dataset, p_floor=args.p_floor,
                                     use_design_weights=args.design_weighted)
-    result = tune_tau(dataset, probs, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
+    result = tune_tau(dataset, probs.p_hat, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
                       seed=args.seed,
                       config=SolverConfig(iterations=args.iterations, clamp=args.clamp))
     mio.write_tau_scores(result, os.path.join(out, "tau_scores.csv"))
@@ -207,7 +207,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", required=True, help="schema JSON")
     p.add_argument("--standardize", action="store_true",
                    help="standardize covariates and gaussian responses at load")
-    p.add_argument("--p-floor", type=float, default=0.01,
+    p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR,
                    help="lower clamp for fitted response probabilities")
     p.add_argument("--design-weighted", action="store_true",
                    help="use 1/pi weights when fitting response probabilities")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "validation replicate)")
     p.add_argument("--grid", default=DEFAULT_GRID, help="tuning grid")
     _add_solver_flags(p)
-    p.add_argument("--p-floor", type=float, default=0.01)
+    p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR)
     p.add_argument("--threads", type=int, default=1,
                    help="ignored, replicates run in order; kept so old command lines parse")
     p.add_argument("--out", required=True)

@@ -25,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import NumericalFailure, StratumTooSmall, check_int, check_real, check_type
+from .errors import NumericalFailure, StratumTooSmall, check_real, check_type
 from .families import expit, logit
 
-__all__ = ["ResponseProbModel", "estimate_response_probs"]
+__all__ = ["ResponseProbModel", "estimate_response_probs", "DEFAULT_P_FLOOR"]
+
+# default floor of the fitted response probabilities (stage one, benchmark, CLI)
+DEFAULT_P_FLOOR = 0.01
 
 # ridges tried in turn: the plain fit, then escalation when a cell is
 # separated or singular
@@ -79,18 +82,6 @@ class ResponseProbModel:
         """(stratum, column) pairs of the cells whose IRLS hit the iteration
         cap, stratum-major."""
         return _cells(self.iterations >= _MAX_ITER)
-
-    @classmethod
-    def constant(cls, n: int, n_cols: int) -> "ResponseProbModel":
-        """Degenerate model with every probability 1 (and p_floor 1) and no
-        fitted cell: the unweighted variant of the solver."""
-        check_int("n", n, 1)
-        check_int("n_cols", n_cols, 1)
-        no_cells = np.zeros((0, n_cols), dtype=bool)
-        return cls(coefficients=np.zeros((0, n_cols, 1)),
-                   iterations=np.zeros((0, n_cols), dtype=np.int64),
-                   degenerate=no_cells, fallback=no_cells,
-                   p_hat=np.ones((n, n_cols)), p_floor=1.0)
 
 
 def _cells(mask: np.ndarray) -> np.ndarray:
@@ -192,7 +183,7 @@ def _fit_cells(features: np.ndarray, Y: np.ndarray, row_weights: np.ndarray):
     return coefficients, iterations, degenerate, fallback
 
 
-def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = 0.01,
+def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = DEFAULT_P_FLOOR,
                             use_design_weights: bool = False) -> ResponseProbModel:
     """Fit every (column, stratum) cell and assemble the clamped p_hat matrix."""
     check_type("dataset", dataset, MixedDataset)

@@ -6,7 +6,7 @@ The estimate at penalty weight tau, each fit's argument, minimizes
         + tau * || [X, Z] ||_*
 
 over Z, where g_j is the cumulant of column j's family, pi are inclusion
-probabilities, p_ij are fitted response probabilities, and X is the dataset's
+probabilities, p_ij are entries of the p_hat argument, and X is the dataset's
 n x D covariate matrix, its only source.  D may be 0: the penalty is then the
 nuclear norm of Z, which is what the unweighted baselines fit.  The loop is an
 accelerated proximal gradient method: momentum blend, gradient step, singular
@@ -38,7 +38,6 @@ from .errors import (ColumnEmpty, FoldError, InvalidInput, NumericalFailure, Sha
 from .families import DEFAULT_CLAMP, mean_from_natural
 from .linalg import SvdFactors, as_matrix, rank1_approx, singular_values, svt_factors
 from .linalg import svt  # noqa: F401  unused here; bench/tests reads solver.svt
-from .response_model import ResponseProbModel
 
 __all__ = ["SolverConfig", "CompletionResult", "TuneResult", "weighted_loss",
            "objective", "gradient", "fit_completion", "tune_tau", "grid_search",
@@ -93,10 +92,9 @@ class _Problem:
     weights and responses of its observed entries.
     """
 
-    def __init__(self, dataset: MixedDataset, probs: ResponseProbModel, clamp: float):
+    def __init__(self, dataset: MixedDataset, p_hat, clamp: float):
         check_type("dataset", dataset, MixedDataset)
-        check_type("probs", probs, ResponseProbModel)
-        p_hat = real_array("p_hat", probs.p_hat, 2)
+        p_hat = real_array("p_hat", p_hat, 2)
         if p_hat.shape != dataset.Y.shape:
             raise ShapeError(f"p_hat shape {p_hat.shape} differs from Y shape {dataset.Y.shape}")
         if not np.all((p_hat > 0) & (p_hat <= 1)):  # NaN fails it too
@@ -179,34 +177,34 @@ class _Problem:
                           for fam, _, w, _ in self.observed))
 
 
-def weighted_loss(Z, dataset: MixedDataset, probs: ResponseProbModel) -> float:
+def weighted_loss(Z, dataset: MixedDataset, p_hat) -> float:
     """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L
     with N the dataset's population size.  Raises NumericalFailure when a
     term overflows float64."""
-    prob, Z = _problem_at(Z, dataset, probs)
+    prob, Z = _problem_at(Z, dataset, p_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite("loss", prob.loss(Z))
 
 
-def gradient(Z, dataset: MixedDataset, probs: ResponseProbModel) -> np.ndarray:
+def gradient(Z, dataset: MixedDataset, p_hat) -> np.ndarray:
     """Entrywise gradient of weighted_loss; exactly zero at missing entries.
     Raises NumericalFailure when an entry overflows float64."""
-    prob, Z = _problem_at(Z, dataset, probs)
+    prob, Z = _problem_at(Z, dataset, p_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite("gradient", prob.value_and_grad(Z)[1])
 
 
-def objective(Z, dataset: MixedDataset, probs: ResponseProbModel, tau: float) -> float:
+def objective(Z, dataset: MixedDataset, p_hat, tau: float) -> float:
     """weighted_loss plus tau times the nuclear norm of [dataset.X, Z].
     Raises NumericalFailure when a term overflows float64."""
     check_real("tau", tau, 0.0)
-    prob, Z = _problem_at(Z, dataset, probs)
+    prob, Z = _problem_at(Z, dataset, p_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite("objective", prob.objective(Z, tau)[0])
 
 
-def _problem_at(Z, dataset: MixedDataset, probs: ResponseProbModel) -> tuple[_Problem, np.ndarray]:
-    prob, Z = _Problem(dataset, probs, np.inf), as_matrix(Z, "Z")  # no clamp box
+def _problem_at(Z, dataset: MixedDataset, p_hat) -> tuple[_Problem, np.ndarray]:
+    prob, Z = _Problem(dataset, p_hat, np.inf), as_matrix(Z, "Z")  # no clamp box
     if Z.shape != dataset.Y.shape:
         raise ShapeError(f"Z shape {Z.shape} differs from Y shape {dataset.Y.shape}")
     return prob, Z
@@ -219,10 +217,12 @@ def _finite(what: str, value):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is handled, see the docstring
-def fit_completion(dataset: MixedDataset, probs: ResponseProbModel, tau: float,
+def fit_completion(dataset: MixedDataset, p_hat, tau: float,
                    config: SolverConfig = SolverConfig()) -> CompletionResult:
     """Fit at tau: run the descent-guarded accelerated proximal loop with
     momentum restart, until a fixed point or config.iterations (module notes).
+    p_hat is any n x L array in (0, 1]: stage one's ResponseProbModel.p_hat,
+    the true response probabilities, or ones for an unweighted fit.
 
     The penalty augments Z with dataset.X (n x D, D >= 0).  A trial step that
     overflows float64 is halved.  Raises ColumnEmpty when the dataset has no
@@ -236,7 +236,7 @@ def fit_completion(dataset: MixedDataset, probs: ResponseProbModel, tau: float,
     check_type("dataset", dataset, MixedDataset)
     if not dataset.R.any():
         raise ColumnEmpty("dataset has no observed response to fit")
-    prob = _Problem(dataset, probs, config.clamp)
+    prob = _Problem(dataset, p_hat, config.clamp)
 
     Z1, n_proj = prob.project(rank1_approx(prob.Yf))
     obj1, svals1 = prob.objective(Z1, tau)
@@ -335,9 +335,8 @@ def grid_search(grid, score) -> TuneResult:
     return TuneResult(best_tau=taus[best_i], taus=taus, scores=scores)
 
 
-def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
-             grid=DEFAULT_TAU_GRID, folds: int = 5, seed: int = 0,
-             config: SolverConfig = SolverConfig()) -> TuneResult:
+def tune_tau(dataset: MixedDataset, p_hat, grid=DEFAULT_TAU_GRID, folds: int = 5,
+             seed: int = 0, config: SolverConfig = SolverConfig()) -> TuneResult:
     """Pick tau from a grid by k-fold cross-validation.
 
     The observed entries are split into `folds` folds by a permutation drawn
@@ -347,7 +346,7 @@ def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
     takes its grid tau and the settings of config.
     """
     check_type("dataset", dataset, MixedDataset)
-    check_type("probs", probs, ResponseProbModel)
+    p_hat = real_array("p_hat", p_hat, 2)
     check_type("config", config, SolverConfig)
     check_int("folds", folds, 2)
     check_int("seed", seed, 0)
@@ -365,7 +364,7 @@ def tune_tau(dataset: MixedDataset, probs: ResponseProbModel,
     def score(t: float) -> float:
         total = 0.0
         for ds_f, rows, cols, held_y in held_out:
-            res = fit_completion(ds_f, probs, t, config)
+            res = fit_completion(ds_f, p_hat, t, config)
             imput = mean_from_natural(res.Z_hat, dataset.layout)[rows, cols]
             total += float(np.sum((imput - held_y) ** 2))
         return total

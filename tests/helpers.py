@@ -7,8 +7,6 @@ per-block loss and gradient and the per-cell IRLS loop are the references
 for the package's observed-entry kernel and batched stage one.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -53,7 +51,7 @@ def sample_responses(layout, Z, rng):
 
 
 def random_problem(rng, n=20, layout=None, miss=0.3, pi_lo=0.05, p_lo=0.2):
-    """Dataset plus a synthetic response-probability model for loss tests."""
+    """Dataset plus a synthetic response-probability matrix p_hat for loss tests."""
     layout = layout or mixed_layout()
     L = layout.n_cols
     Z = draw_natural(layout, rng, n)
@@ -64,13 +62,16 @@ def random_problem(rng, n=20, layout=None, miss=0.3, pi_lo=0.05, p_lo=0.2):
         Y=np.where(R, Y, np.nan), X=rng.uniform(size=(n, 2)),
         strata=np.ones(n, dtype=np.int64), pi=rng.uniform(pi_lo, 1.0, n),
         layout=layout)
-    return ds, probs_of(rng.uniform(p_lo, 1.0, (n, L)), p_lo), Z
+    return ds, rng.uniform(p_lo, 1.0, (n, L)), Z
 
 
-def probs_of(p_hat, p_floor):
-    """A stage-one model with no fitted cell that carries p_hat and p_floor."""
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    return replace(smc.ResponseProbModel.constant(*p_hat.shape), p_hat=p_hat, p_floor=p_floor)
+# a three-block layout and a 72-row design small enough for a whole benchmark run
+TINY = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
+
+
+def tiny_spec():
+    return smc.PopulationSpec(n_strata=3, m1=3, m2=8, layout=TINY, xi=0.3,
+                              n_covariates=2)
 
 
 def g_ld(kind, z, sigma=1.0):
@@ -172,7 +173,7 @@ def soft_impute_objective(M, Y, R, lam):
             + lam * float(np.linalg.svd(M, compute_uv=False).sum()))
 
 
-def dense_loss_and_grad(Z, dataset, probs):
+def dense_loss_and_grad(Z, dataset, p_hat):
     """Weighted loss and gradient over every entry of each family block,
     with W = 0 where unobserved: the slow reference for the solver's
     observed-entry kernel.  Also returns the scales of their round-off:
@@ -180,7 +181,7 @@ def dense_loss_and_grad(Z, dataset, probs):
     Z = np.asarray(Z, dtype=np.float64)
     N = dataset.resolve_population_size()
     W = np.where(dataset.R, 1.0 / (N * dataset.n_responses * dataset.pi[:, None]
-                                   * probs.p_hat), 0.0)
+                                   * p_hat), 0.0)
     Yf = np.where(dataset.R, np.nan_to_num(dataset.Y), 0.0)
     total, loss_scale = 0.0, 0.0
     G, grad_scale = np.empty_like(Z), np.empty_like(Z)

@@ -34,12 +34,12 @@ def test_criterion_01_gradient_matches_finite_differences():
     worst = 0.0
     for i in range(25):
         rng = np.random.default_rng(1000 + i)
-        ds, probs, _ = random_problem(rng, n=20, layout=GPB_SMALL,
+        ds, p_hat, _ = random_problem(rng, n=20, layout=GPB_SMALL,
                                       pi_lo=0.05, p_lo=0.2)
         Z = rng.uniform(-2.0, 2.0, ds.Y.shape)
-        G = smc.gradient(Z, ds, probs)
+        G = smc.gradient(Z, ds, p_hat)
         N = float(np.sum(1.0 / ds.pi))
-        G_fd = fd_gradient(Z, ds.Y, ds.R, ds.pi, probs.p_hat, ds.layout, N)
+        G_fd = fd_gradient(Z, ds.Y, ds.R, ds.pi, p_hat, ds.layout, N)
         worst = max(worst, np.abs(G - G_fd).max() / np.abs(G_fd).max())
     elapsed = time.perf_counter() - t0
     report("criterion 01 gradient vs central differences",
@@ -90,10 +90,10 @@ def test_criterion_03_all_traces_exactly_nonincreasing():
             (6, smc.CategoryLayout.of(("gaussian", 6)), 2.0**-40, {}),
             (7, GPB_SMALL, 2.0**-12, {})]:
         rng = np.random.default_rng(seed)
-        ds, probs, _ = random_problem(rng, n=40, layout=layout)
+        ds, p_hat, _ = random_problem(rng, n=40, layout=layout)
         config = smc.SolverConfig(iterations=80, **kwargs)
         for data in (replace(ds, X=np.empty((ds.n, 0))), ds):
-            runs.append(smc.fit_completion(data, probs, tau, config))
+            runs.append(smc.fit_completion(data, p_hat, tau, config))
     ok = all(trace_is_monotone(r) for r in runs)
     accepted = sum(int(np.sum(r.accepted)) for r in runs)
     steps = sum(r.iterations_run for r in runs)
@@ -105,9 +105,9 @@ def test_criterion_03_all_traces_exactly_nonincreasing():
 def test_criterion_04_solver_convergence_rate():
     t0 = time.perf_counter()
     _, sample = smc.simulate_survey(BENCH_SPEC, np.random.default_rng([0, 0]))
-    probs = smc.estimate_response_probs(sample.dataset, p_floor=0.01)
+    p_hat = smc.estimate_response_probs(sample.dataset, p_floor=0.01).p_hat
     config = smc.SolverConfig(iterations=2000)
-    result = smc.fit_completion(sample.dataset, probs, 2.0**-10, config)
+    result = smc.fit_completion(sample.dataset, p_hat, 2.0**-10, config)
     f = np.asarray(result.objective_trace)
     # the loop stops at a fixed point, where every later iteration would
     # record f[-1] again: the trace past the stop is f[-1]

@@ -165,15 +165,6 @@ def test_design_weights_with_constant_pi_match_unweighted():
     npt.assert_allclose(weighted.p_hat, plain.p_hat, atol=1e-6)
 
 
-def test_constant_model():
-    m = smc.ResponseProbModel.constant(4, 3)
-    assert m.p_hat.shape == (4, 3)
-    assert np.all(m.p_hat == 1.0) and m.p_floor == 1.0
-    assert m.coefficients.shape == (0, 3, 1)
-    for cells in (m.degenerate_cells, m.fallback_cells, m.nonconverged_cells):
-        assert cells.shape == (0, 2)
-
-
 def test_p_floor_validated():
     rng = np.random.default_rng(8)
     strata = np.ones(30, dtype=np.int64)

@@ -30,33 +30,33 @@ def one_cell_dataset(kind, y, pi=1.0, sigma=1.0):
 def test_loss_single_entry_closed_form():
     # gaussian, y = z = 1, all weights 1, N = 1:  -y z + z^2/2 = -0.5
     ds = one_cell_dataset("gaussian", 1.0)
-    probs = smc.ResponseProbModel.constant(1, 1)
+    p_hat = np.ones((1, 1))
     ds1 = replace(ds, population_size=1.0)
-    assert smc.weighted_loss([[1.0]], ds1, probs) == pytest.approx(-0.5, abs=1e-15)
+    assert smc.weighted_loss([[1.0]], ds1, p_hat) == pytest.approx(-0.5, abs=1e-15)
 
     # poisson, y = 2, z = 0, pi = p_hat = 0.5, N from HT is 2:
     # W = 1/(2 * 1 * 0.5 * 0.5) = 2 and -y z + e^z = 1
     ds = one_cell_dataset("poisson", 2.0, pi=0.5)
-    probs = helpers.probs_of([[0.5]], 0.5)
-    assert smc.weighted_loss([[0.0]], ds, probs) == pytest.approx(2.0, abs=1e-15)
+    p_hat = [[0.5]]
+    assert smc.weighted_loss([[0.0]], ds, p_hat) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_loss_matches_extended_precision_oracle():
     rng = np.random.default_rng(0)
-    ds, probs, Z = helpers.random_problem(rng)
+    ds, p_hat, Z = helpers.random_problem(rng)
     N = ds.ht_population_size()
-    want = float(helpers.loss_oracle(Z, ds.Y, ds.R, ds.pi, probs.p_hat, ds.layout, N))
-    assert smc.weighted_loss(Z, replace(ds, population_size=N), probs) == pytest.approx(
+    want = float(helpers.loss_oracle(Z, ds.Y, ds.R, ds.pi, p_hat, ds.layout, N))
+    assert smc.weighted_loss(Z, replace(ds, population_size=N), p_hat) == pytest.approx(
         want, rel=1e-13)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    ds, probs, Z = helpers.random_problem(rng, n=6,
+    ds, p_hat, Z = helpers.random_problem(rng, n=6,
                                           layout=helpers.mixed_layout(sigma=1.4))
     N = ds.ht_population_size()
-    G = smc.gradient(Z, replace(ds, population_size=N), probs)
-    FD = helpers.fd_gradient(Z, ds.Y, ds.R, ds.pi, probs.p_hat, ds.layout, N)
+    G = smc.gradient(Z, replace(ds, population_size=N), p_hat)
+    FD = helpers.fd_gradient(Z, ds.Y, ds.R, ds.pi, p_hat, ds.layout, N)
     assert np.linalg.norm(G - FD) / np.linalg.norm(FD) < 1e-6
 
 
@@ -81,7 +81,7 @@ def observed_entry_problems(draw):
     ds = smc.MixedDataset(Y=np.where(R, Y, np.nan), X=rng.normal(size=(n, 2)),
                           strata=np.ones(n, dtype=np.int64), pi=rng.uniform(0.05, 1.0, n),
                           layout=layout, population_size=float(n))
-    probs = helpers.probs_of(rng.uniform(0.05, 1.0, R.shape), 0.05)
+    p_hat = rng.uniform(0.05, 1.0, R.shape)
     clamp = draw(st.sampled_from((0.5, 30.0)))
     Z = helpers.draw_natural(layout, rng, n)
     for fam, sl in layout.slices():
@@ -89,17 +89,17 @@ def observed_entry_problems(draw):
         edge = rng.random((n, sl.stop - sl.start)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
         Z[:, sl] = np.where(edge, np.where(rng.random(edge.shape) < 0.5, lo, hi),
                             np.clip(Z[:, sl], lo, hi))
-    return ds, probs, Z, clamp
+    return ds, p_hat, Z, clamp
 
 
 @settings(max_examples=200, deadline=None)
 @given(problem=observed_entry_problems())
 def test_value_and_grad_match_the_dense_per_block_reference(problem):
-    ds, probs, Z, clamp = problem
-    prob = _Problem(ds, probs, clamp=clamp)
+    ds, p_hat, Z, clamp = problem
+    prob = _Problem(ds, p_hat, clamp=clamp)
     value, G = prob.value_and_grad(Z)
     assert value == prob.loss(Z)  # the loop prices Q and its candidates alike
-    want, want_G, loss_scale, grad_scale = helpers.dense_loss_and_grad(Z, ds, probs)
+    want, want_G, loss_scale, grad_scale = helpers.dense_loss_and_grad(Z, ds, p_hat)
     assert abs(value - want) <= 1e-12 * loss_scale
     assert np.all(np.abs(G - want_G) <= 1e-12 * grad_scale)
     assert np.all(G[~ds.R] == 0.0)
@@ -107,41 +107,41 @@ def test_value_and_grad_match_the_dense_per_block_reference(problem):
 
 def test_gradient_zero_at_missing_entries():
     rng = np.random.default_rng(2)
-    ds, probs, Z = helpers.random_problem(rng, miss=0.5)
-    G = smc.gradient(Z, ds, probs)
+    ds, p_hat, Z = helpers.random_problem(rng, miss=0.5)
+    G = smc.gradient(Z, ds, p_hat)
     assert np.all(G[~ds.R] == 0.0)
     assert np.any(G[ds.R] != 0.0)
 
 
 def test_gradient_single_entry_closed_form():
     ds = one_cell_dataset("gaussian", 1.0)
-    probs = smc.ResponseProbModel.constant(1, 1)
+    p_hat = np.ones((1, 1))
     # W = 1, grad = g'(z) - y = z - 1
     ds1 = replace(ds, population_size=1.0)
-    assert smc.gradient([[2.0]], ds1, probs)[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert smc.gradient([[1.0]], ds1, probs)[0, 0] == 0.0
+    assert smc.gradient([[2.0]], ds1, p_hat)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert smc.gradient([[1.0]], ds1, p_hat)[0, 0] == 0.0
 
 
 def test_gradient_scales_inversely_with_pi():
     rng = np.random.default_rng(3)
-    ds, probs, Z = helpers.random_problem(rng)
+    ds, p_hat, Z = helpers.random_problem(rng)
     halved = smc.MixedDataset(Y=ds.Y, X=ds.X, strata=ds.strata,
                               pi=ds.pi / 2.0, layout=ds.layout)
-    G1 = smc.gradient(Z, replace(ds, population_size=500.0), probs)
-    G2 = smc.gradient(Z, replace(halved, population_size=500.0), probs)
+    G1 = smc.gradient(Z, replace(ds, population_size=500.0), p_hat)
+    G2 = smc.gradient(Z, replace(halved, population_size=500.0), p_hat)
     npt.assert_allclose(G2, 2.0 * G1, rtol=1e-12)
 
 
 def test_objective_composes_loss_and_penalty():
     rng = np.random.default_rng(4)
-    ds, probs, Z = helpers.random_problem(rng)
+    ds, p_hat, Z = helpers.random_problem(rng)
     ds = replace(ds, population_size=200.0)
-    want = (smc.weighted_loss(Z, ds, probs)
+    want = (smc.weighted_loss(Z, ds, p_hat)
             + 0.3 * smc.nuclear_norm(np.hstack([ds.X, Z])))
-    assert smc.objective(Z, ds, probs, 0.3) == pytest.approx(want, rel=1e-12)
+    assert smc.objective(Z, ds, p_hat, 0.3) == pytest.approx(want, rel=1e-12)
     # a dataset without covariates has no augmentation
-    want_plain = smc.weighted_loss(Z, ds, probs) + 0.3 * smc.nuclear_norm(Z)
-    assert smc.objective(Z, no_covariates(ds), probs, 0.3) == pytest.approx(want_plain,
+    want_plain = smc.weighted_loss(Z, ds, p_hat) + 0.3 * smc.nuclear_norm(Z)
+    assert smc.objective(Z, no_covariates(ds), p_hat, 0.3) == pytest.approx(want_plain,
                                                                             rel=1e-12)
 
 
@@ -152,14 +152,14 @@ def no_covariates(ds):
 
 def test_shape_and_domain_checks():
     rng = np.random.default_rng(5)
-    ds, probs, Z = helpers.random_problem(rng)
+    ds, p_hat, Z = helpers.random_problem(rng)
     with pytest.raises(ShapeError):
-        smc.weighted_loss(Z[:, :3], ds, probs)
+        smc.weighted_loss(Z[:, :3], ds, p_hat)
     bad = Z.copy()
     bad[0, 0] = np.inf
     with pytest.raises(InvalidInput):
-        smc.gradient(bad, ds, probs)
-    wrong_p = helpers.probs_of(np.full_like(Z, 1.5), 0.1)
+        smc.gradient(bad, ds, p_hat)
+    wrong_p = np.full_like(Z, 1.5)
     with pytest.raises(InvalidInput):
         smc.weighted_loss(Z, ds, wrong_p)
 
@@ -168,10 +168,8 @@ def test_shape_and_domain_checks():
 def test_a_nan_p_hat_is_invalid_input(observed):
     # a NaN at an observed entry once surfaced as a weight overflow blamed on
     # N, and one at a missing entry passed unnoticed
-    ds, probs, Z = helpers.random_problem(np.random.default_rng(5))
-    p_hat = probs.p_hat.copy()
-    p_hat[tuple(np.argwhere(ds.R == observed)[0])] = np.nan
-    nan_p = helpers.probs_of(p_hat, 0.2)
+    ds, nan_p, Z = helpers.random_problem(np.random.default_rng(5))
+    nan_p[tuple(np.argwhere(ds.R == observed)[0])] = np.nan
     with pytest.raises(InvalidInput, match="p_hat"):
         smc.weighted_loss(Z, ds, nan_p)
     with pytest.raises(InvalidInput, match="p_hat"):
@@ -182,10 +180,10 @@ def test_config_validation():
     # the config holds the settings a tuning path shares; tau is each fit's argument
     assert [f.name for f in fields(smc.SolverConfig)] == ["iterations", "clamp"]
     assert smc.SolverConfig() == smc.SolverConfig(iterations=200, clamp=30.0)
-    ds, probs, _ = helpers.random_problem(np.random.default_rng(5), n=10)
+    ds, p_hat, _ = helpers.random_problem(np.random.default_rng(5), n=10)
     for tau in (0.0, -1.0, np.inf, np.nan, None, "0.1"):
         with pytest.raises(InvalidInput):
-            smc.fit_completion(ds, probs, tau)
+            smc.fit_completion(ds, p_hat, tau)
     with pytest.raises(InvalidInput):
         smc.SolverConfig(iterations=0)
     for count in (2.5, float("nan")):  # range() would reject these mid-fit
@@ -197,9 +195,9 @@ def test_config_validation():
 
 
 def fit_small(rng, tau=2.0**-8, iterations=60, **kw):
-    ds, probs, _ = helpers.random_problem(rng, n=40)
+    ds, p_hat, _ = helpers.random_problem(rng, n=40)
     cfg = smc.SolverConfig(iterations=iterations, **kw)
-    return smc.fit_completion(ds, probs, tau, cfg), ds
+    return smc.fit_completion(ds, p_hat, tau, cfg), ds
 
 
 def test_trace_is_exactly_monotone():
@@ -212,9 +210,9 @@ def test_trace_is_exactly_monotone():
 
 def test_iterate_stays_in_clamp_box():
     rng = np.random.default_rng(8)
-    ds, probs, _ = helpers.random_problem(rng, n=30)
+    ds, p_hat, _ = helpers.random_problem(rng, n=30)
     cfg = smc.SolverConfig(iterations=40, clamp=3.0)
-    res = smc.fit_completion(ds, probs, 2.0**-10, cfg)
+    res = smc.fit_completion(ds, p_hat, 2.0**-10, cfg)
     assert np.max(np.abs(res.Z_hat)) <= 3.0
     for fam, sl in ds.layout.slices():
         lo, hi = fam.domain_box(3.0)
@@ -231,9 +229,9 @@ def test_gaussian_identity_fixed_point():
     ds = smc.MixedDataset(Y=Y, X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
-    probs = smc.ResponseProbModel.constant(n, L)
+    p_hat = np.ones((n, L))
     cfg = smc.SolverConfig(iterations=300)
-    res = smc.fit_completion(ds, probs, 2.0**-40, cfg)
+    res = smc.fit_completion(ds, p_hat, 2.0**-40, cfg)
     assert np.max(np.abs(res.Z_hat - Y)) < 1e-3
 
 
@@ -245,14 +243,14 @@ def early_stop_problem():
     ds = smc.MixedDataset(Y=Y, X=np.empty((n, 0)),
                           strata=np.ones(n, dtype=np.int64), pi=np.ones(n),
                           layout=lay, population_size=float(n))
-    return ds, smc.ResponseProbModel.constant(n, L)
+    return ds, np.ones((n, L))
 
 
 def test_early_stop():
     # a fully observed gaussian problem converges fast, so the loop must stop
     # at its fixed point well short of the iteration cap
-    ds, probs = early_stop_problem()
-    res = smc.fit_completion(ds, probs, 2.0**-30, smc.SolverConfig(iterations=500))
+    ds, p_hat = early_stop_problem()
+    res = smc.fit_completion(ds, p_hat, 2.0**-30, smc.SolverConfig(iterations=500))
     assert res.diagnostics["stop"] == "fixed_point"
     assert res.iterations_run == 3 and not res.accepted[-1]
     assert helpers.trace_is_monotone(res)
@@ -270,10 +268,10 @@ def test_diagnostics_keys():
 
 def test_large_tau_collapses_rank():
     rng = np.random.default_rng(12)
-    ds, probs, _ = helpers.random_problem(rng, n=40)
+    ds, p_hat, _ = helpers.random_problem(rng, n=40)
     ds = no_covariates(ds)
-    small = smc.fit_completion(ds, probs, 2.0**-12, smc.SolverConfig(iterations=60))
-    large = smc.fit_completion(ds, probs, 2.0**2, smc.SolverConfig(iterations=60))
+    small = smc.fit_completion(ds, p_hat, 2.0**-12, smc.SolverConfig(iterations=60))
+    large = smc.fit_completion(ds, p_hat, 2.0**2, smc.SolverConfig(iterations=60))
     nn_small = smc.nuclear_norm(small.Z_hat)
     nn_large = smc.nuclear_norm(large.Z_hat)
     assert nn_large <= nn_small
@@ -303,9 +301,9 @@ def test_loss_is_design_unbiased():
         pi = np.array([n_h[strata_pop[i] - 1] / N_h[strata_pop[i] - 1] for i in rows])
         ds = smc.MixedDataset(Y=Y_pop[rows], X=np.ones((len(rows), 1)),
                               strata=strata_pop[rows], pi=pi, layout=lay)
-        probs = smc.ResponseProbModel.constant(len(rows), 4)
+        p_hat = np.ones((len(rows), 4))
         draws.append(smc.weighted_loss(Z_pop[rows], replace(ds, population_size=float(N)),
-                                       probs))
+                                       p_hat))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - census) <= 3 * se
@@ -316,11 +314,11 @@ def test_grid_search_tie_breaks_toward_larger():
     # iterate to the exact zero matrix: the scores tie and the larger wins
     rng = np.random.default_rng(15)
     lay = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
-    ds, probs, Z = helpers.random_problem(rng, n=20, layout=lay)
+    ds, p_hat, Z = helpers.random_problem(rng, n=20, layout=lay)
     ds = no_covariates(ds)
 
     def score(t):
-        res = smc.fit_completion(ds, probs, t, smc.SolverConfig(iterations=5))
+        res = smc.fit_completion(ds, p_hat, t, smc.SolverConfig(iterations=5))
         return float(np.linalg.norm(res.Z_hat - Z) / np.linalg.norm(Z))
 
     out = smc.grid_search((2e6, 1e6), score)
@@ -343,42 +341,42 @@ def test_grid_search_returns_largest_minimizer(table):
 
 def test_tune_tau_k_fold():
     rng = np.random.default_rng(16)
-    ds, probs, _ = helpers.random_problem(rng, n=30)
+    ds, p_hat, _ = helpers.random_problem(rng, n=30)
     grid = (2.0**-8, 2.0**-4)
     cfg = smc.SolverConfig(iterations=25)
-    out = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, config=cfg)
+    out = smc.tune_tau(ds, p_hat, grid=grid, folds=3, seed=0, config=cfg)
     assert out.best_tau in grid
     assert all(np.isfinite(out.scores))
     # deterministic in the fold seed
-    again = smc.tune_tau(ds, probs, grid=grid, folds=3, seed=0, config=cfg)
+    again = smc.tune_tau(ds, p_hat, grid=grid, folds=3, seed=0, config=cfg)
     assert out == again
 
 
 def test_tune_tau_errors():
     rng = np.random.default_rng(17)
-    ds, probs, Z = helpers.random_problem(rng, n=20)
+    ds, p_hat, Z = helpers.random_problem(rng, n=20)
     with pytest.raises(InvalidInput):
-        smc.tune_tau(ds, probs, grid=())
+        smc.tune_tau(ds, p_hat, grid=())
     with pytest.raises(InvalidInput):
-        smc.tune_tau(ds, probs, grid=(0.0, 1.0))
+        smc.tune_tau(ds, p_hat, grid=(0.0, 1.0))
     # a dict of settings is not a config: it once raised a bare TypeError,
     # and an empty one passed as "no config"
     for bad in (dict(folds=1), dict(folds=2.5), dict(seed=-1),
                 dict(config={"iterations": 5}), dict(config={})):
         with pytest.raises(InvalidInput):
-            smc.tune_tau(ds, probs, **bad)
+            smc.tune_tau(ds, p_hat, **bad)
     few = one_cell_dataset("gaussian", 1.0)
-    few_probs = smc.ResponseProbModel.constant(1, 1)
+    few_p_hat = np.ones((1, 1))
     with pytest.raises(FoldError):
-        smc.tune_tau(few, few_probs, grid=(0.1,), folds=5)
+        smc.tune_tau(few, few_p_hat, grid=(0.1,), folds=5)
 
 
 def test_fit_rejects_dataset_without_observed_response():
     rng = np.random.default_rng(18)
-    ds, probs, _ = helpers.random_problem(rng, n=10)
+    ds, p_hat, _ = helpers.random_problem(rng, n=10)
     empty = ds.with_mask(np.zeros_like(ds.R))
     with pytest.raises(ColumnEmpty):
-        smc.fit_completion(empty, probs, 0.1)
+        smc.fit_completion(empty, p_hat, 0.1)
 
 
 GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
@@ -389,8 +387,8 @@ GPB = smc.CategoryLayout.of(("gaussian", 4), ("poisson", 4), ("bernoulli", 4))
        thresh_frac=st.floats(1e-4, 1.2), seed=st.integers(0, 2**32 - 1))
 def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, seed):
     rng = np.random.default_rng(seed)
-    ds, probs, _ = helpers.random_problem(rng, n=n, layout=GPB)
-    prob = _Problem(ds if with_x else no_covariates(ds), probs, clamp=30.0)
+    ds, p_hat, _ = helpers.random_problem(rng, n=n, layout=GPB)
+    prob = _Problem(ds if with_x else no_covariates(ds), p_hat, clamp=30.0)
     T = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, GPB.n_cols))
     T += 0.1 * rng.normal(size=T.shape)
     M = np.hstack([prob.X, T])
@@ -403,8 +401,8 @@ def test_factor_penalty_matches_full_nuclear_norm(n, with_x, rank, thresh_frac, 
 
 def test_clipped_candidate_takes_the_full_penalty():
     rng = np.random.default_rng(19)
-    ds, probs, _ = helpers.random_problem(rng, n=20, layout=GPB)
-    prob = _Problem(ds, probs, clamp=0.5)
+    ds, p_hat, _ = helpers.random_problem(rng, n=20, layout=GPB)
+    prob = _Problem(ds, p_hat, clamp=0.5)
     cand, moved, factors = prob.prox_step(5.0 * rng.normal(size=ds.Y.shape), 0.1)
     assert moved > 0 and factors is None
     assert np.all(np.abs(cand) <= 0.5)
@@ -416,13 +414,13 @@ def test_recorded_objective_is_the_objective_of_z_hat(clamp):
     # come from the factor spectrum when the final candidate was not clipped
     # and from the full SVD when it was
     rng = np.random.default_rng(20)
-    ds, probs, _ = helpers.random_problem(rng, n=40, layout=GPB)
+    ds, p_hat, _ = helpers.random_problem(rng, n=40, layout=GPB)
     cfg = smc.SolverConfig(iterations=60, clamp=clamp)
     for ds in (ds, no_covariates(ds)):
-        res = smc.fit_completion(ds, probs, 2.0**-6, cfg)
+        res = smc.fit_completion(ds, p_hat, 2.0**-6, cfg)
         assert res.diagnostics["accepted_steps"] > 0
         assert (res.diagnostics["domain_projections"] > 0) == (clamp < 1.0)
-        want = smc.objective(res.Z_hat, ds, probs, 2.0**-6)
+        want = smc.objective(res.Z_hat, ds, p_hat, 2.0**-6)
         assert abs(res.objective_trace[-1] - want) <= 1e-12 * max(1.0, abs(want))
         XZ = np.hstack([ds.X, res.Z_hat])
         norm = res.diagnostics["final_nuclear_norm"]
@@ -435,7 +433,7 @@ def small_survey():
     spec = smc.PopulationSpec(n_strata=4, m1=5, m2=10, layout=smc.CategoryLayout.of(
         ("gaussian", 10), ("poisson", 10), ("bernoulli", 10)), xi=0.3, n_covariates=3)
     _, sample = smc.simulate_survey(spec, np.random.default_rng(0))
-    return sample.dataset, smc.estimate_response_probs(sample.dataset, p_floor=0.01)
+    return sample.dataset, smc.estimate_response_probs(sample.dataset, p_floor=0.01).p_hat
 
 
 def counting_svd(monkeypatch, raise_at=None):
@@ -456,9 +454,9 @@ def test_iterations_make_no_full_svd(monkeypatch):
     # 200 iterations, no clipping: the full-size SVDs are the rank-1 start
     # and the initial objective, not one or two per iteration; the
     # diagnostics read the spectrum that priced the last accepted iterate
-    ds, probs = small_survey()
+    ds, p_hat = small_survey()
     calls = counting_svd(monkeypatch)
-    res = smc.fit_completion(ds, probs, 2.0**-10, smc.SolverConfig(iterations=200))
+    res = smc.fit_completion(ds, p_hat, 2.0**-10, smc.SolverConfig(iterations=200))
     assert res.iterations_run == 200 and res.diagnostics["domain_projections"] == 0
     assert calls.count(ds.n) == 2
     # plus, per iteration, the SVD of the Gram matrix and a (D+k) x (D+L) one
@@ -469,29 +467,29 @@ def test_iterations_make_no_full_svd(monkeypatch):
 def test_population_size_that_overflows_a_weight_is_numerical_failure(N):
     # N * L * pi * p_hat underflows to 0 (5e-324) or to a subnormal whose
     # inverse overflows (1e-310); no numpy warning may escape either way
-    ds, probs = small_survey()
+    ds, p_hat = small_survey()
     tiny = replace(ds, population_size=N)
     Z = np.zeros(ds.Y.shape)
-    for call in (lambda: smc.fit_completion(tiny, probs, 0.1),
-                 lambda: smc.weighted_loss(Z, tiny, probs),
-                 lambda: smc.gradient(Z, tiny, probs)):
+    for call in (lambda: smc.fit_completion(tiny, p_hat, 0.1),
+                 lambda: smc.weighted_loss(Z, tiny, p_hat),
+                 lambda: smc.gradient(Z, tiny, p_hat)):
         with pytest.raises(NumericalFailure, match=f"N={N!r}"):
             call()
 
 
 def test_backend_failures_in_a_fit_are_numerical_failures(monkeypatch):
-    ds, probs = small_survey()
+    ds, p_hat = small_survey()
     cfg = smc.SolverConfig(iterations=3)
     calls = counting_svd(monkeypatch)
-    smc.fit_completion(ds, probs, 2.0**-10, cfg)
+    smc.fit_completion(ds, p_hat, 2.0**-10, cfg)
     monkeypatch.undo()
     counting_svd(monkeypatch, raise_at=len(calls))  # the last candidate's spectrum
     with pytest.raises(NumericalFailure):
-        smc.fit_completion(ds, probs, 2.0**-10, cfg)
+        smc.fit_completion(ds, p_hat, 2.0**-10, cfg)
     monkeypatch.undo()
     calls = counting_svd(monkeypatch, raise_at=3)  # the first prox step's Gram SVD
     with pytest.raises(NumericalFailure):
-        smc.fit_completion(ds, probs, 2.0**-10, cfg)
+        smc.fit_completion(ds, p_hat, 2.0**-10, cfg)
     assert calls[-1] == ds.layout.n_cols + ds.X.shape[1]
 
 
@@ -522,10 +520,10 @@ def next_plain_step(prob, ds, tau, cfg, Z, eta):
        seed=st.integers(0, 2**32 - 1))
 def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x, seed):
     rng = np.random.default_rng(seed)
-    ds, probs, _ = helpers.random_problem(rng, n=n, layout=helpers.mixed_layout())
+    ds, p_hat, _ = helpers.random_problem(rng, n=n, layout=helpers.mixed_layout())
     tau, cfg = 2.0**log2_tau, smc.SolverConfig(iterations=300, **STOP_MODES[mode])
     ds = ds if with_x else no_covariates(ds)
-    res = smc.fit_completion(ds, probs, tau, cfg)
+    res = smc.fit_completion(ds, p_hat, tau, cfg)
     t = res.objective_trace
     assert np.all(np.diff(t) <= 0)
     if res.diagnostics["stop"] == "cap":
@@ -535,13 +533,13 @@ def test_a_fit_stopped_before_its_cap_is_a_fixed_point(mode, n, log2_tau, with_x
     # one more plain step from Z_hat, priced as the loop prices it, does not
     # lower the objective, and it ends at step_size_final: the next iteration
     # would repeat the last one
-    prob = _Problem(ds, probs, cfg.clamp)
+    prob = _Problem(ds, p_hat, cfg.clamp)
     eta = res.diagnostics["step_size_final"]
     (cand, _, factors), eta_next = next_plain_step(prob, ds, tau, cfg, res.Z_hat, eta)
     assert eta_next == eta
     assert prob.objective(cand, tau, factors=factors)[0] >= t[-1]
     # the trace ends at the objective of Z_hat (factor penalty vs full SVD)
-    want = smc.objective(res.Z_hat, ds, probs, tau)
+    want = smc.objective(res.Z_hat, ds, p_hat, tau)
     assert abs(t[-1] - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -588,8 +586,8 @@ def test_two_stages_on_generated_surveys_raise_only_package_errors(survey, desig
     blocks, sigma, fields = survey
     try:
         ds = smc.MixedDataset(layout=smc.CategoryLayout.of(*blocks, sigma=sigma), **fields)
-        probs = smc.estimate_response_probs(ds, use_design_weights=design_weighted)
-        res = smc.fit_completion(ds, probs, 2.0**log2_tau,
+        p_hat = smc.estimate_response_probs(ds, use_design_weights=design_weighted).p_hat
+        res = smc.fit_completion(ds, p_hat, 2.0**log2_tau,
                                  smc.SolverConfig(iterations=30, clamp=clamp))
     except SurveyMCError as exc:
         event(type(exc).__name__)
@@ -611,9 +609,9 @@ def test_loss_gradient_and_objective_fail_only_with_numerical_failure(survey, z_
     Z = z_scale * helpers.draw_natural(ds.layout, rng, ds.n)
     for fam, sl in ds.layout.slices():  # in the domain: exponential z <= -1e-8
         Z[:, sl] = np.minimum(Z[:, sl], fam.domain_box(1.0)[1])
-    probs = helpers.probs_of(rng.uniform(0.05, 1.0, ds.Y.shape), 0.05)
-    for call in (lambda: smc.weighted_loss(Z, ds, probs), lambda: smc.gradient(Z, ds, probs),
-                 lambda: smc.objective(Z, ds, probs, 2.0**log2_tau)):
+    p_hat = rng.uniform(0.05, 1.0, ds.Y.shape)
+    for call in (lambda: smc.weighted_loss(Z, ds, p_hat), lambda: smc.gradient(Z, ds, p_hat),
+                 lambda: smc.objective(Z, ds, p_hat, 2.0**log2_tau)):
         try:
             value = call()
         except NumericalFailure:
