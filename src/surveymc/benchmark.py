@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,19 +131,29 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def check_run_args(methods, n_replicates: int = 2, base_seed: int = 0,
-                   taus: dict[str, float] | None = None) -> tuple[str, ...]:
-    """Reject, before any draw or fit, no methods, unknown or repeated ones,
-    replicates < 2, a negative seed and, given taus, a tuned method without a
-    valid tau, a tau for a method not requested, or any invalid tau."""
+def _check_methods(methods) -> tuple[str, ...]:
+    """methods as a tuple of distinct names from METHODS, at least one, else
+    InvalidInput."""
+    if isinstance(methods, str) or not isinstance(methods, Sequence):  # a str holds letters
+        raise InvalidInput(f"methods must be a sequence of method names, got {methods!r}")
     methods = tuple(methods)
     if not methods:
         raise InvalidInput(f"methods must name at least one of {METHODS}")
     for name in methods:
-        if name not in _REGISTRY:
-            raise InvalidInput(f"unknown method {name!r}, expected subset of {METHODS}")
+        if not isinstance(name, str) or name not in METHODS:
+            raise InvalidInput(f"unknown method {name!r} in methods, expected names from "
+                               f"{METHODS}")
     if len(set(methods)) != len(methods):
         raise InvalidInput(f"methods {methods} name a method more than once")
+    return methods
+
+
+def check_run_args(methods, n_replicates: int, base_seed: int,
+                   taus: dict[str, float] | None = None) -> tuple[str, ...]:
+    """Reject, before any draw or fit, methods other than one or more distinct
+    names from METHODS, replicates < 2, a negative seed and, given taus, a tuned method without a
+    valid tau, a tau for a method not requested, or any invalid tau."""
+    methods = _check_methods(methods)
     check_int("replicates", n_replicates, 2)
     check_int("base_seed", base_seed, 0)
     check_type("taus", taus, dict, type(None))
@@ -235,7 +246,8 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     check_type("spec", spec, PopulationSpec)
     check_type("config", config, SolverConfig)
     check_real("p_floor", p_floor, 0.0, 1.0)
-    methods = check_run_args(methods, base_seed=base_seed)
+    methods = _check_methods(methods)
+    check_int("base_seed", base_seed, 0)
     ds, truth_Z, p_hat = _draw_replicate(spec, methods, base_seed, 0, p_floor)
     out: dict[str, float] = {}
     for name in methods:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import io as mio
 from .benchmark import METHODS, check_run_args, run_benchmark, tune_benchmark_taus
-from .dataset import MixedDataset
 from .errors import InvalidInput, SurveyMCError, check_int
 from .families import CategoryLayout, mean_from_natural
 from .response_model import DEFAULT_P_FLOOR, estimate_response_probs
@@ -68,19 +67,24 @@ def _stage_one(probs) -> dict:
             "nonconverged_cells": len(probs.nonconverged_cells)}
 
 
-def _load(args) -> MixedDataset:
-    """The dataset, with --population-size (if given) as its population size."""
+def _load(args):
+    """The dataset, with --population-size (if given) as its population size,
+    and its stage-one fit."""
     dataset = mio.load_dataset(args.data, args.schema, standardize=args.standardize)
-    if args.population_size is None:
-        return dataset
-    return dataclasses.replace(dataset, population_size=args.population_size)
+    if args.population_size is not None:
+        dataset = dataclasses.replace(dataset, population_size=args.population_size)
+    return dataset, estimate_response_probs(dataset, p_floor=args.p_floor,
+                                            use_design_weights=args.design_weighted)
 
 
-def _fit(args, dataset: MixedDataset):
-    probs = estimate_response_probs(dataset, p_floor=args.p_floor,
-                                    use_design_weights=args.design_weighted)
-    return probs, fit_completion(dataset, probs.p_hat, args.tau,
-                                 SolverConfig(iterations=args.iterations, clamp=args.clamp))
+def _fit(args, out: str):
+    """Load, fit at --tau, and write z_hat.csv and trace.csv into out."""
+    dataset, probs = _load(args)
+    result = fit_completion(dataset, probs.p_hat, args.tau,
+                            SolverConfig(iterations=args.iterations, clamp=args.clamp))
+    mio.save_matrix_csv(result.Z_hat, os.path.join(out, "z_hat.csv"), prefix="z")
+    mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
+    return dataset, probs, result
 
 
 def cmd_simulate(args) -> int:
@@ -101,11 +105,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _outdir(args)
-    dataset = _load(args)
-    probs, result = _fit(args, dataset)
-    mio.save_matrix_csv(result.Z_hat, os.path.join(out, "z_hat.csv"), prefix="z")
+    _, probs, result = _fit(args, out)
     mio.save_matrix_csv(probs.p_hat, os.path.join(out, "p_hat.csv"), prefix="p")
-    mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
                                      "iterations_run": result.iterations_run,
                                      "stage_one": _stage_one(probs)}),
@@ -118,8 +119,7 @@ def cmd_fit(args) -> int:
 
 def cmd_impute(args) -> int:
     out = _outdir(args)
-    dataset = _load(args)
-    probs, result = _fit(args, dataset)
+    dataset, probs, result = _fit(args, out)
     means = mean_from_natural(result.Z_hat, dataset.layout)
     imputed = np.where(dataset.R, dataset.Y, means)
     if args.original_scale and dataset.standardization is not None:
@@ -127,8 +127,6 @@ def cmd_impute(args) -> int:
         for j, (mean, scale) in dataset.standardization.response.items():
             imputed[:, j] = imputed[:, j] * scale + mean
     mio.save_matrix_csv(imputed, os.path.join(out, "imputed.csv"), prefix="y")
-    mio.save_matrix_csv(result.Z_hat, os.path.join(out, "z_hat.csv"), prefix="z")
-    mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
                                      "stage_one": _stage_one(probs)}),
                         os.path.join(out, "meta.json"))
@@ -138,9 +136,7 @@ def cmd_impute(args) -> int:
 
 def cmd_tune(args) -> int:
     out = _outdir(args)
-    dataset = _load(args)
-    probs = estimate_response_probs(dataset, p_floor=args.p_floor,
-                                    use_design_weights=args.design_weighted)
+    dataset, probs = _load(args)
     result = tune_tau(dataset, probs.p_hat, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
                       seed=args.seed,
                       config=SolverConfig(iterations=args.iterations, clamp=args.clamp))
@@ -167,8 +163,7 @@ def cmd_benchmark(args) -> int:
                                    p_floor=args.p_floor)
     summary = run_benchmark(spec, methods, n_replicates=args.replicates, taus=taus,
                             base_seed=args.seed, config=config, p_floor=args.p_floor)
-    scenario = f"xi={args.xi:g}"
-    mio.write_benchmark_csvs(summary, scenario, os.path.join(out, "summary.csv"),
+    mio.write_benchmark_csvs(summary, os.path.join(out, "summary.csv"),
                              os.path.join(out, "replicates.csv"))
     mio.write_meta_json(_meta(args, {"taus": taus, "n_failures": summary.n_failures}),
                         os.path.join(out, "meta.json"))

@@ -196,6 +196,7 @@ class Block:
     count: int
 
     def __post_init__(self):
+        check_type("block family", self.family, Family)
         check_int("block count", self.count, 1)
 
 
@@ -206,13 +207,19 @@ class CategoryLayout:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        check_type("layout blocks", self.blocks, tuple, list)
         if not self.blocks:
-            raise InvalidInput("layout needs at least one block")
+            raise InvalidInput("layout blocks must hold at least one block")
+        for i, block in enumerate(self.blocks):
+            check_type(f"layout blocks[{i}]", block, Block)
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @classmethod
     def of(cls, *specs: tuple[str, int], sigma: float = 1.0) -> "CategoryLayout":
         """Build from (kind, count) pairs; gaussian blocks take the shared sigma."""
+        for spec in specs:
+            if not (isinstance(spec, (tuple, list)) and len(spec) == 2):
+                raise InvalidInput(f"layout specs must be (kind, count) pairs, got {spec!r}")
         return cls(tuple(Block(Family(kind, sigma), count) for kind, count in specs))
 
     @property

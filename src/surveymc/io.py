@@ -7,9 +7,9 @@ column tagged with its family.  Consecutive response columns sharing a family
 form the column blocks of the layout.
 
 Floats are written with 17 significant digits so that save followed by load
-reproduces every value bit for bit; missing responses are written as the
-schema's NA marker.  Writers never embed timestamps, which keeps reruns with
-identical seeds byte-identical.
+reproduces every value bit for bit; missing responses are written as NA.
+Writers never embed timestamps, which keeps reruns with identical seeds
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MixedDataset, Standardization
-from .errors import InvalidInput, SchemaViolation, real_array
+from .errors import InvalidInput, SchemaViolation, check_type, real_array
 from .families import Block, CategoryLayout, Family
 
 __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
@@ -31,6 +31,7 @@ __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
            "write_meta_json", "parse_tau_grid", "fmt"]
 
 _ROLES = ("stratum", "weight", "covariate", "response")
+NA = "NA"  # a missing value in every file written, and the schema's default marker
 
 
 def fmt(x: float) -> str:
@@ -50,7 +51,7 @@ class ColumnSpec:
 class SchemaFile:
     columns: tuple[ColumnSpec, ...]
     delimiter: str = ","
-    na_marker: str = "NA"
+    na_marker: str = NA
     population_size: float | None = None
 
     def __post_init__(self):
@@ -116,7 +117,7 @@ def load_schema(path) -> SchemaFile:
                      for c in raw["columns"])
         pop = raw.get("population_size")
         return SchemaFile(columns=cols, delimiter=raw.get("delimiter", ","),
-                          na_marker=raw.get("na_marker", "NA"),
+                          na_marker=raw.get("na_marker", NA),
                           population_size=None if pop is None else
                           _json_number(pop, "population_size"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -239,9 +240,9 @@ def default_schema(dataset: MixedDataset) -> SchemaFile:
     return SchemaFile(columns=tuple(cols), population_size=dataset.population_size)
 
 
-def _write_csv(path, header, rows, delimiter: str = ",") -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -268,40 +269,34 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
 
     # integer strata labels format as str(int(label)) under %.17g
     _write_matrix(data_path, [c.name for c in schema.columns],
-                  np.column_stack([dataset.strata, dataset.pi, dataset.X, dataset.Y]),
-                  schema.na_marker)
+                  np.column_stack([dataset.strata, dataset.pi, dataset.X, dataset.Y]))
 
 
-def save_matrix_csv(M, path, prefix: str = "c", na_marker: str = "NA") -> None:
-    """Write M under the header prefix1, prefix2, ..., NaN as na_marker; an
+def save_matrix_csv(M, path, prefix: str = "c") -> None:
+    """Write M under the header prefix1, prefix2, ..., NaN as NA; an
     infinity, which load_matrix_csv would reject, raises InvalidInput."""
     M = real_array("M", M, 2)
     if np.isinf(M).any():
         raise InvalidInput("M contains an infinite entry")
-    _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M, na_marker)
+    _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M)
 
 
-def _write_matrix(path, header, M: np.ndarray, na_marker: str) -> None:
-    """Write a float matrix under header with fmt per value and the NA marker
-    for NaN: the bytes of _write_csv, at one % call per row."""
-    line = ",".join(["%.17g"] * M.shape[1])
+def _write_matrix(path, header, M: np.ndarray) -> None:
+    """Write a float matrix under header with fmt per value and NA for NaN:
+    the bytes of _write_csv, at one % call per row."""
+    line = ",".join(["%.17g"] * M.shape[1]) + "\r\n"  # csv.writer's line end
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in M.tolist():
-            text = line % tuple(row)
-            if "nan" in text:  # only a NaN formats with "nan"; csv.writer quotes its marker
-                writer.writerow([na_marker if t == "nan" else t for t in text.split(",")])
-            else:  # numbers need no quoting
-                fh.write(text + writer.dialect.lineterminator)
+        csv.writer(fh).writerow(header)
+        for row in M.tolist():  # only a NaN formats with "nan"; no token needs quoting
+            fh.write((line % tuple(row)).replace("nan", NA))
 
 
-def load_matrix_csv(path, na_marker: str = "NA") -> np.ndarray:
-    """Read a save_matrix_csv file; values must be finite or the NA marker."""
+def load_matrix_csv(path) -> np.ndarray:
+    """Read a save_matrix_csv file; values must be finite or NA."""
     header, rows = _read_rows(path, ",")
     M = np.empty((len(rows), len(header)))
     for j, tokens in enumerate(zip(*rows)):
-        M[:, j] = _parse_column(tokens, header[j], na_marker, na_ok=True)
+        M[:, j] = _parse_column(tokens, header[j], NA, na_ok=True)
     return M
 
 
@@ -318,9 +313,10 @@ def write_tau_scores(result, path) -> None:
                ([fmt(t), fmt(s)] for t, s in zip(result.taus, result.scores)))
 
 
-def write_benchmark_csvs(summary, scenario: str, summary_path, replicates_path) -> None:
+def write_benchmark_csvs(summary, summary_path, replicates_path) -> None:
     """Aggregate table and per-replicate long table (no wall times), each
-    score's rows in the order the scores hold them."""
+    score's rows in the order the scores hold them, in scenario xi=spec.xi."""
+    scenario = f"xi={summary.spec.xi:g}"
     rows = []
     for method in summary.methods:
         for lab, (mean, se, count) in summary.aggregate.get(method, {}).items():
@@ -354,6 +350,7 @@ def parse_tau_grid(text: str) -> tuple[float, ...]:
     Tokens are comma-separated: "2^a..2^b" expands the inclusive power range,
     "2^a" is a single power of two, anything else parses as a float.
     """
+    check_type("tau grid", text, str)
     out: list[float] = []
     for token in text.split(","):
         token = token.strip()

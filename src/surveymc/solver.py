@@ -28,6 +28,7 @@ cap would give, and the trace ends there.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,13 +320,14 @@ def grid_search(grid, score) -> TuneResult:
 
     score maps a tau to a number where lower is better; ties break toward
     the larger tau.  Raises InvalidInput unless the grid holds positive
-    finite real numbers (a bool or a string is not one).
+    finite real numbers (a bool or a string is not one) and score is callable.
     """
     grid = tuple(grid) if np.iterable(grid) else ()
     if not grid:
         raise InvalidInput("grid must contain positive finite tau values")
     for t in grid:
         check_real("grid tau", t, 0.0)
+    check_type("score", score, Callable)
     taus = tuple(sorted(set(float(t) for t in grid)))
     scores = tuple(score(t) for t in taus)
     best_i = 0

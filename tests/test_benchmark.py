@@ -172,6 +172,8 @@ def test_tune_benchmark_taus_rejects_unknown_method():
         tune_benchmark_taus(tiny_spec(), methods=("nope",))
     with pytest.raises(InvalidInput):
         tune_benchmark_taus(tiny_spec(), methods=("ipw", "nope"))
+    with pytest.raises(InvalidInput, match="sequence of method names"):  # not ("i", "p", "w")
+        tune_benchmark_taus(tiny_spec(), methods="ipw")
     for entry, kwargs in ((run_benchmark, {"taus": _TAUS}), (tune_benchmark_taus, {})):
         with pytest.raises(InvalidInput, match="at least one"):  # nothing would be fitted
             entry(tiny_spec(), methods=(), **kwargs)

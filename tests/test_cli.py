@@ -172,6 +172,20 @@ def test_impute_preserves_observed_and_fills_missing(sim_dir, tmp_path):
     np.testing.assert_array_equal(imputed[ds.R], ds.Y[ds.R])
 
 
+@pytest.mark.parametrize("extra", [[], ["--standardize", "--design-weighted",
+                                         "--population-size", "1000"]])
+def test_fit_and_impute_share_one_fit(sim_dir, tmp_path, extra):
+    # both run one load-and-fit step, which writes z_hat.csv and trace.csv
+    outs = {command: tmp_path / command for command in ("fit", "impute")}
+    for command, out in outs.items():
+        assert run([command, *fit_args(sim_dir, out, extra)[1:]]) == 0
+    for name in ("z_hat.csv", "trace.csv"):
+        assert (outs["fit"] / name).read_bytes() == (outs["impute"] / name).read_bytes()
+    fit, impute = (json.loads((out / "meta.json").read_text()) for out in outs.values())
+    for key in ("diagnostics", "stage_one"):
+        assert json.dumps(fit[key]) == json.dumps(impute[key])
+
+
 def test_tune_writes_scores(sim_dir, tmp_path):
     out = tmp_path / "tune"
     argv = ["tune", "--data", str(sim_dir / "data.csv"),

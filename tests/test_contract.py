@@ -20,7 +20,7 @@ from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
 from surveymc.errors import InvalidInput
 from surveymc.families import expit, logit
-from surveymc.io import save_matrix_csv
+from surveymc.io import parse_tau_grid, save_matrix_csv
 from surveymc.linalg import as_matrix, rank1_approx, singular_values, svd_thin, svt_factors
 
 _TAUS = {m: 0.1 for m in METHODS}
@@ -177,6 +177,14 @@ _OBJECTS = {
     ("draw_sample", "spec"): lambda v: smc.draw_sample(_TRUTH, v, np.random.default_rng(0)),
     ("impose_responses_and_missingness", "sample"): lambda v: (
         smc.impose_responses_and_missingness(v, np.random.default_rng(0))),
+    ("run_benchmark", "methods"): lambda v: run_benchmark(tiny_spec(), methods=v, taus=_TAUS),
+    ("tune_benchmark_taus", "methods"): lambda v: tune_benchmark_taus(tiny_spec(), methods=v),
+    ("Block", "family"): lambda v: smc.Block(v, 1),
+    ("CategoryLayout", "blocks"): smc.CategoryLayout,
+    ("CategoryLayout", "block"): lambda v: smc.CategoryLayout((v,)),
+    ("CategoryLayout.of", "specs"): smc.CategoryLayout.of,
+    ("parse_tau_grid", "grid"): parse_tau_grid,
+    ("grid_search", "score"): lambda v: smc.grid_search((0.1,), v),
 }
 
 
@@ -184,11 +192,11 @@ _OBJECTS = {
 _STAGE_ONE = smc.estimate_response_probs(_DS)
 
 
-@pytest.mark.parametrize("bad", [None, "x", {}, _STAGE_ONE],
-                         ids=["None", "str", "dict", "ResponseProbModel"])
+@pytest.mark.parametrize("bad", [None, "x", {}, _STAGE_ONE, 5, [["ipw"]]],
+                         ids=["None", "str", "dict", "ResponseProbModel", "int", "nested"])
 @pytest.mark.parametrize("entry", sorted(_OBJECTS), ids=".".join)
 def test_objects_of_the_wrong_type_are_invalid_input_before_any_fit(monkeypatch, entry, bad):
-    # each once escaped as a bare AttributeError or TypeError, or passed
+    # each once escaped as a bare AttributeError, TypeError or ValueError, or passed
     def boom(*args, **kwargs):
         raise AssertionError("a fit or a draw ran before the check")
     # the baselines' own fit_completion call is where their config is checked

@@ -362,7 +362,7 @@ def tiny_summary():
 def test_write_benchmark_csvs_structure(tmp_path):
     summary = tiny_summary()
     sp, rp = tmp_path / "summary.csv", tmp_path / "replicates.csv"
-    write_benchmark_csvs(summary, "tiny", sp, rp)
+    write_benchmark_csvs(summary, sp, rp)
     slines = sp.read_text().splitlines()
     assert slines[0] == "method,scenario,block,mean_re,se_re,n_replicates,n_failures"
     blocks = [ln.split(",")[2] for ln in slines[1:]]
@@ -370,6 +370,9 @@ def test_write_benchmark_csvs_structure(tmp_path):
     assert all("wall" not in ln for ln in slines)
     rlines = rp.read_text().splitlines()
     assert rlines[0] == "replicate,seed,response_rate,method,scenario,block,re"
+    # the scenario is read from the run's spec
+    assert {ln.split(",")[1] for ln in slines[1:]} == {"xi=0.3"}
+    assert {ln.split(",")[4] for ln in rlines[1:]} == {"xi=0.3"}
     assert [ln.split(",")[0] for ln in rlines[1:]] == ["1"] * 3 + ["2"] * 3
     assert "1.23" not in rp.read_text() and "4.56" not in rp.read_text()
 
@@ -572,29 +575,28 @@ EDGE_FLOATS = st.sampled_from([np.nan, -0.0, 0.0, 5e-324, -5e-324, 2.22507385850
                                1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf])
 
 
-def _token(x: float, na_marker: str) -> str:
-    """A value as the reference writer puts it in CSV: the NA marker for NaN,
-    else fmt."""
-    return na_marker if math.isnan(x) else fmt(x)
+def _token(x: float) -> str:
+    """A value as the reference writer puts it in CSV: NA for NaN, else fmt."""
+    return "NA" if math.isnan(x) else fmt(x)
 
 
 @settings(max_examples=150, deadline=None)
 @given(M=st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.one_of(st.floats(), EDGE_FLOATS))),
-    na_marker=st.sampled_from(["NA", "", "nan", "n,a", '"q"', " x\n"]), ds=datasets())
-def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, na_marker, ds):
+    ds=datasets())
+def test_save_matrix_csv_writes_the_bytes_of_one_token_per_value(scratch, M, ds):
     fast, slow = scratch / "fast.csv", scratch / "slow.csv"
     if np.isinf(M).any():  # refused: load_matrix_csv would reject its token
         with pytest.raises(InvalidInput):
-            save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
+            save_matrix_csv(M, fast, prefix="m")
         M = np.where(np.isinf(M), np.nan, M)
-    save_matrix_csv(M, fast, prefix="m", na_marker=na_marker)
+    save_matrix_csv(M, fast, prefix="m")
     _write_csv(slow, [f"m{j + 1}" for j in range(M.shape[1])],
-               ([_token(v, na_marker) for v in row] for row in M))
+               ([_token(v) for v in row] for row in M))
     assert fast.read_bytes() == slow.read_bytes()
     # save_dataset writes its integer strata labels as str(int(label))
     save_dataset(ds, fast, scratch / "schema.json")
     _write_csv(slow, [c.name for c in default_schema(ds).columns],
-               ([str(int(s)), fmt(p)] + [fmt(v) for v in x] + [_token(v, "NA") for v in y]
+               ([str(int(s)), fmt(p)] + [fmt(v) for v in x] + [_token(v) for v in y]
                 for s, p, x, y in zip(ds.strata, ds.pi, ds.X, ds.Y)))
     assert fast.read_bytes() == slow.read_bytes()
