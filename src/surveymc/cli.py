@@ -48,11 +48,6 @@ def _spec_from_args(args) -> PopulationSpec:
                           xi=args.xi, n_covariates=args.covariates)
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _meta(args, extra: dict | None = None) -> dict:
     doc = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     doc.update(extra or {})
@@ -77,40 +72,42 @@ def _load(args):
                                             use_design_weights=args.design_weighted)
 
 
-def _fit(args, out: str):
-    """Load, fit at --tau, and write z_hat.csv and trace.csv into out."""
+def _config(args) -> SolverConfig:
+    """The solver settings of --iterations and --clamp."""
+    return SolverConfig(iterations=args.iterations, clamp=args.clamp)
+
+
+def _fit(args):
+    """Load, fit at --tau, and write z_hat.csv and trace.csv into --out."""
     dataset, probs = _load(args)
-    result = fit_completion(dataset, probs.p_hat, args.tau,
-                            SolverConfig(iterations=args.iterations, clamp=args.clamp))
-    mio.save_matrix_csv(result.Z_hat, os.path.join(out, "z_hat.csv"), prefix="z")
-    mio.write_trace_csv(result, os.path.join(out, "trace.csv"))
+    result = fit_completion(dataset, probs.p_hat, args.tau, _config(args))
+    mio.save_matrix_csv(result.Z_hat, os.path.join(args.out, "z_hat.csv"), prefix="z")
+    mio.write_trace_csv(result, os.path.join(args.out, "trace.csv"))
     return dataset, probs, result
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
     spec = _spec_from_args(args)
     check_int("seed", args.seed, 0)
     _, sample = simulate_survey(spec, np.random.default_rng(args.seed))
-    mio.save_dataset(sample.dataset, os.path.join(out, "data.csv"),
-                     os.path.join(out, "schema.json"))
-    mio.save_matrix_csv(sample.truth_Z, os.path.join(out, "truth_z.csv"), prefix="z")
-    mio.save_matrix_csv(sample.true_p, os.path.join(out, "truth_p.csv"), prefix="p")
+    mio.save_dataset(sample.dataset, os.path.join(args.out, "data.csv"),
+                     os.path.join(args.out, "schema.json"))
+    mio.save_matrix_csv(sample.truth_Z, os.path.join(args.out, "truth_z.csv"), prefix="z")
+    mio.save_matrix_csv(sample.true_p, os.path.join(args.out, "truth_p.csv"), prefix="p")
     mio.write_meta_json(_meta(args, {"n_rows": sample.dataset.n,
                                      "response_rate": float(sample.dataset.R.mean())}),
-                        os.path.join(out, "meta.json"))
-    print(f"wrote {sample.dataset.n} rows to {out}")
+                        os.path.join(args.out, "meta.json"))
+    print(f"wrote {sample.dataset.n} rows to {args.out}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    out = _outdir(args)
-    _, probs, result = _fit(args, out)
-    mio.save_matrix_csv(probs.p_hat, os.path.join(out, "p_hat.csv"), prefix="p")
+    _, probs, result = _fit(args)
+    mio.save_matrix_csv(probs.p_hat, os.path.join(args.out, "p_hat.csv"), prefix="p")
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
                                      "iterations_run": result.iterations_run,
                                      "stage_one": _stage_one(probs)}),
-                        os.path.join(out, "meta.json"))
+                        os.path.join(args.out, "meta.json"))
     stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
     print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
           f"{result.iterations_run} iterations, stopped at {stop}")
@@ -118,43 +115,40 @@ def cmd_fit(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    out = _outdir(args)
-    dataset, probs, result = _fit(args, out)
+    dataset, probs, result = _fit(args)
     means = mean_from_natural(result.Z_hat, dataset.layout)
-    imputed = np.where(dataset.R, dataset.Y, means)
     if args.original_scale and dataset.standardization is not None:
-        imputed = imputed.copy()
         for j, (mean, scale) in dataset.standardization.response.items():
-            imputed[:, j] = imputed[:, j] * scale + mean
-    mio.save_matrix_csv(imputed, os.path.join(out, "imputed.csv"), prefix="y")
+            means[:, j] = means[:, j] * scale + mean
+        # the observed entries as read, which y * scale + mean misses in the last bit
+        dataset = mio.load_dataset(args.data, args.schema)
+    imputed = np.where(dataset.R, dataset.Y, means)
+    mio.save_matrix_csv(imputed, os.path.join(args.out, "imputed.csv"), prefix="y")
     mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
                                      "stage_one": _stage_one(probs)}),
-                        os.path.join(out, "meta.json"))
+                        os.path.join(args.out, "meta.json"))
     print(f"imputed {int((~dataset.R).sum())} missing entries")
     return 0
 
 
 def cmd_tune(args) -> int:
-    out = _outdir(args)
     dataset, probs = _load(args)
     result = tune_tau(dataset, probs.p_hat, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
-                      seed=args.seed,
-                      config=SolverConfig(iterations=args.iterations, clamp=args.clamp))
-    mio.write_tau_scores(result, os.path.join(out, "tau_scores.csv"))
+                      seed=args.seed, config=_config(args))
+    mio.write_tau_scores(result, os.path.join(args.out, "tau_scores.csv"))
     mio.write_meta_json(_meta(args, {"best_tau": result.best_tau,
                                      "stage_one": _stage_one(probs)}),
-                        os.path.join(out, "meta.json"))
+                        os.path.join(args.out, "meta.json"))
     print(f"best tau {mio.fmt(result.best_tau)}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    out = _outdir(args)
     spec = _spec_from_args(args)
     methods = check_run_args([m.strip() for m in args.methods.split(",")],
                              args.replicates, args.seed)
     check_int("threads", args.threads, 1)
-    config = SolverConfig(iterations=args.iterations, clamp=args.clamp)
+    config = _config(args)
     if args.tau is not None:
         taus = {m: args.tau for m in methods}
     else:
@@ -163,10 +157,10 @@ def cmd_benchmark(args) -> int:
                                    p_floor=args.p_floor)
     summary = run_benchmark(spec, methods, n_replicates=args.replicates, taus=taus,
                             base_seed=args.seed, config=config, p_floor=args.p_floor)
-    mio.write_benchmark_csvs(summary, os.path.join(out, "summary.csv"),
-                             os.path.join(out, "replicates.csv"))
+    mio.write_benchmark_csvs(summary, os.path.join(args.out, "summary.csv"),
+                             os.path.join(args.out, "replicates.csv"))
     mio.write_meta_json(_meta(args, {"taus": taus, "n_failures": summary.n_failures}),
-                        os.path.join(out, "meta.json"))
+                        os.path.join(args.out, "meta.json"))
     for method in methods:
         agg = summary.aggregate.get(method, {})
         if "overall" in agg:
@@ -177,49 +171,6 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=SolverConfig.iterations, help="iteration cap")
-    p.add_argument("--clamp", type=float, default=SolverConfig.clamp,
-                   help="natural-parameter clamp box half-width")
-
-
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    """Flags of the subcommands that fit one dataset at one tau."""
-    _add_data_flags(p)
-    p.add_argument("--tau", type=float, required=True, help="nuclear-norm weight")
-    _add_solver_flags(p)
-    _add_population_flag(p)
-
-
-def _add_population_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population-size", type=float, default=None,
-                   help="population size N, overriding the schema's "
-                        "(default: stored or Horvitz-Thompson)")
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--schema", required=True, help="schema JSON")
-    p.add_argument("--standardize", action="store_true",
-                   help="standardize covariates and gaussian responses at load")
-    p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR,
-                   help="lower clamp for fitted response probabilities")
-    p.add_argument("--design-weighted", action="store_true",
-                   help="use 1/pi weights when fitting response probabilities")
-
-
-def _add_design_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strata", type=int, default=9, help="number of strata H")
-    p.add_argument("--m1", type=int, default=5, help="clusters drawn per stratum")
-    p.add_argument("--m2", type=int, default=20, help="elements drawn per cluster")
-    p.add_argument("--covariates", type=int, default=3, help="covariate count D")
-    p.add_argument("--blocks", default="gaussian:30,poisson:30,bernoulli:30",
-                   help="response blocks as family:count, comma separated")
-    p.add_argument("--sigma", type=float, default=1.0, help="gaussian scale")
-    p.add_argument("--xi", type=float, default=0.3,
-                   help="missingness intercept location")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surveymc", allow_abbrev=False,
@@ -228,50 +179,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    simulate = sub.add_parser("simulate", help="draw a synthetic survey sample")
+    fit = sub.add_parser("fit", help="fit the completion model to a dataset")
+    impute = sub.add_parser("impute", help="fit and write mean-scale imputations")
+    tune = sub.add_parser("tune", help="cross-validate tau on a dataset")
+    bench = sub.add_parser("benchmark", help="Monte Carlo method comparison")
 
-    p = sub.add_parser("simulate", help="draw a synthetic survey sample")
-    _add_design_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit the completion model to a dataset")
-    _add_fit_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("impute", help="fit and write mean-scale imputations")
-    _add_fit_flags(p)
-    p.add_argument("--original-scale", action="store_true",
-                   help="undo load-time standardization in the imputed file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("tune", help="cross-validate tau on a dataset")
-    _add_data_flags(p)
-    p.add_argument("--grid", default=DEFAULT_GRID, help="tau grid")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
-    _add_solver_flags(p)
-    _add_population_flag(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("benchmark", help="Monte Carlo method comparison")
-    _add_design_flags(p)
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tau", type=float, default=None,
-                   help="fixed tau for every method (default: tune on a "
-                        "validation replicate)")
-    p.add_argument("--grid", default=DEFAULT_GRID, help="tuning grid")
-    _add_solver_flags(p)
-    p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR)
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored, replicates run in order; kept so old command lines parse")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_benchmark)
+    for p in (simulate, bench):  # the simulated design
+        p.add_argument("--strata", type=int, default=9, help="number of strata H")
+        p.add_argument("--m1", type=int, default=5, help="clusters drawn per stratum")
+        p.add_argument("--m2", type=int, default=20, help="elements drawn per cluster")
+        p.add_argument("--covariates", type=int, default=3, help="covariate count D")
+        p.add_argument("--blocks", default="gaussian:30,poisson:30,bernoulli:30",
+                       help="response blocks as family:count, comma separated")
+        p.add_argument("--sigma", type=float, default=1.0, help="gaussian scale")
+        p.add_argument("--xi", type=float, default=0.3,
+                       help="missingness intercept location")
+    for p in (fit, impute, tune):  # a dataset read from files
+        p.add_argument("--data", required=True, help="dataset CSV")
+        p.add_argument("--schema", required=True, help="schema JSON")
+        p.add_argument("--standardize", action="store_true",
+                       help="standardize covariates and gaussian responses at load")
+        p.add_argument("--design-weighted", action="store_true",
+                       help="use 1/pi weights when fitting response probabilities")
+        p.add_argument("--population-size", type=float, default=None,
+                       help="population size N, overriding the schema's "
+                            "(default: stored or Horvitz-Thompson)")
+    for p in (fit, impute):
+        p.add_argument("--tau", type=float, required=True, help="nuclear-norm weight")
+    impute.add_argument("--original-scale", action="store_true",
+                        help="undo load-time standardization in the imputed file")
+    simulate.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--folds", type=int, default=5)
+    tune.add_argument("--seed", type=int, default=0, help="fold assignment seed")
+    bench.add_argument("--methods", default=",".join(METHODS))
+    bench.add_argument("--replicates", type=int, default=20)
+    bench.add_argument("--seed", type=int, default=1)
+    bench.add_argument("--tau", type=float, default=None,
+                       help="fixed tau for every method (default: tune on a "
+                            "validation replicate)")
+    bench.add_argument("--threads", type=int, default=1,
+                       help="ignored, replicates run in order; kept so old command lines parse")
+    for p in (tune, bench):
+        p.add_argument("--grid", default=DEFAULT_GRID, help="tau grid to tune over")
+    for p in (fit, impute, tune, bench):  # the two stages
+        p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR,
+                       help="lower clamp for fitted response probabilities")
+        p.add_argument("--iterations", type=int, default=SolverConfig.iterations,
+                       help="iteration cap")
+        p.add_argument("--clamp", type=float, default=SolverConfig.clamp,
+                       help="natural-parameter clamp box half-width")
+    for p, func in ((simulate, cmd_simulate), (fit, cmd_fit), (impute, cmd_impute),
+                    (tune, cmd_tune), (bench, cmd_benchmark)):
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -321,6 +282,7 @@ def main(argv=None) -> int:
             if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
                 raise InvalidInput(f"config key {key!r} is false, but {args.command} "
                                    "has no on/off flag of that name")
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except SurveyMCError as exc:
         code, err = exc.exit_code, exc

@@ -17,13 +17,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmark import BenchmarkSummary
 from .dataset import MixedDataset, Standardization
 from .errors import InvalidInput, SchemaViolation, check_type, real_array
 from .families import Block, CategoryLayout, Family
+from .solver import CompletionResult, TuneResult
 
 __all__ = ["ColumnSpec", "SchemaFile", "load_schema", "load_dataset",
            "save_dataset", "save_matrix_csv", "load_matrix_csv",
@@ -96,6 +99,13 @@ class SchemaFile:
         return [c.name for c in self.columns if c.role == role]
 
 
+def _check_paths(**paths) -> None:
+    """InvalidInput, naming the argument, unless each path is a str or an
+    os.PathLike; run before any file is opened."""
+    for name, path in paths.items():
+        check_type(name, path, str, os.PathLike)
+
+
 def _json_number(value, key: str) -> float:
     """A JSON number (not a boolean or a string) as a float, else a SchemaViolation."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -104,6 +114,7 @@ def _json_number(value, key: str) -> float:
 
 
 def load_schema(path) -> SchemaFile:
+    _check_paths(path=path)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
@@ -194,6 +205,7 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
     scaled to unit variance (responses on observed entries only) and the
     transforms are retained on the dataset for inverse mapping.
     """
+    _check_paths(data_path=data_path, schema_path=schema_path)
     schema = load_schema(schema_path)
     expected = [c.name for c in schema.columns]
     header, rows = _read_rows(data_path, schema.delimiter)
@@ -249,6 +261,8 @@ def _write_csv(path, header, rows) -> None:
 
 def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
     """Write the dataset under default_schema's column names, and that schema."""
+    check_type("dataset", dataset, MixedDataset)
+    _check_paths(data_path=data_path, schema_path=schema_path)
     schema = default_schema(dataset)
     doc = {
         "delimiter": schema.delimiter,
@@ -276,6 +290,7 @@ def save_matrix_csv(M, path, prefix: str = "c") -> None:
     """Write M under the header prefix1, prefix2, ..., NaN as NA; an
     infinity, which load_matrix_csv would reject, raises InvalidInput."""
     M = real_array("M", M, 2)
+    _check_paths(path=path)
     if np.isinf(M).any():
         raise InvalidInput("M contains an infinite entry")
     _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M)
@@ -293,6 +308,7 @@ def _write_matrix(path, header, M: np.ndarray) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read a save_matrix_csv file; values must be finite or NA."""
+    _check_paths(path=path)
     header, rows = _read_rows(path, ",")
     M = np.empty((len(rows), len(header)))
     for j, tokens in enumerate(zip(*rows)):
@@ -302,6 +318,8 @@ def load_matrix_csv(path) -> np.ndarray:
 
 def write_trace_csv(result, path) -> None:
     """Objective trace: iteration, objective, accepted flag (1 for k = 0)."""
+    check_type("result", result, CompletionResult)
+    _check_paths(path=path)
     _write_csv(path, ["k", "objective", "accepted"],
                ([str(k), fmt(obj), str(1 if k == 0 else int(result.accepted[k - 1]))]
                 for k, obj in enumerate(result.objective_trace)))
@@ -309,6 +327,8 @@ def write_trace_csv(result, path) -> None:
 
 def write_tau_scores(result, path) -> None:
     """Cross-validation score per tau of a TuneResult."""
+    check_type("result", result, TuneResult)
+    _check_paths(path=path)
     _write_csv(path, ["tau", "score"],
                ([fmt(t), fmt(s)] for t, s in zip(result.taus, result.scores)))
 
@@ -316,6 +336,8 @@ def write_tau_scores(result, path) -> None:
 def write_benchmark_csvs(summary, summary_path, replicates_path) -> None:
     """Aggregate table and per-replicate long table (no wall times), each
     score's rows in the order the scores hold them, in scenario xi=spec.xi."""
+    check_type("summary", summary, BenchmarkSummary)
+    _check_paths(summary_path=summary_path, replicates_path=replicates_path)
     scenario = f"xi={summary.spec.xi:g}"
     rows = []
     for method in summary.methods:
@@ -339,6 +361,8 @@ def write_benchmark_csvs(summary, summary_path, replicates_path) -> None:
 
 def write_meta_json(doc: dict, path) -> None:
     """Canonical config echo: sorted keys, no timestamps."""
+    check_type("doc", doc, dict)
+    _check_paths(path=path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")

@@ -56,17 +56,21 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _svd(A: np.ndarray, **kwargs):
+    """np.linalg.svd(A, **kwargs), its LinAlgError a NumericalFailure."""
+    try:
+        return np.linalg.svd(A, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
 def svd_thin(M) -> SvdFactors:
     """Thin SVD with singular values sorted nonincreasing.
 
     Deterministic for a fixed input on a fixed platform (LAPACK backend).
     Raises NumericalFailure if the backend does not converge.
     """
-    A = as_matrix(M)
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare backend failure
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    U, s, Vt = _svd(as_matrix(M), full_matrices=False)
     return SvdFactors(U=U, s=s, V=Vt.T)
 
 
@@ -93,10 +97,7 @@ def svt_factors(M, tau: float) -> SvdFactors:
         return SvdFactors(U=f.U[:, :k], s=f.s[:k] - tau, V=f.V[:, :k])
     wide = A.shape[0] < A.shape[1]
     B = A.T if wide else A
-    try:
-        _, lam, Wt = np.linalg.svd(B.T @ B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD of the Gram matrix did not converge: {exc}") from exc
+    _, lam, Wt = _svd(B.T @ B)
     s = np.sqrt(lam)
     k = int(np.count_nonzero(s > tau))
     W = Wt[:k].T
@@ -116,10 +117,7 @@ def svt(M, tau: float) -> np.ndarray:
 
 def singular_values(M) -> np.ndarray:
     """Singular values, nonincreasing, without forming the factors."""
-    try:
-        return np.linalg.svd(as_matrix(M), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    return _svd(as_matrix(M), compute_uv=False)
 
 
 def nuclear_norm(M) -> float:

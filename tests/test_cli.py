@@ -1,6 +1,7 @@
 """End-to-end command line runs, config handling, and exit codes."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -170,6 +171,20 @@ def test_impute_preserves_observed_and_fills_missing(sim_dir, tmp_path):
     from surveymc.io import load_dataset
     ds = load_dataset(sim_dir / "data.csv", sim_dir / "schema.json")
     np.testing.assert_array_equal(imputed[ds.R], ds.Y[ds.R])
+
+
+def test_impute_original_scale_writes_the_data_files_observed_tokens(sim_dir, tmp_path):
+    # mapping the standardized observations back once moved their last bit
+    out = tmp_path / "imp"
+    assert run(["impute", *fit_args(sim_dir, out, ["--standardize", "--original-scale"])[1:]]) == 0
+    with open(sim_dir / "data.csv", newline="", encoding="utf-8") as fh:
+        data = list(csv.reader(fh))
+    with open(out / "imputed.csv", newline="", encoding="utf-8") as fh:
+        imputed = list(csv.reader(fh))
+    width = len(imputed[0])
+    pairs = [(d, i) for drow, irow in zip(data[1:], imputed[1:], strict=True)
+             for d, i in zip(drow[-width:], irow) if d != "NA"]
+    assert pairs and all(d == i for d, i in pairs)
 
 
 @pytest.mark.parametrize("extra", [[], ["--standardize", "--design-weighted",

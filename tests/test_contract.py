@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 import helpers
 import surveymc as smc
 import surveymc.benchmark
+import surveymc.io
 from helpers import TINY, tiny_spec
 from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
 from surveymc.errors import InvalidInput
 from surveymc.families import expit, logit
-from surveymc.io import parse_tau_grid, save_matrix_csv
+from surveymc.io import (load_matrix_csv, load_schema, parse_tau_grid, save_matrix_csv,
+                         write_benchmark_csvs, write_meta_json, write_tau_scores,
+                         write_trace_csv)
 from surveymc.linalg import as_matrix, rank1_approx, singular_values, svd_thin, svt_factors
 
 _TAUS = {m: 0.1 for m in METHODS}
@@ -185,6 +188,11 @@ _OBJECTS = {
     ("CategoryLayout.of", "specs"): smc.CategoryLayout.of,
     ("parse_tau_grid", "grid"): parse_tau_grid,
     ("grid_search", "score"): lambda v: smc.grid_search((0.1,), v),
+    ("save_dataset", "dataset"): lambda v: smc.save_dataset(v, os.devnull, os.devnull),
+    ("write_trace_csv", "result"): lambda v: write_trace_csv(v, os.devnull),
+    ("write_tau_scores", "result"): lambda v: write_tau_scores(v, os.devnull),
+    ("write_benchmark_csvs", "summary"): lambda v: write_benchmark_csvs(v, os.devnull,
+                                                                        os.devnull),
 }
 
 
@@ -205,6 +213,46 @@ def test_objects_of_the_wrong_type_are_invalid_input_before_any_fit(monkeypatch,
     monkeypatch.setattr(surveymc.benchmark, "simulate_survey", boom)
     with pytest.raises(InvalidInput, match=entry[1]):
         _OBJECTS[entry](bad)
+
+
+_RESULT = smc.CompletionResult(Z_hat=_Z, objective_trace=np.ones(1), accepted=np.ones(0, bool),
+                               iterations_run=0, diagnostics={})
+_TUNED = smc.TuneResult(best_tau=0.1, taus=(0.1,), scores=(1.0,))
+_SUMMARY = smc.BenchmarkSummary(spec=tiny_spec(), methods=(), taus={}, base_seed=0, reports=(),
+                                aggregate={}, n_failures={})
+# each io path argument, and write_meta_json's doc, with the call passing it
+# a value; a str is a path and a dict a doc, so neither is among the bad values
+_IO_ARGS = {
+    ("load_schema", "path"): load_schema,
+    ("load_dataset", "data_path"): lambda v: smc.load_dataset(v, os.devnull),
+    ("load_dataset", "schema_path"): lambda v: smc.load_dataset(os.devnull, v),
+    ("save_dataset", "data_path"): lambda v: smc.save_dataset(_DS, v, os.devnull),
+    ("save_dataset", "schema_path"): lambda v: smc.save_dataset(_DS, os.devnull, v),
+    ("save_matrix_csv", "path"): lambda v: save_matrix_csv(_Z, v),
+    ("load_matrix_csv", "path"): load_matrix_csv,
+    ("write_trace_csv", "path"): lambda v: write_trace_csv(_RESULT, v),
+    ("write_tau_scores", "path"): lambda v: write_tau_scores(_TUNED, v),
+    ("write_benchmark_csvs", "summary_path"): lambda v: write_benchmark_csvs(_SUMMARY, v,
+                                                                             os.devnull),
+    ("write_benchmark_csvs", "replicates_path"): lambda v: write_benchmark_csvs(
+        _SUMMARY, os.devnull, v),
+    ("write_meta_json", "path"): lambda v: write_meta_json({}, v),
+    ("write_meta_json", "doc"): lambda v: write_meta_json(v, os.devnull),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 5, [["ipw"]], _STAGE_ONE],
+                         ids=["None", "int", "nested", "ResponseProbModel"])
+@pytest.mark.parametrize("entry", sorted(_IO_ARGS), ids=".".join)
+def test_io_paths_and_docs_of_the_wrong_type_are_invalid_input_before_any_file_opens(
+        monkeypatch, entry, bad):
+    # each once escaped as a bare TypeError from open(), or (a doc) was
+    # written as null; an int path would have opened that file descriptor
+    def boom(*args, **kwargs):
+        raise AssertionError("a file was opened before the check")
+    monkeypatch.setattr(surveymc.io, "open", boom, raising=False)
+    with pytest.raises(InvalidInput, match=entry[1]):
+        _IO_ARGS[entry](bad)
 
 
 _FIT = smc.SolverConfig(iterations=1)

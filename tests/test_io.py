@@ -2,7 +2,6 @@
 
 import json
 import math
-import types
 from itertools import groupby
 
 import numpy as np
@@ -328,8 +327,10 @@ def test_load_matrix_csv_rejects_bad_files(tmp_path, body):
 
 
 def test_write_trace_csv_header_and_flags(tmp_path):
-    result = types.SimpleNamespace(objective_trace=[3.0, 2.5, 2.5, 2.0],
-                                   accepted=[True, False, True])
+    result = smc.CompletionResult(Z_hat=np.zeros((1, 1)),
+                                  objective_trace=np.array([3.0, 2.5, 2.5, 2.0]),
+                                  accepted=np.array([True, False, True]),
+                                  iterations_run=3, diagnostics={})
     path = tmp_path / "t.csv"
     write_trace_csv(result, path)
     lines = path.read_text().splitlines()
