@@ -78,12 +78,21 @@ def _config(args) -> SolverConfig:
 
 
 def _fit(args):
-    """Load, fit at --tau, and write z_hat.csv and trace.csv into --out."""
+    """Load, run stage one and fit at --tau; write z_hat.csv, p_hat.csv,
+    trace.csv and meta.json into --out, and print how the loop stopped."""
     dataset, probs = _load(args)
     result = fit_completion(dataset, probs.p_hat, args.tau, _config(args))
     mio.save_matrix_csv(result.Z_hat, os.path.join(args.out, "z_hat.csv"), prefix="z")
     mio.write_trace_csv(result, os.path.join(args.out, "trace.csv"))
-    return dataset, probs, result
+    mio.save_matrix_csv(probs.p_hat, os.path.join(args.out, "p_hat.csv"), prefix="p")
+    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
+                                     "iterations_run": result.iterations_run,
+                                     "stage_one": _stage_one(probs)}),
+                        os.path.join(args.out, "meta.json"))
+    stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
+    print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
+          f"{result.iterations_run} iterations, stopped at {stop}")
+    return dataset, result
 
 
 def cmd_simulate(args) -> int:
@@ -102,31 +111,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, probs, result = _fit(args)
-    mio.save_matrix_csv(probs.p_hat, os.path.join(args.out, "p_hat.csv"), prefix="p")
-    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
-                                     "iterations_run": result.iterations_run,
-                                     "stage_one": _stage_one(probs)}),
-                        os.path.join(args.out, "meta.json"))
-    stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
-    print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
-          f"{result.iterations_run} iterations, stopped at {stop}")
+    _fit(args)
     return 0
 
 
 def cmd_impute(args) -> int:
-    dataset, probs, result = _fit(args)
+    """fit's files, plus imputed.csv on the data file's scale."""
+    dataset, result = _fit(args)
     means = mean_from_natural(result.Z_hat, dataset.layout)
-    if args.original_scale and dataset.standardization is not None:
+    if dataset.standardization is not None:
         for j, (mean, scale) in dataset.standardization.response.items():
             means[:, j] = means[:, j] * scale + mean
         # the observed entries as read, which y * scale + mean misses in the last bit
         dataset = mio.load_dataset(args.data, args.schema)
     imputed = np.where(dataset.R, dataset.Y, means)
     mio.save_matrix_csv(imputed, os.path.join(args.out, "imputed.csv"), prefix="y")
-    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
-                                     "stage_one": _stage_one(probs)}),
-                        os.path.join(args.out, "meta.json"))
     print(f"imputed {int((~dataset.R).sum())} missing entries")
     return 0
 
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     simulate = sub.add_parser("simulate", help="draw a synthetic survey sample")
     fit = sub.add_parser("fit", help="fit the completion model to a dataset")
-    impute = sub.add_parser("impute", help="fit and write mean-scale imputations")
+    impute = sub.add_parser("impute", help="fit, and impute means on the data file's scale")
     tune = sub.add_parser("tune", help="cross-validate tau on a dataset")
     bench = sub.add_parser("benchmark", help="Monte Carlo method comparison")
 
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: stored or Horvitz-Thompson)")
     for p in (fit, impute):
         p.add_argument("--tau", type=float, required=True, help="nuclear-norm weight")
-    impute.add_argument("--original-scale", action="store_true",
-                        help="undo load-time standardization in the imputed file")
     simulate.add_argument("--seed", type=int, default=0)
     tune.add_argument("--folds", type=int, default=5)
     tune.add_argument("--seed", type=int, default=0, help="fold assignment seed")

@@ -260,7 +260,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
-    """Write the dataset under default_schema's column names, and that schema."""
+    """Write the dataset under default_schema's column names, and that schema.
+    A failed write leaves neither file behind."""
     check_type("dataset", dataset, MixedDataset)
     _check_paths(data_path=data_path, schema_path=schema_path)
     schema = default_schema(dataset)
@@ -277,13 +278,16 @@ def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
     }
     if schema.population_size is not None:
         doc["population_size"] = schema.population_size
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     # integer strata labels format as str(int(label)) under %.17g
     _write_matrix(data_path, [c.name for c in schema.columns],
                   np.column_stack([dataset.strata, dataset.pi, dataset.X, dataset.Y]))
+    try:
+        with open(schema_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError:  # leave no data file without its schema
+        os.remove(data_path)
+        raise
 
 
 def save_matrix_csv(M, path, prefix: str = "c") -> None:

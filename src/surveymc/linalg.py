@@ -91,7 +91,8 @@ def svt_factors(M, tau: float) -> SvdFactors:
     svd_thin of M gives them.  Raises InvalidInput or NumericalFailure."""
     check_real("tau", tau, 0.0, low_ok=True)
     A = as_matrix(M)
-    if tau < 1e-3 * np.linalg.norm(A):  # below c ||M||_F: no Gram path
+    # below c ||M||_F: no Gram path; einsum, not a BLAS dot, sums the squares
+    if tau < 1e-3 * np.sqrt(np.einsum("ij,ij->", A, A)):
         f = svd_thin(A)
         k = int(np.count_nonzero(f.s > tau))
         return SvdFactors(U=f.U[:, :k], s=f.s[:k] - tau, V=f.V[:, :k])

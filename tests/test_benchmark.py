@@ -1,5 +1,8 @@
 """Scoring identities and the Monte Carlo harness."""
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -21,6 +24,25 @@ def test_relative_error():
         relative_error([[1.0]], [[0.0]])
     with pytest.raises(ShapeError):
         relative_error([[1.0]], [[1.0, 2.0]])
+
+
+def test_relative_error_is_bit_identical_across_blas_thread_counts():
+    # np.linalg.norm's BLAS dot split this size's sum across 2 OpenBLAS
+    # threads and moved the last bit
+    src = os.path.dirname(os.path.dirname(smc.__file__))
+    code = ("import numpy as np; from surveymc.benchmark import relative_error; "
+            "rng = np.random.default_rng(0); "
+            "print(relative_error(rng.normal(size=(4500, 150)), "
+            "rng.normal(size=(4500, 150))).hex())")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.strip())
+    assert outs[0] == outs[1]
 
 
 def test_block_errors_decompose_the_overall_error():

@@ -173,10 +173,11 @@ def test_impute_preserves_observed_and_fills_missing(sim_dir, tmp_path):
     np.testing.assert_array_equal(imputed[ds.R], ds.Y[ds.R])
 
 
-def test_impute_original_scale_writes_the_data_files_observed_tokens(sim_dir, tmp_path):
-    # mapping the standardized observations back once moved their last bit
+def test_impute_standardize_writes_the_data_files_observed_tokens(sim_dir, tmp_path):
+    # under --standardize the fitted means map back to the file's scale, and
+    # the observed entries are the file's own values, not standardized ones
     out = tmp_path / "imp"
-    assert run(["impute", *fit_args(sim_dir, out, ["--standardize", "--original-scale"])[1:]]) == 0
+    assert run(["impute", *fit_args(sim_dir, out, ["--standardize"])[1:]]) == 0
     with open(sim_dir / "data.csv", newline="", encoding="utf-8") as fh:
         data = list(csv.reader(fh))
     with open(out / "imputed.csv", newline="", encoding="utf-8") as fh:
@@ -190,15 +191,17 @@ def test_impute_original_scale_writes_the_data_files_observed_tokens(sim_dir, tm
 @pytest.mark.parametrize("extra", [[], ["--standardize", "--design-weighted",
                                          "--population-size", "1000"]])
 def test_fit_and_impute_share_one_fit(sim_dir, tmp_path, extra):
-    # both run one load-and-fit step, which writes z_hat.csv and trace.csv
+    # impute runs fit's one output step, then writes imputed.csv
     outs = {command: tmp_path / command for command in ("fit", "impute")}
     for command, out in outs.items():
         assert run([command, *fit_args(sim_dir, out, extra)[1:]]) == 0
-    for name in ("z_hat.csv", "trace.csv"):
+    for name in ("z_hat.csv", "p_hat.csv", "trace.csv"):
         assert (outs["fit"] / name).read_bytes() == (outs["impute"] / name).read_bytes()
     fit, impute = (json.loads((out / "meta.json").read_text()) for out in outs.values())
-    for key in ("diagnostics", "stage_one"):
-        assert json.dumps(fit[key]) == json.dumps(impute[key])
+    assert (fit.pop("command"), impute.pop("command")) == ("fit", "impute")
+    # each names its own --out directory
+    assert (fit.pop("out"), impute.pop("out")) == (str(outs["fit"]), str(outs["impute"]))
+    assert json.dumps(fit) == json.dumps(impute)
 
 
 def test_tune_writes_scores(sim_dir, tmp_path):
@@ -241,7 +244,7 @@ def test_config_equals_path_applies_the_file(sim_dir, tmp_path):
 
 
 @pytest.mark.parametrize("doc, code", [({"iterations": False}, 2), ({"nonsense": False}, 2),
-                                       ({"original_scale": False}, 2),  # an impute flag
+                                       ({"original_scale": False}, 2),  # a removed flag
                                        ({"standardize": False}, 0)])
 def test_config_false_only_leaves_an_on_off_flag_off(sim_dir, tmp_path, capsys, doc, code):
     cfg = tmp_path / "cfg.json"
@@ -291,7 +294,7 @@ def test_fit_runs_on_a_dataset_without_covariates(sim_dir, tmp_path):
     assert run(["fit", *data, "--tau", "0.00390625", "--iterations", "40",
                 "--out", str(tmp_path / "f")]) == 0
     assert run(["impute", *data, "--tau", "0.00390625", "--iterations", "40",
-                "--standardize", "--original-scale", "--out", str(tmp_path / "i")]) == 0
+                "--standardize", "--out", str(tmp_path / "i")]) == 0
     meta = json.loads((tmp_path / "f" / "meta.json").read_text())
     assert meta["diagnostics"]["rank_estimate"] >= 1
 
@@ -558,7 +561,7 @@ _FIT = {**_DATA, "--tau": None, **_SOLVER, "--population-size": None, "--out": N
 FLAG_DEFAULTS = {
     "simulate": {**_DESIGN, "--seed": 0, "--out": None},
     "fit": _FIT,
-    "impute": {**_FIT, "--original-scale": False},
+    "impute": _FIT,
     "tune": {**_DATA, "--grid": "2^-15..2^-1,1,2", "--folds": 5, "--seed": 0, **_SOLVER,
              "--population-size": None, "--out": None},
     "benchmark": {**_DESIGN, "--methods": "ipw,collective_unweighted,soft_impute,hot_deck",

@@ -72,6 +72,17 @@ def test_save_load_twice_identical_bytes(tmp_path):
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["data", "schema"])
+def test_save_dataset_that_fails_leaves_no_file(tmp_path, bad):
+    # the bad path names a directory that does not exist
+    ds = small_dataset(np.random.default_rng(9))
+    paths = {"data": tmp_path / "d.csv", "schema": tmp_path / "s.json"}
+    paths[bad] = tmp_path / "no_such_dir" / paths[bad].name
+    with pytest.raises(FileNotFoundError):
+        save_dataset(ds, paths["data"], paths["schema"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def make_cols(**over):
     cols = [ColumnSpec("stratum", "stratum"), ColumnSpec("pi", "weight"),
             ColumnSpec("x1", "covariate"),
