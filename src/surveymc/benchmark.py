@@ -241,9 +241,10 @@ def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_
     """Tune each method's tau once on the reserved validation replicate.
 
     The validation replicate (id 0) is generated independently of the
-    benchmark replicates.  Every tuned method fits it once per tau in the
-    grid and scores the relative error against the validation truth; ties
-    break toward the larger tau.  Methods without a tau are left out.
+    benchmark replicates.  Every tuned method fits it once per tau that
+    grid_search's descending scan reaches and scores the relative error
+    against the validation truth; ties break toward the larger tau.  Methods
+    without a tau are left out.
     """
     check_type("spec", spec, PopulationSpec)
     check_type("config", config, SolverConfig)

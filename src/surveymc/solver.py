@@ -13,17 +13,16 @@ accelerated proximal gradient method: momentum blend, gradient step, singular
 value thresholding of the covariate-augmented matrix, and a descent guard
 that only accepts a candidate when it lowers the objective, which makes the
 recorded objective trace nonincreasing by construction (monotone FISTA, Beck
-& Teboulle 2009).  The step size is automatic: it starts from the inverse
-curvature bound and is halved until the quadratic majorant holds, which
+& Teboulle 2009).  The automatic step size starts from the inverse
+curvature bound and is halved until the quadratic majorant holds.  That
 makes a plain step a descent step only at D = 0: at D > 0, putting X back
 after thresholding [X, T] is not the exact prox, and such a step can raise
-the objective (by 1.4e-11 at D = 3); the guard then rejects it.  A
-rejection restarts the momentum (O'Donoghue & Candes 2015); the next step
-is then a plain prox-gradient step from the iterate.  If that is rejected too and the
-next iteration would start from the same step size, every later iteration
-repeats it: the loop stops at this fixed point (diagnostics["stop"] is
-"fixed_point", else "cap") with the Z_hat and objective the ``iterations``
-cap would give, and the trace ends there.
+the objective (by 1.4e-11 at D = 3), which the guard rejects.  A rejection
+restarts the momentum (O'Donoghue & Candes 2015), so the next step is a
+plain prox-gradient step.  If that is rejected too and the next iteration
+would start from the same step size, every later iteration repeats it: the
+loop stops at this fixed point (diagnostics["stop"] is "fixed_point", else
+"cap") with the Z_hat and objective the ``iterations`` cap would give.
 """
 
 from __future__ import annotations
@@ -50,14 +49,17 @@ DEFAULT_TAU_GRID = tuple(2.0**k for k in range(-15, 0)) + (1.0, 2.0)
 # step halvings allowed per iteration before the step size counts as collapsed
 _MAX_BACKTRACKS = 60
 
+# scores in a row above the best that end grid_search's scan: past the minimum
+# the benchmark's score curves rise at every step; one rise can be a capped fit
+_RISES_TO_STOP = 2
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings shared by every fit of a tuning path, whose tau is each fit's
-    argument: the iteration cap (the loop stops earlier at a fixed point, see
-    fit_completion) and the clamp box half-width.  The step size is automatic
-    and backtracked; N is the dataset's (MixedDataset.resolve_population_size).
-    """
+    """Settings shared by every fit of a tuning path (tau is each fit's
+    argument): the iteration cap, which a fixed point can stop short of (see
+    fit_completion), and the clamp box half-width.  The step size is
+    automatic; N is the dataset's (MixedDataset.resolve_population_size)."""
 
     iterations: int = 200
     clamp: float = DEFAULT_CLAMP
@@ -87,7 +89,6 @@ class TuneResult:
 
 class _Problem:
     """Precomputed pieces shared by loss/gradient/objective evaluations.
-
     The loss only sees the observed entries (W is 0 elsewhere), so each
     family block keeps the flat indices (row-major into an n x L matrix),
     weights and responses of its observed entries.
@@ -179,9 +180,8 @@ class _Problem:
 
 
 def weighted_loss(Z, dataset: MixedDataset, p_hat) -> float:
-    """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L
-    with N the dataset's population size.  Raises NumericalFailure when a
-    term overflows float64."""
+    """Inverse-probability-weighted quasi-likelihood loss, normalized by N*L,
+    N the population size; NumericalFailure when a term overflows float64."""
     prob, Z = _problem_at(Z, dataset, p_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite("loss", prob.loss(Z))
@@ -223,14 +223,13 @@ def fit_completion(dataset: MixedDataset, p_hat, tau: float,
     """Fit at tau: run the descent-guarded accelerated proximal loop with
     momentum restart, until a fixed point or config.iterations (module notes).
     p_hat is any n x L array in (0, 1]: stage one's ResponseProbModel.p_hat,
-    the true response probabilities, or ones for an unweighted fit.
-
-    The penalty augments Z with dataset.X (n x D, D >= 0).  A trial step that
+    the true response probabilities, or ones for an unweighted fit.  The
+    penalty augments Z with dataset.X (n x D, D >= 0).  A trial step that
     overflows float64 is halved.  Raises ColumnEmpty when the dataset has no
     observed response, and NumericalFailure when the objective is not finite,
     when the curvature bound gives the automatic step no finite positive size
-    (an N so large that every weight is 0) or when a weight overflows (an N
-    so small that N*L*pi*p_hat underflows).
+    (an N so large that every weight is 0) or when a weight overflows (an N so
+    small that N*L*pi*p_hat underflows).
     """
     check_real("tau", tau, 0.0)
     check_type("config", config, SolverConfig)
@@ -316,36 +315,37 @@ def fit_completion(dataset: MixedDataset, p_hat, tau: float,
 
 
 def grid_search(grid, score) -> TuneResult:
-    """Score every tau of the grid in ascending order and keep the best.
-
-    score maps a tau to a number where lower is better; ties break toward
-    the larger tau.  Raises InvalidInput unless the grid holds positive
-    finite real numbers (a bool or a string is not one) and score is callable.
-    """
+    """Score the grid from the largest tau down, keeping the lowest score's
+    tau (ties toward the larger), until _RISES_TO_STOP scores in a row lie
+    strictly above the best; an equal score restarts that count.  Returns the
+    scored taus, ascending.  Raises InvalidInput unless the grid holds positive
+    finite reals (not a bool or a string), score is callable and every score
+    is a finite real number."""
     grid = tuple(grid) if np.iterable(grid) else ()
     if not grid:
         raise InvalidInput("grid must contain positive finite tau values")
     for t in grid:
         check_real("grid tau", t, 0.0)
     check_type("score", score, Callable)
-    taus = tuple(sorted(set(float(t) for t in grid)))
-    scores = tuple(score(t) for t in taus)
-    best_i = 0
-    for i in range(1, len(taus)):
-        if scores[i] <= scores[best_i]:
-            best_i = i
-    return TuneResult(best_tau=taus[best_i], taus=taus, scores=scores)
+    scored, best, rises = {}, None, 0
+    for t in sorted(set(float(t) for t in grid), reverse=True):
+        s = scored[t] = score(t)
+        check_real(f"score at tau {t!r}", s)
+        best = t if best is None or s < scored[best] else best
+        rises = rises + 1 if s > scored[best] else 0
+        if rises == _RISES_TO_STOP:
+            break
+    taus = tuple(sorted(scored))
+    return TuneResult(best_tau=best, taus=taus, scores=tuple(scored[t] for t in taus))
 
 
 def tune_tau(dataset: MixedDataset, p_hat, grid=DEFAULT_TAU_GRID, folds: int = 5,
              seed: int = 0, config: SolverConfig = SolverConfig()) -> TuneResult:
-    """Pick tau from a grid by k-fold cross-validation.
-
-    The observed entries are split into `folds` folds by a permutation drawn
-    from `seed`.  Each tau is scored by the squared distance between the
-    mean-scale imputations and the held-out observed responses, summed over
-    the folds; ties break toward the larger tau (see grid_search).  Every fit
-    takes its grid tau and the settings of config.
+    """Pick tau by k-fold cross-validation through grid_search.  The observed
+    entries fall into `folds` folds by a permutation drawn from `seed`; a
+    tau's score is the squared distance between the mean-scale imputations
+    and the held-out observed responses, summed over the folds.  Every fit
+    takes its tau and the settings of config.
     """
     check_type("dataset", dataset, MixedDataset)
     p_hat = real_array("p_hat", p_hat, 2)

@@ -208,13 +208,17 @@ def test_tune_writes_scores(sim_dir, tmp_path):
     out = tmp_path / "tune"
     argv = ["tune", "--data", str(sim_dir / "data.csv"),
             "--schema", str(sim_dir / "schema.json"),
-            "--grid", "2^-8,2^-6", "--folds", "2", "--iterations", "25",
+            "--grid", "2^-12..2^-2", "--folds", "2", "--iterations", "25",
             "--out", str(out)]
     assert run(argv) == 0
     lines = (out / "tau_scores.csv").read_text().splitlines()
-    assert lines[0] == "tau,score" and len(lines) == 3
-    best = json.loads((out / "meta.json").read_text())["best_tau"]
-    assert best in (2.0**-8, 2.0**-6)
+    assert lines[0] == "tau,score"
+    # the scan from 2^-2 down stopped before 2^-12: the file holds the grid's
+    # largest taus, ascending, and the best of them
+    grid = [2.0**k for k in range(-12, -1)]
+    taus = [float(line.split(",")[0]) for line in lines[1:]]
+    assert 2 <= len(taus) < len(grid) and taus == grid[len(grid) - len(taus):]
+    assert json.loads((out / "meta.json").read_text())["best_tau"] in taus
 
 
 def test_config_supplies_defaults_and_flags_override(sim_dir, tmp_path):

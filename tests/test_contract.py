@@ -90,6 +90,8 @@ _REAL_SETTINGS = {
     "tune_benchmark_taus.p_floor": (0.0, 1.0, False, lambda v: _benchmark_at(
         tune_benchmark_taus, p_floor=v)),
     "grid_search.grid": (0.0, np.inf, False, lambda v: smc.grid_search((v,), float)),
+    "grid_search.score": (-np.inf, np.inf, False,
+                          lambda v: smc.grid_search((0.1,), lambda t: v)),
     # (-5e-324, inf) holds exactly the floats >= 0: tau = 0 is valid
     "svt_factors.tau": (-5e-324, np.inf, False, lambda v: svt_factors(np.eye(3), v)),
     "Family.domain_box.clamp": (0.0, np.inf, True,
@@ -143,6 +145,14 @@ def test_bad_reals_generators_and_layouts_are_invalid_input(data):
         name = None
     with pytest.raises(InvalidInput, match=name):
         call(bad)
+
+
+# before each score was checked, a NaN at the smallest tau came back as the
+# best, None raised a bare TypeError and a string was ranked among the numbers
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None, "x"])
+def test_a_score_that_is_not_a_finite_real_is_invalid_input(bad):
+    with pytest.raises(InvalidInput, match="score at tau 1.0"):
+        smc.grid_search((1.0, 2.0, 4.0), lambda t: bad if t == 1.0 else t)
 
 
 # each (entry point, object argument) and the call passing it a value
