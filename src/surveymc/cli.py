@@ -4,6 +4,10 @@ Subcommands: simulate, fit, impute, tune, benchmark.  A JSON config file can
 supply any long-flag value (keys use underscores; false fits only an on/off
 flag); explicit flags override the config.  Exit codes: 0 success, 2 usage
 problems, 3 data problems, 4 numerical failures.
+
+Each command writes its data files into --out and returns its own meta.json
+entries; main writes meta.json, the parsed flags plus those entries, last,
+once the command has finished.  A run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -48,28 +52,18 @@ def _spec_from_args(args) -> PopulationSpec:
                           xi=args.xi, n_covariates=args.covariates)
 
 
-def _meta(args, extra: dict | None = None) -> dict:
-    doc = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    doc.update(extra or {})
-    return doc
-
-
-def _stage_one(probs) -> dict:
-    """meta.json counts of the stage-one cells that degenerated (all 0 or
-    all 1), fell back to a ridge or stopped at the IRLS cap."""
-    return {"degenerate_cells": len(probs.degenerate_cells),
-            "fallback_cells": len(probs.fallback_cells),
-            "nonconverged_cells": len(probs.nonconverged_cells)}
-
-
 def _load(args):
-    """The dataset, with --population-size (if given) as its population size,
-    and its stage-one fit."""
+    """The dataset, with --population-size (if given) as its population size;
+    its stage-one p_hat; and meta.json's counts of the stage-one cells that
+    degenerated (all 0 or all 1), fell back to a ridge or stopped at the IRLS cap."""
     dataset = mio.load_dataset(args.data, args.schema, standardize=args.standardize)
     if args.population_size is not None:
         dataset = dataclasses.replace(dataset, population_size=args.population_size)
-    return dataset, estimate_response_probs(dataset, p_floor=args.p_floor,
-                                            use_design_weights=args.design_weighted)
+    probs = estimate_response_probs(dataset, p_floor=args.p_floor,
+                                    use_design_weights=args.design_weighted)
+    return dataset, probs.p_hat, {"degenerate_cells": len(probs.degenerate_cells),
+                                  "fallback_cells": len(probs.fallback_cells),
+                                  "nonconverged_cells": len(probs.nonconverged_cells)}
 
 
 def _config(args) -> SolverConfig:
@@ -78,24 +72,22 @@ def _config(args) -> SolverConfig:
 
 
 def _fit(args):
-    """Load, run stage one and fit at --tau; write z_hat.csv, p_hat.csv,
-    trace.csv and meta.json into --out, and print how the loop stopped."""
-    dataset, probs = _load(args)
-    result = fit_completion(dataset, probs.p_hat, args.tau, _config(args))
+    """Load, run stage one and fit at --tau; write z_hat.csv, p_hat.csv and
+    trace.csv into --out, and print how the loop stopped.  Return the dataset,
+    the fit and fit's meta.json entries."""
+    dataset, p_hat, stage_one = _load(args)
+    result = fit_completion(dataset, p_hat, args.tau, _config(args))
     mio.save_matrix_csv(result.Z_hat, os.path.join(args.out, "z_hat.csv"), prefix="z")
     mio.write_trace_csv(result, os.path.join(args.out, "trace.csv"))
-    mio.save_matrix_csv(probs.p_hat, os.path.join(args.out, "p_hat.csv"), prefix="p")
-    mio.write_meta_json(_meta(args, {"diagnostics": result.diagnostics,
-                                     "iterations_run": result.iterations_run,
-                                     "stage_one": _stage_one(probs)}),
-                        os.path.join(args.out, "meta.json"))
+    mio.save_matrix_csv(p_hat, os.path.join(args.out, "p_hat.csv"), prefix="p")
     stop = "a fixed point" if result.diagnostics["stop"] == "fixed_point" else "the cap"
     print(f"final objective {mio.fmt(result.objective_trace[-1])} after "
           f"{result.iterations_run} iterations, stopped at {stop}")
-    return dataset, result
+    return dataset, result, {"diagnostics": result.diagnostics,
+                             "iterations_run": result.iterations_run, "stage_one": stage_one}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     spec = _spec_from_args(args)
     check_int("seed", args.seed, 0)
     _, sample = simulate_survey(spec, np.random.default_rng(args.seed))
@@ -103,21 +95,17 @@ def cmd_simulate(args) -> int:
                      os.path.join(args.out, "schema.json"))
     mio.save_matrix_csv(sample.truth_Z, os.path.join(args.out, "truth_z.csv"), prefix="z")
     mio.save_matrix_csv(sample.true_p, os.path.join(args.out, "truth_p.csv"), prefix="p")
-    mio.write_meta_json(_meta(args, {"n_rows": sample.dataset.n,
-                                     "response_rate": float(sample.dataset.R.mean())}),
-                        os.path.join(args.out, "meta.json"))
     print(f"wrote {sample.dataset.n} rows to {args.out}")
-    return 0
+    return {"n_rows": sample.dataset.n, "response_rate": float(sample.dataset.R.mean())}
 
 
-def cmd_fit(args) -> int:
-    _fit(args)
-    return 0
+def cmd_fit(args) -> dict:
+    return _fit(args)[2]
 
 
-def cmd_impute(args) -> int:
+def cmd_impute(args) -> dict:
     """fit's files, plus imputed.csv on the data file's scale."""
-    dataset, result = _fit(args)
+    dataset, result, entries = _fit(args)
     means = mean_from_natural(result.Z_hat, dataset.layout)
     if dataset.standardization is not None:
         for j, (mean, scale) in dataset.standardization.response.items():
@@ -127,22 +115,19 @@ def cmd_impute(args) -> int:
     imputed = np.where(dataset.R, dataset.Y, means)
     mio.save_matrix_csv(imputed, os.path.join(args.out, "imputed.csv"), prefix="y")
     print(f"imputed {int((~dataset.R).sum())} missing entries")
-    return 0
+    return entries
 
 
-def cmd_tune(args) -> int:
-    dataset, probs = _load(args)
-    result = tune_tau(dataset, probs.p_hat, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
+def cmd_tune(args) -> dict:
+    dataset, p_hat, stage_one = _load(args)
+    result = tune_tau(dataset, p_hat, grid=mio.parse_tau_grid(args.grid), folds=args.folds,
                       seed=args.seed, config=_config(args))
     mio.write_tau_scores(result, os.path.join(args.out, "tau_scores.csv"))
-    mio.write_meta_json(_meta(args, {"best_tau": result.best_tau,
-                                     "stage_one": _stage_one(probs)}),
-                        os.path.join(args.out, "meta.json"))
     print(f"best tau {mio.fmt(result.best_tau)}")
-    return 0
+    return {"best_tau": result.best_tau, "stage_one": stage_one}
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> dict:
     spec = _spec_from_args(args)
     methods = check_run_args([m.strip() for m in args.methods.split(",")],
                              args.replicates, args.seed)
@@ -158,8 +143,6 @@ def cmd_benchmark(args) -> int:
                             base_seed=args.seed, config=config, p_floor=args.p_floor)
     mio.write_benchmark_csvs(summary, os.path.join(args.out, "summary.csv"),
                              os.path.join(args.out, "replicates.csv"))
-    mio.write_meta_json(_meta(args, {"taus": taus, "n_failures": summary.n_failures}),
-                        os.path.join(args.out, "meta.json"))
     for method in methods:
         agg = summary.aggregate.get(method, {})
         if "overall" in agg:
@@ -167,7 +150,7 @@ def cmd_benchmark(args) -> int:
             print(f"{method}: overall RE {mean:.4f} +/- {se:.4f} ({count} replicates)")
         else:
             print(f"{method}: all replicates failed")
-    return 0
+    return {"taus": taus, "n_failures": summary.n_failures}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +263,11 @@ def main(argv=None) -> int:
                 raise InvalidInput(f"config key {key!r} is false, but {args.command} "
                                    "has no on/off flag of that name")
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        entries = args.func(args)
+        # written last, so a meta.json marks a run that finished
+        echo = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+        mio.write_meta_json({**echo, **entries}, os.path.join(args.out, "meta.json"))
+        return 0
     except SurveyMCError as exc:
         code, err = exc.exit_code, exc
     except OSError as exc:  # an unreadable or unwritable file is a data problem

@@ -38,8 +38,9 @@ NA = "NA"  # a missing value in every file written, and the schema's default mar
 
 
 def fmt(x: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    return format(float(x), ".17g")
+    """17-significant-digit decimal form, which round-trips float64 exactly;
+    NaN is NA, as in _write_matrix."""
+    return format(float(x), ".17g").replace("nan", NA)
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,8 @@ def save_matrix_csv(M, path, prefix: str = "c") -> None:
 
 
 def _write_matrix(path, header, M: np.ndarray) -> None:
-    """Write a float matrix under header with fmt per value and NA for NaN:
-    the bytes of _write_csv, at one % call per row."""
+    """Write a float matrix under header with fmt's token per value (NA for
+    NaN): the bytes of _write_csv, at one % call per row."""
     line = ",".join(["%.17g"] * M.shape[1]) + "\r\n"  # csv.writer's line end
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)

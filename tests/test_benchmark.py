@@ -13,7 +13,8 @@ import surveymc.benchmark
 from helpers import TINY, tiny_spec
 from surveymc.benchmark import (METHODS, block_relative_errors, relative_error,
                                 run_benchmark, tune_benchmark_taus)
-from surveymc.errors import DegenerateTruth, InvalidInput, ShapeError
+from surveymc.errors import DegenerateTruth, InvalidInput, NumericalFailure, ShapeError
+from surveymc.io import write_benchmark_csvs
 from surveymc.simulator import simulate_survey
 
 
@@ -126,6 +127,24 @@ def test_benchmark_runs_replicates_in_order_in_the_calling_thread(monkeypatch):
     monkeypatch.setattr(surveymc.benchmark, "simulate_survey", spy)
     run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=3, taus={}, base_seed=11)
     assert seen == [(threading.get_ident(), [11 ^ r, 0]) for r in (1, 2, 3)]
+
+
+def test_a_method_scored_on_one_replicate_writes_its_standard_error_as_na(monkeypatch,
+                                                                           tmp_path):
+    # the standard error of a single score is NaN, which summary.csv once wrote as nan
+    calls, hot_deck = [], surveymc.benchmark.hot_deck
+
+    def first_only(ds, rng, clamp):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NumericalFailure("synthetic")
+        return hot_deck(ds, rng, clamp=clamp)
+    monkeypatch.setattr(surveymc.benchmark, "hot_deck", first_only)
+    summary = run_benchmark(tiny_spec(), methods=("hot_deck",), n_replicates=3, taus={})
+    assert summary.n_failures == {"hot_deck": 2}
+    write_benchmark_csvs(summary, tmp_path / "summary.csv", tmp_path / "replicates.csv")
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[4:] == ["NA", "1", "2"] for row in rows)
 
 
 _TAUS = {m: 0.1 for m in METHODS}

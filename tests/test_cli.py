@@ -204,6 +204,54 @@ def test_fit_and_impute_share_one_fit(sim_dir, tmp_path, extra):
     assert json.dumps(fit) == json.dumps(impute)
 
 
+_STAGE_TWO = {"diagnostics", "iterations_run", "stage_one"}
+META_RUNS = {  # each command's argv less its inputs and --out, and the entries it adds
+    "simulate": (["simulate", *TINY_DESIGN], {"n_rows", "response_rate"}),
+    "fit": (["fit", "--tau", "0.00390625", "--iterations", "10"], _STAGE_TWO),
+    "impute": (["impute", "--tau", "0.00390625", "--iterations", "10"], _STAGE_TWO),
+    "tune": (["tune", "--grid", "2^-6..2^-4", "--folds", "2", "--iterations", "10"],
+             {"best_tau", "stage_one"}),
+    "benchmark": (["benchmark", *TINY_DESIGN, "--methods", "ipw,hot_deck", "--replicates",
+                   "2", "--tau", "0.00390625", "--iterations", "10"], {"taus", "n_failures"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(META_RUNS))
+def test_meta_json_holds_the_parsed_flags_and_the_commands_entries(sim_dir, tmp_path,
+                                                                   command):
+    head, entries = META_RUNS[command]
+    data = ["--data", str(sim_dir / "data.csv"), "--schema", str(sim_dir / "schema.json")]
+    argv = [*head, *(data if command in ("fit", "impute", "tune") else []),
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+    flags = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+             if k not in ("func", "config")}
+    assert set(meta) == set(flags) | entries and not set(flags) & entries
+    assert {k: meta[k] for k in flags} == flags
+
+
+def test_a_command_that_fails_after_a_data_file_leaves_no_meta_json(sim_dir, tmp_path):
+    out = tmp_path / "imp"
+    (out / "imputed.csv").mkdir(parents=True)
+    assert run(["impute", *fit_args(sim_dir, out)[1:]]) == 3
+    assert (out / "z_hat.csv").is_file() and not (out / "meta.json").exists()
+
+
+def test_permuting_the_data_files_rows_permutes_z_hats_rows(sim_dir, tmp_path):
+    header, *rows = (sim_dir / "data.csv").read_bytes().splitlines(keepends=True)
+    perm = np.random.default_rng(3).permutation(len(rows))
+    (tmp_path / "data.csv").write_bytes(header + b"".join(rows[i] for i in perm))
+    (tmp_path / "schema.json").write_bytes((sim_dir / "schema.json").read_bytes())
+    outs = (tmp_path / "base", tmp_path / "moved")
+    assert run(fit_args(sim_dir, outs[0])) == 0 and run(fit_args(tmp_path, outs[1])) == 0
+    iterations = [json.loads((out / "meta.json").read_text())["iterations_run"] for out in outs]
+    assert iterations[0] == iterations[1]
+    base, moved = (load_matrix_csv(out / "z_hat.csv") for out in outs)
+    # a permutation reorders sums, so the two agree to round-off
+    assert np.linalg.norm(moved - base[perm]) <= 1e-10 * np.linalg.norm(base)
+
+
 def test_tune_writes_scores(sim_dir, tmp_path):
     out = tmp_path / "tune"
     argv = ["tune", "--data", str(sim_dir / "data.csv"),

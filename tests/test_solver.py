@@ -156,6 +156,59 @@ def test_permuting_rows_permutes_p_hat_and_z_hat(problem, log2_tau, seed):
     assert err <= 1e-10 * max(np.linalg.norm(base.Z_hat), 1e-300)
 
 
+@settings(max_examples=60, deadline=None)
+@given(problem=SURVEYS, log2_tau=st.integers(-12, -2), seed=st.integers(0, 2**32 - 1))
+def test_permuting_columns_within_a_block_permutes_p_hat_and_z_hat(problem, log2_tau, seed):
+    ds, _, _, clamp = problem
+    assume(ds.R.any())
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([sl.start + rng.permutation(sl.stop - sl.start)
+                           for _, sl in ds.layout.slices()])
+    shuffled = replace(ds, Y=ds.Y[:, cols])
+    p_hat = smc.estimate_response_probs(ds).p_hat
+    p_shuffled = smc.estimate_response_probs(shuffled).p_hat
+    # each (column, stratum) cell is fitted on its own rows alone
+    assert np.array_equal(p_shuffled, p_hat[:, cols])
+    cfg = smc.SolverConfig(iterations=30, clamp=clamp)
+    base = smc.fit_completion(ds, p_hat, 2.0**log2_tau, cfg)
+    moved = smc.fit_completion(shuffled, p_shuffled, 2.0**log2_tau, cfg)
+    if moved.iterations_run != base.iterations_run:
+        event("the fits stop at different iterations")
+        return
+    # the SVDs see the columns in another order, so Z_hat agrees to round-off
+    err = np.linalg.norm(moved.Z_hat - base.Z_hat[:, cols])
+    assert err <= 1e-10 * max(np.linalg.norm(base.Z_hat), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=SURVEYS, data=st.data())
+def test_relabelling_the_strata_leaves_p_hat_unchanged(problem, data):
+    ds, _, _, _ = problem
+    labels = np.array(data.draw(st.permutations(range(1, ds.n_strata + 1))))
+    assume(not np.array_equal(labels, np.arange(1, ds.n_strata + 1)))
+    relabelled = replace(ds, strata=labels[ds.strata - 1])
+    for design_weighted in (False, True):
+        assert np.array_equal(
+            smc.estimate_response_probs(relabelled, use_design_weights=design_weighted).p_hat,
+            smc.estimate_response_probs(ds, use_design_weights=design_weighted).p_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=SURVEYS, log2_tau=st.integers(-12, -2))
+def test_half_the_inclusion_probabilities_fit_what_half_the_population_size_fits(problem,
+                                                                                  log2_tau):
+    # W = 1/(N L pi p_hat) halves exactly either way; stage one does not use pi
+    ds, _, _, clamp = problem
+    assume(ds.R.any())
+    half_pi = replace(ds, pi=0.5 * ds.pi)
+    half_n = replace(ds, population_size=0.5 * ds.population_size)
+    cfg = smc.SolverConfig(iterations=30, clamp=clamp)
+    fits = [smc.fit_completion(d, smc.estimate_response_probs(d).p_hat, 2.0**log2_tau, cfg)
+            for d in (half_pi, half_n)]
+    assert np.array_equal(fits[0].Z_hat, fits[1].Z_hat)
+    assert np.array_equal(fits[0].objective_trace, fits[1].objective_trace)
+
+
 def test_gradient_zero_at_missing_entries():
     rng = np.random.default_rng(2)
     ds, p_hat, Z = helpers.random_problem(rng, miss=0.5)
