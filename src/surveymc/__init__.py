@@ -11,7 +11,7 @@ accelerated proximal method with a descent guard.
 from .baselines import BaselineResult, collective_unweighted, hot_deck, soft_impute
 from .benchmark import (BenchmarkSummary, ReplicationReport, block_relative_errors,
                         relative_error, run_benchmark, tune_benchmark_taus)
-from .dataset import MixedDataset, Standardization
+from .dataset import MixedDataset
 from .errors import (ColumnEmpty, DegenerateTruth, DesignError, DomainError,
                      FoldError, InvalidInput, NumericalFailure, SchemaViolation,
                      ShapeError, StratumTooSmall, SurveyMCError, WeightError)

@@ -33,7 +33,6 @@ __all__ = ["BaselineResult", "soft_impute", "hot_deck", "collective_unweighted"]
 
 @dataclass(frozen=True)
 class BaselineResult:
-    method: str
     Y_imputed: np.ndarray
     Z_hat_natural: np.ndarray
     notes: dict
@@ -60,7 +59,6 @@ def soft_impute(dataset: MixedDataset, tau: float,
     layout = CategoryLayout.of(("gaussian", dataset.n_responses))
     M, notes = _unweighted_fit(dataset, tau, config, layout)
     return BaselineResult(
-        method="soft_impute",
         Y_imputed=np.where(dataset.R, dataset.Y, M),
         Z_hat_natural=natural_from_mean(M, dataset.layout, config.clamp),
         notes=notes,
@@ -97,7 +95,6 @@ def hot_deck(dataset: MixedDataset, rng: np.random.Generator,
                 fallback_cells += 1
             Y_imputed[need, j] = pool[rng.integers(0, pool.size, size=k)]
     return BaselineResult(
-        method="hot_deck",
         Y_imputed=Y_imputed,
         Z_hat_natural=natural_from_mean(Y_imputed, dataset.layout, clamp),
         notes={"fallback_cells": fallback_cells},
@@ -112,7 +109,6 @@ def collective_unweighted(dataset: MixedDataset, tau: float,
     Z, notes = _unweighted_fit(dataset, tau, config, dataset.layout)
     means = mean_from_natural(Z, dataset.layout)
     return BaselineResult(
-        method="collective_unweighted",
         Y_imputed=np.where(dataset.R, dataset.Y, means),
         Z_hat_natural=Z,
         notes=notes,

@@ -84,11 +84,32 @@ class ReplicationReport:
 class BenchmarkSummary:
     spec: PopulationSpec
     methods: tuple[str, ...]
-    taus: dict[str, float]
-    base_seed: int
     reports: tuple[ReplicationReport, ...]
-    aggregate: dict[str, dict[str, tuple[float, float, int]]]  # mean, se, count
-    n_failures: dict[str, int]
+
+    @property
+    def failures(self) -> dict[str, dict[int, str]]:
+        """method -> replicate id -> error message, of each failed fit."""
+        return {name: {rep.replicate: rep.failures[name] for rep in self.reports
+                       if name in rep.failures} for name in self.methods}
+
+    @property
+    def n_failures(self) -> dict[str, int]:
+        """method -> replicates on which it failed."""
+        return {name: len(failed) for name, failed in self.failures.items()}
+
+    @property
+    def aggregate(self) -> dict[str, dict[str, tuple[float, float, int]]]:
+        """method -> score label -> (mean, standard error, count) over the
+        replicates the method did not fail on; one replicate's se is NaN."""
+        aggregate: dict[str, dict[str, tuple[float, float, int]]] = {}
+        for name in self.methods:
+            ok = [rep.re[name] for rep in self.reports if name in rep.re]
+            aggregate[name] = {}
+            for lab in ok[0] if ok else ():
+                vals = np.array([s[lab] for s in ok])
+                se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
+                aggregate[name][lab] = (float(vals.mean()), se, int(vals.size))
+        return aggregate
 
 
 def _data_rng(base_seed: int, r: int) -> np.random.Generator:
@@ -204,8 +225,8 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
                   taus: dict[str, float], base_seed: int = 1,
                   config: SolverConfig = SolverConfig(),
                   p_floor: float = DEFAULT_P_FLOOR) -> BenchmarkSummary:
-    """Run the Monte Carlo replicates in order, in the calling thread, and
-    aggregate mean and standard error.
+    """Run the Monte Carlo replicates in order, in the calling thread; the
+    summary aggregates their mean and standard error.
 
     taus is required and maps every tuned method to its tau; a run of
     hot_deck alone passes {}.  Failures are recorded per replicate and
@@ -217,22 +238,9 @@ def run_benchmark(spec: PopulationSpec, methods=METHODS, n_replicates: int = 20,
     check_real("p_floor", p_floor, 0.0, 1.0)
     methods = check_run_args(methods, n_replicates, base_seed, taus)
 
-    reports = [_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
-               for r in range(1, n_replicates + 1)]
-
-    aggregate: dict[str, dict[str, tuple[float, float, int]]] = {}
-    n_failures: dict[str, int] = {}
-    for name in methods:
-        ok = [rep.re[name] for rep in reports if name in rep.re]
-        n_failures[name] = n_replicates - len(ok)
-        aggregate[name] = {}
-        for lab in ok[0] if ok else ():
-            vals = np.array([s[lab] for s in ok])
-            se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
-            aggregate[name][lab] = (float(vals.mean()), se, int(vals.size))
-    return BenchmarkSummary(spec=spec, methods=methods, taus=dict(taus), base_seed=base_seed,
-                            reports=tuple(reports), aggregate=aggregate,
-                            n_failures=n_failures)
+    reports = tuple(_one_replicate(spec, methods, taus, base_seed, r, config, p_floor)
+                    for r in range(1, n_replicates + 1))
+    return BenchmarkSummary(spec=spec, methods=methods, reports=reports)
 
 
 def tune_benchmark_taus(spec: PopulationSpec, methods=METHODS, grid=DEFAULT_TAU_GRID,

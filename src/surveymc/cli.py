@@ -108,7 +108,7 @@ def cmd_impute(args) -> dict:
     dataset, result, entries = _fit(args)
     means = mean_from_natural(result.Z_hat, dataset.layout)
     if dataset.standardization is not None:
-        for j, (mean, scale) in dataset.standardization.response.items():
+        for j, (mean, scale) in dataset.standardization.items():
             means[:, j] = means[:, j] * scale + mean
         # the observed entries as read, which y * scale + mean misses in the last bit
         dataset = mio.load_dataset(args.data, args.schema)
@@ -143,14 +143,14 @@ def cmd_benchmark(args) -> dict:
                             base_seed=args.seed, config=config, p_floor=args.p_floor)
     mio.write_benchmark_csvs(summary, os.path.join(args.out, "summary.csv"),
                              os.path.join(args.out, "replicates.csv"))
-    for method in methods:
-        agg = summary.aggregate.get(method, {})
+    for method, agg in summary.aggregate.items():
         if "overall" in agg:
             mean, se, count = agg["overall"]
-            print(f"{method}: overall RE {mean:.4f} +/- {se:.4f} ({count} replicates)")
+            se = mio.NA if np.isnan(se) else f"{se:.4f}"  # as summary.csv writes it
+            print(f"{method}: overall RE {mean:.4f} +/- {se} ({count} replicates)")
         else:
             print(f"{method}: all replicates failed")
-    return {"taus": taus, "n_failures": summary.n_failures}
+    return {"taus": taus, "n_failures": summary.n_failures, "failures": summary.failures}
 
 
 def build_parser() -> argparse.ArgumentParser:

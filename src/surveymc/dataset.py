@@ -17,18 +17,7 @@ import numpy as np
 from .errors import InvalidInput, ShapeError, WeightError, check_real, check_type, real_array
 from .families import CategoryLayout
 
-__all__ = ["MixedDataset", "Standardization"]
-
-
-@dataclass(frozen=True)
-class Standardization:
-    """Per-column affine transform records: col -> (mean, scale).
-
-    Stored values are on the standardized scale; original = std * scale + mean.
-    """
-
-    covariate: dict[int, tuple[float, float]] = field(default_factory=dict)
-    response: dict[int, tuple[float, float]] = field(default_factory=dict)
+__all__ = ["MixedDataset"]
 
 
 @dataclass(frozen=True)
@@ -39,7 +28,8 @@ class MixedDataset:
     pi: np.ndarray
     layout: CategoryLayout
     population_size: float | None = None
-    standardization: Standardization | None = None
+    # standardized gaussian response j -> (mean, scale): original = Y[:, j] * scale + mean
+    standardization: dict[int, tuple[float, float]] | None = None
     R: np.ndarray = field(init=False, repr=False)  # ~isnan(Y)
 
     def __post_init__(self):

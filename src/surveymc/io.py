@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import BenchmarkSummary
-from .dataset import MixedDataset, Standardization
+from .dataset import MixedDataset
 from .errors import InvalidInput, SchemaViolation, check_type, real_array
 from .families import Block, CategoryLayout, Family
 from .solver import CompletionResult, TuneResult
@@ -37,10 +37,16 @@ _ROLES = ("stratum", "weight", "covariate", "response")
 NA = "NA"  # a missing value in every file written, and the schema's default marker
 
 
+def _float_line(width: int):
+    """The CSV line of `width` floats by every file's token rule: 17 significant
+    digits, which round-trip float64, and NA for NaN (the only "nan" formatted)."""
+    line = ",".join(["%.17g"] * width)
+    return lambda row: (line % tuple(row)).replace("nan", NA)
+
+
 def fmt(x: float) -> str:
-    """17-significant-digit decimal form, which round-trips float64 exactly;
-    NaN is NA, as in _write_matrix."""
-    return format(float(x), ".17g").replace("nan", NA)
+    """One float's token (_float_line)."""
+    return _float_line(1)((float(x),))
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,9 @@ class SchemaFile:
                     raise SchemaViolation(f"column {c.name!r}: {exc}") from exc
             elif c.family is not None:
                 raise SchemaViolation(f"column {c.name!r} with role {c.role!r} must not set a family")
+            if c.sigma != 1.0 and c.family != "gaussian":  # only a response has a family
+                raise SchemaViolation(f"column {c.name!r}: only a gaussian response takes a "
+                                      f"sigma, got {c.sigma!r}")
         if roles.count("stratum") != 1 or roles.count("weight") != 1:
             raise SchemaViolation("schema needs exactly one stratum and one weight column")
         if roles.count("response") < 1:
@@ -204,7 +213,7 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
     without covariate columns gives an n x 0 X.  With
     standardize=True, covariates and gaussian responses are centered and
     scaled to unit variance (responses on observed entries only) and the
-    transforms are retained on the dataset for inverse mapping.
+    responses' transforms are kept on the dataset for inverse mapping.
     """
     _check_paths(data_path=data_path, schema_path=schema_path)
     schema = load_schema(schema_path)
@@ -229,12 +238,11 @@ def load_dataset(data_path, schema_path, standardize: bool = False) -> MixedData
 
     standardization = None
     if standardize:
-        covariates = schema.names("covariate")
+        for d, name in enumerate(schema.names("covariate")):
+            _standardize(X[:, d], name)
         responses = [c for c in schema.columns if c.role == "response"]
-        standardization = Standardization(
-            covariate={d: _standardize(X[:, d], covariates[d]) for d in range(X.shape[1])},
-            response={j: _standardize(Y[:, j], c.name) for j, c in enumerate(responses)
-                      if c.family == "gaussian" and not np.isnan(Y[:, j]).all()})
+        standardization = {j: _standardize(Y[:, j], c.name) for j, c in enumerate(responses)
+                           if c.family == "gaussian" and not np.isnan(Y[:, j]).all()}
 
     return MixedDataset(Y=Y, X=X, strata=strata, pi=pi, layout=schema.layout(),
                         population_size=schema.population_size,
@@ -253,11 +261,17 @@ def default_schema(dataset: MixedDataset) -> SchemaFile:
     return SchemaFile(columns=tuple(cols), population_size=dataset.population_size)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows, line=",".join) -> None:
+    """Write every CSV file: the header as csv.writer quotes it, then line(row)
+    per row (tokens joined by default, none needing quotes) with csv.writer's line end."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line(row) + "\r\n" for row in rows)
+
+
+def _write_matrix(path, header, M: np.ndarray) -> None:
+    """Write a float matrix at one % call per row (_float_line)."""
+    _write_csv(path, header, M.tolist(), _float_line(M.shape[1]))
 
 
 def save_dataset(dataset: MixedDataset, data_path, schema_path) -> None:
@@ -301,16 +315,6 @@ def save_matrix_csv(M, path, prefix: str = "c") -> None:
     _write_matrix(path, [f"{prefix}{j + 1}" for j in range(M.shape[1])], M)
 
 
-def _write_matrix(path, header, M: np.ndarray) -> None:
-    """Write a float matrix under header with fmt's token per value (NA for
-    NaN): the bytes of _write_csv, at one % call per row."""
-    line = ",".join(["%.17g"] * M.shape[1]) + "\r\n"  # csv.writer's line end
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for row in M.tolist():  # only a NaN formats with "nan"; no token needs quoting
-            fh.write((line % tuple(row)).replace("nan", NA))
-
-
 def load_matrix_csv(path) -> np.ndarray:
     """Read a save_matrix_csv file; values must be finite or NA."""
     _check_paths(path=path)
@@ -325,17 +329,16 @@ def write_trace_csv(result, path) -> None:
     """Objective trace: iteration, objective, accepted flag (1 for k = 0)."""
     check_type("result", result, CompletionResult)
     _check_paths(path=path)
-    _write_csv(path, ["k", "objective", "accepted"],
-               ([str(k), fmt(obj), str(1 if k == 0 else int(result.accepted[k - 1]))]
-                for k, obj in enumerate(result.objective_trace)))
+    trace = result.objective_trace
+    _write_matrix(path, ["k", "objective", "accepted"],
+                  np.column_stack([np.arange(trace.size), trace, np.r_[1, result.accepted]]))
 
 
 def write_tau_scores(result, path) -> None:
     """Cross-validation score per tau of a TuneResult."""
     check_type("result", result, TuneResult)
     _check_paths(path=path)
-    _write_csv(path, ["tau", "score"],
-               ([fmt(t), fmt(s)] for t, s in zip(result.taus, result.scores)))
+    _write_matrix(path, ["tau", "score"], np.column_stack([result.taus, result.scores]))
 
 
 def write_benchmark_csvs(summary, summary_path, replicates_path) -> None:
@@ -345,8 +348,8 @@ def write_benchmark_csvs(summary, summary_path, replicates_path) -> None:
     _check_paths(summary_path=summary_path, replicates_path=replicates_path)
     scenario = f"xi={summary.spec.xi:g}"
     rows = []
-    for method in summary.methods:
-        for lab, (mean, se, count) in summary.aggregate.get(method, {}).items():
+    for method, scores in summary.aggregate.items():
+        for lab, (mean, se, count) in scores.items():
             rows.append([method, scenario, lab, fmt(mean), fmt(se),
                          str(count), str(summary.n_failures[method])])
     _write_csv(summary_path, ["method", "scenario", "block", "mean_re", "se_re",

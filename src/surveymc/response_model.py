@@ -57,7 +57,7 @@ class ResponseProbModel:
     iterations counts IRLS steps (0 for a degenerate cell, _MAX_ITER for
     one stopped at the cap); degenerate marks all-0 / all-1 cells and
     fallback the cells that needed a ridge.  p_hat entries always lie in
-    [p_floor, 1].
+    [p_floor, 1], p_floor the argument of estimate_response_probs.
     """
 
     coefficients: np.ndarray
@@ -65,7 +65,6 @@ class ResponseProbModel:
     degenerate: np.ndarray
     fallback: np.ndarray
     p_hat: np.ndarray
-    p_floor: float
 
     @property
     def degenerate_cells(self) -> np.ndarray:
@@ -208,5 +207,4 @@ def estimate_response_probs(dataset: MixedDataset, *, p_floor: float = DEFAULT_P
                               p_floor, 1.0)
 
     return ResponseProbModel(coefficients=coefficients, iterations=iterations,
-                             degenerate=degenerate, fallback=fallback,
-                             p_hat=p_hat, p_floor=p_floor)
+                             degenerate=degenerate, fallback=fallback, p_hat=p_hat)

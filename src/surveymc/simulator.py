@@ -63,16 +63,26 @@ class SyntheticTruth:
 
     X_pop: np.ndarray            # N x D, entries in [0, 1]
     Z_pop: np.ndarray            # N x L, entries in [0, 1]
-    stratum_of_row: np.ndarray   # N, labels 1..H
-    cluster_of_row: np.ndarray   # N, global cluster index
-    cluster_sizes: list          # per stratum, array of M_hi
-    stratum_sizes: np.ndarray    # H, N_h
+    cluster_sizes: list          # per stratum, array of M_hi; rows run cluster by cluster
     a: np.ndarray                # H stratum rates
     zeta: np.ndarray             # H x L x (D+1), intercept first
 
     @property
     def n_population(self) -> int:
         return self.X_pop.shape[0]
+
+    @property
+    def stratum_sizes(self) -> np.ndarray:  # H, N_h
+        return np.array([int(sz.sum()) for sz in self.cluster_sizes])
+
+    @property
+    def stratum_of_row(self) -> np.ndarray:  # N, labels 1..H
+        return np.repeat(np.arange(1, len(self.cluster_sizes) + 1), self.stratum_sizes)
+
+    @property
+    def cluster_of_row(self) -> np.ndarray:  # N, global cluster index
+        sizes = np.concatenate(self.cluster_sizes)
+        return np.repeat(np.arange(sizes.size), sizes)
 
 
 @dataclass(frozen=True)
@@ -101,45 +111,35 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Synth
     for h in range(H):
         b = rng.exponential(size=M_h[h])
         cluster_sizes.append(5 * rng.poisson(a[h] + b) + 30)
-    stratum_sizes = np.array([int(sz.sum()) for sz in cluster_sizes])
 
-    N = int(stratum_sizes.sum())
-    X_pop = np.empty((N, D))
-    Z_pop = np.empty((N, L))
-    stratum_of_row = np.empty(N, dtype=np.int64)
-    cluster_of_row = np.empty(N, dtype=np.int64)
+    sizes = np.concatenate(cluster_sizes).tolist()  # rows run cluster by cluster
+    X_pop = np.empty((sum(sizes), D))
+    Z_pop = np.empty((sum(sizes), L))
 
     row = 0
-    cluster_id = 0
     slices = spec.layout.slices()
-    for h in range(H):
-        for size in cluster_sizes[h]:
-            size = int(size)
-            X0 = rng.exponential(size=(size, D))
-            sup = X0.max()
+    for size in sizes:
+        X0 = rng.exponential(size=(size, D))
+        sup = X0.max()
+        if sup == 0.0:
+            raise DegenerateTruth("covariate block is identically zero")
+        X = X0 / sup
+        block = slice(row, row + size)
+        X_pop[block] = X
+        for fam, sl in slices:
+            W = rng.uniform(0.0, 2.0, size=(D, sl.stop - sl.start))
+            Zt = X @ W
+            sup = Zt.max()
             if sup == 0.0:
-                raise DegenerateTruth("covariate block is identically zero")
-            X = X0 / sup
-            block = slice(row, row + size)
-            X_pop[block] = X
-            for fam, sl in slices:
-                W = rng.uniform(0.0, 2.0, size=(D, sl.stop - sl.start))
-                Zt = X @ W
-                sup = Zt.max()
-                if sup == 0.0:
-                    raise DegenerateTruth("natural-parameter block is identically zero")
-                Z_pop[block, sl] = Zt / sup
-            stratum_of_row[block] = h + 1
-            cluster_of_row[block] = cluster_id
-            cluster_id += 1
-            row += size
+                raise DegenerateTruth("natural-parameter block is identically zero")
+            Z_pop[block, sl] = Zt / sup
+        row += size
 
     zeta = np.empty((H, L, D + 1))
     zeta[:, :, 0] = rng.normal(spec.xi, 0.1, size=(H, L))
     zeta[:, :, 1:] = rng.normal(0.3, 0.1, size=(H, L, D))
-    return SyntheticTruth(X_pop=X_pop, Z_pop=Z_pop, stratum_of_row=stratum_of_row,
-                          cluster_of_row=cluster_of_row, cluster_sizes=cluster_sizes,
-                          stratum_sizes=stratum_sizes, a=a, zeta=zeta)
+    return SyntheticTruth(X_pop=X_pop, Z_pop=Z_pop, cluster_sizes=cluster_sizes, a=a,
+                          zeta=zeta)
 
 
 def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
@@ -148,9 +148,9 @@ def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
     check_type("truth", truth, SyntheticTruth)
     check_type("spec", spec, PopulationSpec)
     check_type("rng", rng, *GENERATORS)
-    H = spec.n_strata
-    if truth.stratum_sizes.shape[0] != H:
-        raise DesignError(f"population has {truth.stratum_sizes.shape[0]} strata, spec says {H}")
+    H, N_h = spec.n_strata, truth.stratum_sizes
+    if N_h.shape[0] != H:
+        raise DesignError(f"population has {N_h.shape[0]} strata, spec says {H}")
     # population row offset of each cluster, in global cluster order
     all_sizes = np.concatenate([np.asarray(sz) for sz in truth.cluster_sizes])
     offsets = np.concatenate([[0], np.cumsum(all_sizes)[:-1]])
@@ -161,8 +161,8 @@ def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
     pis = []
     for h in range(H):
         sizes = np.asarray(truth.cluster_sizes[h], dtype=np.float64)
-        if spec.m1 * spec.m2 > truth.stratum_sizes[h]:
-            raise DesignError(f"m1*m2={spec.m1 * spec.m2} exceeds stratum size {truth.stratum_sizes[h]}")
+        if spec.m1 * spec.m2 > N_h[h]:
+            raise DesignError(f"m1*m2={spec.m1 * spec.m2} exceeds stratum size {N_h[h]}")
         drawn = rng.choice(sizes.size, size=spec.m1, replace=True, p=sizes / sizes.sum())
         for i in drawn:
             size = int(sizes[i])
@@ -171,7 +171,7 @@ def draw_sample(truth: SyntheticTruth, spec: PopulationSpec,
             elems = rng.choice(size, size=spec.m2, replace=False)
             rows.append(offsets[first_cluster[h] + i] + elems)
         strata.append(np.full(spec.m1 * spec.m2, h + 1, dtype=np.int64))
-        pis.append(np.full(spec.m1 * spec.m2, spec.m1 * spec.m2 / truth.stratum_sizes[h]))
+        pis.append(np.full(spec.m1 * spec.m2, spec.m1 * spec.m2 / N_h[h]))
 
     pop_rows = np.concatenate(rows)
     strata = np.concatenate(strata)

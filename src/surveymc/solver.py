@@ -76,8 +76,12 @@ class CompletionResult:
     Z_hat: np.ndarray
     objective_trace: np.ndarray
     accepted: np.ndarray
-    iterations_run: int
     diagnostics: dict
+
+    @property
+    def iterations_run(self) -> int:
+        """Iterations the loop ran: one accepted flag each."""
+        return len(self.accepted)
 
 
 @dataclass(frozen=True)
@@ -311,7 +315,7 @@ def fit_completion(dataset: MixedDataset, p_hat, tau: float,
     }
     return CompletionResult(Z_hat=Z1, objective_trace=np.asarray(trace),
                             accepted=np.asarray(accepted, dtype=bool),
-                            iterations_run=len(accepted), diagnostics=diagnostics)
+                            diagnostics=diagnostics)
 
 
 def grid_search(grid, score) -> TuneResult:

@@ -266,5 +266,4 @@ def estimate_per_cell(dataset, p_floor=0.01, use_design_weights=False):
              degenerate[h - 1, j], fallback[h - 1, j]) = cell
             p_hat[rows, j] = np.clip(expit(F @ cell[0]), p_floor, 1.0)
     return smc.ResponseProbModel(coefficients=coefficients, iterations=iterations,
-                                 degenerate=degenerate, fallback=fallback,
-                                 p_hat=p_hat, p_floor=p_floor)
+                                 degenerate=degenerate, fallback=fallback, p_hat=p_hat)

@@ -194,4 +194,3 @@ def test_collective_unweighted_imputes_means():
     npt.assert_array_equal(out.Y_imputed[ds.R], ds.Y[ds.R])
     means = smc.mean_from_natural(out.Z_hat_natural, ds.layout)
     npt.assert_array_equal(out.Y_imputed[~ds.R], means[~ds.R])
-    assert out.method == "collective_unweighted"

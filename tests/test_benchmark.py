@@ -147,6 +147,28 @@ def test_a_method_scored_on_one_replicate_writes_its_standard_error_as_na(monkey
     assert rows and all(row.split(",")[4:] == ["NA", "1", "2"] for row in rows)
 
 
+def test_a_summary_counts_and_aggregates_what_its_reports_hold():
+    # ipw fails on replicates 2 and 3, so its one score has a NaN standard error
+    scores = {1: {"ipw": 0.5, "hot_deck": 2.0}, 2: {"hot_deck": 3.0}, 3: {"hot_deck": 7.0}}
+    reports = tuple(smc.ReplicationReport(
+        replicate=r, seed=11 ^ r, response_rate=0.5, wall_time=0.0,
+        re={m: {"overall": s, "block1_gaussian": 2 * s} for m, s in scores[r].items()},
+        failures={} if r == 1 else {"ipw": "NumericalFailure: synthetic"}) for r in scores)
+    summary = smc.BenchmarkSummary(spec=tiny_spec(), methods=("ipw", "hot_deck"),
+                                   reports=reports)
+    assert summary.n_failures == {"ipw": 2, "hot_deck": 0}
+    assert summary.failures == {"ipw": {2: "NumericalFailure: synthetic",
+                                        3: "NumericalFailure: synthetic"}, "hot_deck": {}}
+    hot = np.array([2.0, 3.0, 7.0])
+    for lab, k in (("overall", 1), ("block1_gaussian", 2)):
+        mean, se, count = summary.aggregate["hot_deck"][lab]
+        assert (mean, count) == (pytest.approx(k * hot.mean(), rel=1e-15), 3)
+        assert se == pytest.approx(k * hot.std(ddof=1) / np.sqrt(3), rel=1e-15)
+        mean, se, count = summary.aggregate["ipw"][lab]
+        assert (mean, count) == (k * 0.5, 1) and np.isnan(se)
+    assert list(summary.aggregate["hot_deck"]) == ["overall", "block1_gaussian"]
+
+
 _TAUS = {m: 0.1 for m in METHODS}
 
 

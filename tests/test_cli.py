@@ -212,7 +212,8 @@ META_RUNS = {  # each command's argv less its inputs and --out, and the entries 
     "tune": (["tune", "--grid", "2^-6..2^-4", "--folds", "2", "--iterations", "10"],
              {"best_tau", "stage_one"}),
     "benchmark": (["benchmark", *TINY_DESIGN, "--methods", "ipw,hot_deck", "--replicates",
-                   "2", "--tau", "0.00390625", "--iterations", "10"], {"taus", "n_failures"}),
+                   "2", "--tau", "0.00390625", "--iterations", "10"],
+                  {"taus", "n_failures", "failures"}),
 }
 
 
@@ -552,6 +553,26 @@ def test_benchmark_fixed_tau_and_determinism(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     header = (outs[0] / "summary.csv").read_text().splitlines()[0]
     assert header == "method,scenario,block,mean_re,se_re,n_replicates,n_failures"
+
+
+def test_benchmark_names_each_failure_and_prints_a_lone_standard_error_as_na(
+        tmp_path, monkeypatch, capsys):
+    calls, hot_deck = [], surveymc.benchmark.hot_deck
+
+    def first_only(ds, rng, clamp):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NumericalFailure("synthetic")
+        return hot_deck(ds, rng, clamp=clamp)
+    monkeypatch.setattr(surveymc.benchmark, "hot_deck", first_only)
+    out = tmp_path / "b"
+    assert run(["benchmark", *TINY_DESIGN, "--methods", "hot_deck", "--replicates", "3",
+                "--tau", "0.01", "--out", str(out)]) == 0
+    assert "+/- NA (1 replicates)" in capsys.readouterr().out
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["n_failures"] == {"hot_deck": 2}
+    assert meta["failures"] == {"hot_deck": {"2": "NumericalFailure: synthetic",
+                                             "3": "NumericalFailure: synthetic"}}
 
 
 def test_benchmark_csvs_list_eleven_blocks_in_layout_order(tmp_path):

@@ -226,10 +226,9 @@ def test_objects_of_the_wrong_type_are_invalid_input_before_any_fit(monkeypatch,
 
 
 _RESULT = smc.CompletionResult(Z_hat=_Z, objective_trace=np.ones(1), accepted=np.ones(0, bool),
-                               iterations_run=0, diagnostics={})
+                               diagnostics={})
 _TUNED = smc.TuneResult(best_tau=0.1, taus=(0.1,), scores=(1.0,))
-_SUMMARY = smc.BenchmarkSummary(spec=tiny_spec(), methods=(), taus={}, base_seed=0, reports=(),
-                                aggregate={}, n_failures={})
+_SUMMARY = smc.BenchmarkSummary(spec=tiny_spec(), methods=(), reports=())
 # each io path argument, and write_meta_json's doc, with the call passing it
 # a value; a str is a path and a dict a doc, so neither is among the bad values
 _IO_ARGS = {

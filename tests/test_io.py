@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -145,6 +146,29 @@ def test_schema_rejects_bad_sigma_and_non_string_delimiter():
         SchemaFile(columns=make_cols(), delimiter=[","])
 
 
+@pytest.mark.parametrize("column", [ColumnSpec("x1", "covariate", sigma=7.0),
+                                    ColumnSpec("y2", "response", family="bernoulli", sigma=3.0),
+                                    ColumnSpec("pi", "weight", sigma=2.0)])
+def test_schema_rejects_a_sigma_off_a_gaussian_response(column):
+    with pytest.raises(SchemaViolation, match=repr(column.name)):
+        SchemaFile(columns=make_cols(**{column.name: column}))
+    # a sigma of 1 is every other column's own
+    SchemaFile(columns=make_cols(**{column.name: replace(column, sigma=1.0)}))
+
+
+def test_load_rejects_the_sigma_of_a_poisson_response(tmp_path):
+    ds = small_dataset(np.random.default_rng(7))
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    save_dataset(ds, data, schema)
+    doc = json.loads(schema.read_text())
+    poisson = next(c for c in doc["columns"] if c.get("family") == "poisson")
+    poisson["sigma"] = 3
+    schema.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=repr(poisson["name"])) as err:
+        load_dataset(data, schema)
+    assert err.value.exit_code == 3
+
+
 def test_schema_layout_merges_consecutive_same_family():
     cols = (ColumnSpec("stratum", "stratum"), ColumnSpec("pi", "weight"),
             ColumnSpec("x1", "covariate"),
@@ -275,10 +299,7 @@ def test_load_dataset_standardize_and_inverse(tmp_path):
     # bernoulli column is untouched
     npt.assert_array_equal(ds.Y[:, 1], [b for _, _, b in raw])
     # recorded transforms reproduce the original values
-    mean, scale = ds.standardization.covariate[0]
-    npt.assert_allclose(ds.X[:, 0] * scale + mean, [x for x, _, _ in raw],
-                        rtol=1e-12)
-    mean, scale = ds.standardization.response[0]
+    mean, scale = ds.standardization[0]
     got = ds.Y[obs, 0] * scale + mean
     npt.assert_allclose(got, [g for _, g, _ in raw if g is not None], rtol=1e-12)
 
@@ -341,7 +362,7 @@ def test_write_trace_csv_header_and_flags(tmp_path):
     result = smc.CompletionResult(Z_hat=np.zeros((1, 1)),
                                   objective_trace=np.array([3.0, 2.5, 2.5, 2.0]),
                                   accepted=np.array([True, False, True]),
-                                  iterations_run=3, diagnostics={})
+                                  diagnostics={})
     path = tmp_path / "t.csv"
     write_trace_csv(result, path)
     lines = path.read_text().splitlines()
@@ -364,11 +385,7 @@ def tiny_summary():
                                       "overall_mean_scale": 0.65}},
                           failures={}),
     )
-    aggregate = {"ipw": {"overall": (0.6, 0.1, 2), "gaussian:3": (0.5, 0.1, 2),
-                         "overall_mean_scale": (0.55, 0.1, 2)}}
-    return BenchmarkSummary(spec=spec, methods=("ipw",), taus={"ipw": 0.25},
-                            base_seed=11, reports=reports, aggregate=aggregate,
-                            n_failures={"ipw": 0})
+    return BenchmarkSummary(spec=spec, methods=("ipw",), reports=reports)
 
 
 def test_write_benchmark_csvs_structure(tmp_path):

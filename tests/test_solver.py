@@ -312,6 +312,12 @@ def test_trace_is_exactly_monotone():
         assert res.accepted.shape[0] == res.iterations_run
 
 
+def test_iterations_run_counts_the_accepted_flags():
+    res = smc.CompletionResult(Z_hat=np.zeros((1, 1)), objective_trace=np.ones(4),
+                               accepted=np.array([True, False, True]), diagnostics={})
+    assert res.iterations_run == len(res.accepted) == 3
+
+
 def test_iterate_stays_in_clamp_box():
     rng = np.random.default_rng(8)
     ds, p_hat, _ = helpers.random_problem(rng, n=30)
